@@ -33,7 +33,6 @@ from .nn import (
     dot_with_each,
     finite_diff_grad,
     forward,
-    mean_loss,
     sgd_step,
     weighted_gradient,
 )
@@ -44,7 +43,6 @@ from .reweight import (
     proportion_weights,
     random_weights,
     rectify_normalize,
-    resample_batch,
     resample_indices,
 )
 from .theory import (
@@ -60,7 +58,6 @@ from .theory import (
     rate_report,
     run_descent_verification,
     safe_step_size,
-    unnormalized_descent_step,
     validation_objective,
 )
 from .trainer import STRATEGIES, MetricsRecord, TrainConfig, TrainResult, evaluate, train

@@ -1,7 +1,7 @@
 """Command line interface: train, verify, corrupt, report.
 
-Exit codes: 0 success, 1 verification/acceptance failure, 2 configuration
-or input-format error.
+Exit codes: 0 success, 1 verification/acceptance failure, 2 bad input: a bad
+config or file, data that does not fit the model, or a non-finite run.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import numpy as np
 from .checks import run_checks
 from .config import build_experiment, parse_config_file
 from .data import NoiseSpec, corrupt, load_idx, write_idx_labels
-from .errors import ConfigError, IdxParseError
+from .errors import ConfigError, DimensionError, IdxParseError, NonFiniteError
 from .experiment import run_experiment
 
 
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except (ConfigError, IdxParseError, FileNotFoundError) as e:
+    except (ConfigError, DimensionError, IdxParseError, NonFiniteError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

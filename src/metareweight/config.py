@@ -9,7 +9,7 @@ land under one identity.
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .data import ImbalanceSpec, NoiseSpec
 from .errors import ConfigError
@@ -42,42 +42,35 @@ def _parse_schedule(s: str) -> list[tuple[int, float]]:
     return out
 
 
-def _identity(s: str) -> str:
-    return s
+# Training fields take their defaults from TrainConfig and parse by the type
+# of the default, except these.
+_TRAIN_PARSERS = {"lr_schedule": _parse_schedule, "hidden_sizes": _parse_int_list, "hard_mining_k": int}
+
+
+def _train_parser(key: str, default):
+    return _TRAIN_PARSERS.get(key) or (_parse_bool if isinstance(default, bool) else type(default))
 
 
 # field name -> (parser, default). Defaults of None mean "absent".
 SCHEMA: dict = {
-    "strategy": (_identity, "uniform"),
-    "learning_rate": (float, 1e-3),
-    "lr_schedule": (_parse_schedule, []),
-    "batch_size_train": (int, 100),
-    "batch_size_val": (int, 10),
-    "total_steps": (int, 8000),
-    "seed": (int, 0),
-    "eval_every": (int, 100),
-    "include_val_in_train": (_parse_bool, True),
-    "early_stop_on_hyperval": (_parse_bool, False),
-    "hard_mining_k": (int, None),
-    "hidden_sizes": (_parse_int_list, (256,)),
-    "activation": (_identity, "relu"),
-    "train_images": (_identity, None),
-    "train_labels": (_identity, None),
-    "test_images": (_identity, None),
-    "test_labels": (_identity, None),
+    **{key: (_train_parser(key, default), default) for key, default in vars(TrainConfig()).items()},
+    "train_images": (str, None),
+    "train_labels": (str, None),
+    "test_images": (str, None),
+    "test_labels": (str, None),
     "subset_total": (int, None),
     "imbalance_ratio": (float, None),
     "imbalance_total": (int, 5000),
     "minority_class": (int, 4),
     "majority_class": (int, 9),
-    "noise_kind": (_identity, None),
+    "noise_kind": (str, None),
     "noise_ratio": (float, 0.0),
     "background_class": (int, 0),
     "num_classes": (int, 10),
     "val_per_class": (int, 5),
     "hyperval_total": (int, 0),
     "repeat": (int, 1),
-    "output_dir": (_identity, "runs"),
+    "output_dir": (str, "runs"),
 }
 
 REQUIRED_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -121,21 +114,23 @@ def parse_config_file(path: str) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one `train` invocation needs: data, bias, model, strategy."""
+    """Everything one `train` invocation needs: data, bias, model, strategy.
+
+    Fields other than train, imbalance, noise and raw are config fields."""
 
     train: TrainConfig
     train_images: str
     train_labels: str
     test_images: str
     test_labels: str
-    subset_total: int | None = None
-    imbalance: ImbalanceSpec | None = None
-    noise: NoiseSpec | None = None
-    val_per_class: int = 5
-    hyperval_total: int = 0
-    repeat: int = 1
-    output_dir: str = "runs"
-    raw: dict = field(default_factory=dict)
+    subset_total: int | None
+    imbalance: ImbalanceSpec | None
+    noise: NoiseSpec | None
+    val_per_class: int
+    hyperval_total: int
+    repeat: int
+    output_dir: str
+    raw: dict
 
 
 def build_experiment(values: dict) -> ExperimentConfig:
@@ -146,21 +141,7 @@ def build_experiment(values: dict) -> ExperimentConfig:
         if not os.path.isfile(values[key]):
             raise ConfigError(f"field {key!r}: file not found: {values[key]}")
 
-    train = TrainConfig(
-        strategy=values["strategy"],
-        learning_rate=values["learning_rate"],
-        lr_schedule=values["lr_schedule"],
-        batch_size_train=values["batch_size_train"],
-        batch_size_val=values["batch_size_val"],
-        total_steps=values["total_steps"],
-        seed=values["seed"],
-        eval_every=values["eval_every"],
-        include_val_in_train=values["include_val_in_train"],
-        early_stop_on_hyperval=values["early_stop_on_hyperval"],
-        hard_mining_k=values["hard_mining_k"],
-        hidden_sizes=tuple(values["hidden_sizes"]),
-        activation=values["activation"],
-    )
+    train = TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
     train.validate()
 
     imbalance = None
@@ -192,18 +173,10 @@ def build_experiment(values: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         train=train,
-        train_images=values["train_images"],
-        train_labels=values["train_labels"],
-        test_images=values["test_images"],
-        test_labels=values["test_labels"],
-        subset_total=values["subset_total"],
         imbalance=imbalance,
         noise=noise,
-        val_per_class=values["val_per_class"],
-        hyperval_total=values["hyperval_total"],
-        repeat=values["repeat"],
-        output_dir=values["output_dir"],
         raw=dict(values),
+        **{f.name: values[f.name] for f in fields(ExperimentConfig) if f.name in SCHEMA},
     )
 
 

@@ -63,10 +63,6 @@ class Dataset:
             self.label_map,
         )
 
-    def class_counts(self, num_classes: int | None = None) -> np.ndarray:
-        k = num_classes if num_classes is not None else int(self.labels.max()) + 1 if len(self) else 0
-        return np.bincount(self.labels, minlength=k)
-
 
 @dataclass
 class ImbalanceSpec:
@@ -270,7 +266,7 @@ def corrupt_uniform_flip(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator)
         draw = rng.integers(0, spec.num_classes - 1, size=count)
         old = labels[flip]
         labels[flip] = draw + (draw >= old)
-    return Dataset(ds.images.copy(), labels, ds.original_labels.copy(), ds.label_map)
+    return Dataset(ds.images, labels, ds.original_labels.copy(), ds.label_map)
 
 
 def corrupt_background_flip(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:
@@ -283,7 +279,7 @@ def corrupt_background_flip(ds: Dataset, spec: NoiseSpec, rng: np.random.Generat
     eligible = labels != spec.background_class
     flip = eligible & (rng.random(len(ds)) < spec.ratio)
     labels[flip] = spec.background_class
-    return Dataset(ds.images.copy(), labels, ds.original_labels.copy(), ds.label_map)
+    return Dataset(ds.images, labels, ds.original_labels.copy(), ds.label_map)
 
 
 def corrupt(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:

@@ -112,9 +112,6 @@ class MLPModel:
     def param_count(self) -> int:
         return sum(w.size for w in self.layers)
 
-    def copy(self) -> "MLPModel":
-        return MLPModel([w.copy() for w in self.layers], self.activation)
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([w.ravel() for w in self.layers])
 
@@ -139,11 +136,9 @@ class ForwardCache:
 
     post[l]: input actually fed to layer l, shape (n, d_{l-1} + 1), ones column
     included. post[0] is the augmented batch input.
-    pre[l]: pre-activation output of layer l, shape (n, d_l). pre[-1] is logits.
     """
 
     post: list[np.ndarray]
-    pre: list[np.ndarray]
     logits: np.ndarray
     probs: np.ndarray
     losses: np.ndarray
@@ -168,10 +163,6 @@ class PerExampleGrads:
     @property
     def count(self) -> int:
         return self.signals[0].shape[0]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.signals)
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         return [(z.shape[1], g.shape[1]) for z, g in zip(self.inputs, self.signals)]
@@ -225,17 +216,15 @@ def forward(model: MLPModel, batch: Batch) -> ForwardCache:
 
     act = _ACT[model.activation]
     post = [_augment_ones(batch.inputs)]
-    pre = []
     a = post[0]
     last = model.num_layers - 1
     for l, w in enumerate(model.layers):
         z = a @ w
-        pre.append(z)
         if l < last:
             a = _augment_ones(act(z))
             post.append(a)
 
-    logits = pre[-1]
+    logits = z
     n = len(batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -243,7 +232,7 @@ def forward(model: MLPModel, batch: Batch) -> ForwardCache:
     log_total = np.log(total)
     losses = log_total - shifted[np.arange(n), batch.labels]
     probs = exp / total[:, None]
-    return ForwardCache(post=post, pre=pre, logits=logits, probs=probs, losses=losses)
+    return ForwardCache(post=post, logits=logits, probs=probs, losses=losses)
 
 
 def backward_per_example(model: MLPModel, cache: ForwardCache, batch: Batch) -> PerExampleGrads:
@@ -310,10 +299,6 @@ def sgd_step(model: MLPModel, grad_flat: np.ndarray, alpha: float) -> MLPModel:
         layers.append(step)
         offset += w.size
     return MLPModel(layers, model.activation)
-
-
-def mean_loss(model: MLPModel, batch: Batch) -> float:
-    return float(forward(model, batch).losses.mean())
 
 
 def finite_diff_grad(model: MLPModel, evaluator, h=1e-5) -> np.ndarray:

@@ -173,9 +173,3 @@ def resample_indices(labels: np.ndarray, n: int, rng: np.random.Generator) -> np
         if pos.size:
             out[pos] = mem[rng.integers(0, mem.size, size=pos.size)]
     return out
-
-
-def resample_batch(images: np.ndarray, labels: np.ndarray, n: int, rng: np.random.Generator) -> Batch:
-    """Class-balanced batch draw from a full dataset."""
-    idx = resample_indices(labels, n, rng)
-    return Batch(images[idx], labels[idx])

@@ -27,6 +27,7 @@ from .nn import (
     sgd_step,
     weighted_gradient,
 )
+from .trainer import validation_loss_and_grad
 
 
 def validation_objective(images: np.ndarray, labels: np.ndarray):
@@ -34,15 +35,8 @@ def validation_objective(images: np.ndarray, labels: np.ndarray):
 
     Returns a callable model -> (value, flat gradient).
     """
-    batch = Batch(images, labels)
-
-    def objective(model: MLPModel) -> tuple[float, np.ndarray]:
-        cache = forward(model, batch)
-        grads = backward_per_example(model, cache, batch)
-        g = weighted_gradient(grads, np.full(len(batch), 1.0 / len(batch)))
-        return float(cache.losses.mean()), g
-
-    return objective
+    ds = Dataset(images, labels)
+    return lambda model: validation_loss_and_grad(model, ds)
 
 
 def quadratic_surrogate(curvature: float):
@@ -186,36 +180,6 @@ class DescentEntry:
     align_sq: float  # sum of squared rectified alignments, the T_t statistic
 
 
-def unnormalized_descent_step(
-    model: MLPModel,
-    batch: Batch,
-    objective,
-    alpha: float,
-    step_index: int = 0,
-) -> tuple[MLPModel, DescentEntry]:
-    """One rectified unnormalized update; records G before and after.
-
-    Examples orthogonal to (or anti-aligned with) grad G get zero coefficient,
-    so a batch with no aligned example leaves the parameters unchanged.
-    """
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
-    g0, grad_g = objective(model)
-    grads = backward_per_example(model, forward(model, batch), batch)
-    coef = np.maximum(dot_with_each(grads, grad_g), 0.0)
-    align_sq = float((coef**2).sum())
-    stepped = sgd_step(model, weighted_gradient(grads, coef), alpha / len(batch))
-    g1, _ = objective(stepped)
-    entry = DescentEntry(
-        step=step_index,
-        g_before=g0,
-        g_after=g1,
-        grad_norm_sq=float(grad_g @ grad_g),
-        align_sq=align_sq,
-    )
-    return stepped, entry
-
-
 @dataclass
 class DescentRun:
     trace: list[DescentEntry]
@@ -237,11 +201,14 @@ def _descent_trial(
 ) -> tuple[MLPModel, list[DescentEntry], float, float]:
     """Run one fixed-step trial, harvesting regularity probes as it goes.
 
-    Every executed segment (theta_t, theta_{t+1}) doubles as a Lipschitz probe
-    pair for grad G, and every batch contributes per-example gradient norms.
-    Returns (final model, trace, max segment ratio, max gradient norm). The
-    trial stops early if G blows up or the numbers leave float range; the
-    probes gathered up to that point are what force a smaller step next time.
+    Each step is the rectified unnormalized update of the module docstring,
+    so a batch with no example aligned with grad G leaves the parameters
+    unchanged. Every executed segment (theta_t, theta_{t+1}) doubles as a
+    Lipschitz probe pair for grad G, and every batch contributes per-example
+    gradient norms. Returns (final model, trace, max segment ratio, max
+    gradient norm). The trial stops early if G blows up or the numbers leave
+    float range; the probes gathered up to that point are what force a
+    smaller step next time.
     """
     g_val, grad_g = objective(model)
     ceiling = 10.0 * max(g_val, 1.0)

@@ -8,7 +8,7 @@ mini-batch per step; that extra work is tracked in the result's counters.
 
 import collections
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,16 +103,8 @@ class MetricsRecord:
     )
 
     def csv_row(self) -> list:
-        return [
-            self.step,
-            self.train_loss,
-            self.val_loss,
-            self.test_error,
-            self.grad_norm_sq,
-            self.mean_w_clean,
-            self.mean_w_flipped,
-            self.frac_zero_w,
-        ]
+        """The fields in CSV_COLUMNS order: every field but hyperval_error."""
+        return [getattr(self, f.name) for f in fields(self) if f.name != "hyperval_error"]
 
 
 @dataclass

@@ -1,6 +1,10 @@
+import functools
+import time
+
 import numpy as np
 import pytest
 
+from metareweight.checks import QUICK_CHECKS
 from metareweight.data import Dataset, load_idx, locate_mnist
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py and
@@ -13,6 +17,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@functools.cache
+def run_check(name: str) -> tuple[bool, str, float]:
+    """(passed, detail, seconds) of one QUICK_CHECKS entry, run once per session."""
+    started = time.perf_counter()
+    ok, detail = dict(QUICK_CHECKS)[name]()
+    return ok, detail, time.perf_counter() - started
+
+
+def assert_check(name: str, *covered: str) -> None:
+    """Assert that check `name` passes and that its detail names each of `covered`."""
+    ok, detail, _ = run_check(name)
+    assert ok, f"{name}: {detail}"
+    for word in covered:
+        assert word in detail, f"{name} does not cover {word}: {detail}"
 
 
 def make_blobs(rng, n_per_class=60, d=6, k=2, spread=0.35) -> Dataset:

@@ -127,6 +127,26 @@ class TestTrainCommand:
         assert main(["train", "--config", str(bad)]) == 2
         assert "strtegy" in capsys.readouterr().err
 
+    def test_image_size_mismatch_exits_2(self, tmp_path, capsys):
+        paths = synth_mnist_like(tmp_path, side=4)
+        (tmp_path / "small").mkdir()
+        small = synth_mnist_like(tmp_path / "small", side=3)
+        paths.update(test_images=small["test_images"], test_labels=small["test_labels"])
+        cfg = write_train_config(tmp_path, paths)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert "error: batch has 9 features, model expects 16" in capsys.readouterr().err
+
+    def test_non_finite_run_exits_2(self, tmp_path, capsys):
+        paths = synth_mnist_like(tmp_path)
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            open(write_train_config(tmp_path, paths, strategy="uniform")).read().replace(
+                "learning_rate = 0.05", "learning_rate = 1e300"
+            )
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        assert "error: gradient contains non-finite values" in capsys.readouterr().err
+
     def test_noise_pipeline_runs(self, tmp_path):
         paths = synth_mnist_like(tmp_path)
         cfg = write_train_config(

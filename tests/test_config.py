@@ -86,6 +86,19 @@ class TestHash:
         b = parse_config_file(write_config(tmp_path, "learning_rate = 2e-3\n", "b.cfg"))
         assert config_hash(a) != config_hash(b)
 
+    def test_readme_example_hash_pinned(self, tmp_path):
+        # The README's imbalance.cfg; its hash names existing run directories,
+        # so no schema edit may change it.
+        text = (
+            "strategy = meta_reweight\nlearning_rate = 1e-3\nbatch_size_train = 100\n"
+            "batch_size_val = 10\ntotal_steps = 8000\neval_every = 200\n"
+            "train_images = mnist/train-images-idx3-ubyte\ntrain_labels = mnist/train-labels-idx1-ubyte\n"
+            "test_images = mnist/t10k-images-idx3-ubyte\ntest_labels = mnist/t10k-labels-idx1-ubyte\n"
+            "imbalance_ratio = 200\nimbalance_total = 5000\nminority_class = 4\nmajority_class = 9\n"
+            "val_per_class = 5\nrepeat = 10\noutput_dir = runs/imb200\n"
+        )
+        assert config_hash(parse_config_file(write_config(tmp_path, text))) == "2b3c233ff3b54697"
+
     def test_canonical_items_cover_schema(self, tmp_path):
         cfg = parse_config_file(write_config(tmp_path, "seed = 1\n"))
         keys = [k for k, _ in canonical_items(cfg)]

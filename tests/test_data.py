@@ -237,6 +237,7 @@ class TestUniformFlip:
         out = corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 1.0, num_classes=3), rng)
         assert (out.labels != ds.labels).all()
         assert np.array_equal(out.original_labels, ds.labels)
+        assert np.shares_memory(out.images, ds.images)  # labels change, images pass through
 
     def test_flip_rate_and_uniform_target(self):
         rng = np.random.default_rng(62)
@@ -271,6 +272,7 @@ class TestBackgroundFlip:
         was_background = ds.labels == 0
         assert np.array_equal(out.labels[was_background], ds.labels[was_background])
         assert (out.labels[~was_background] == 0).all()
+        assert np.shares_memory(out.images, ds.images)
 
     def test_flip_rate(self):
         rng = np.random.default_rng(66)

@@ -1,81 +1,35 @@
-"""Numeric core tests. Oracles: a pure-python per-example forward pass and
-central finite differences; analytic results must match them, not the other
-way around."""
+"""Numeric core tests. The oracles (a pure-python per-example forward pass
+and central finite differences) live in `metareweight.checks`; the tests
+here cover what no check holds: shapes, validation, edge values and the
+flat-vector helpers."""
 
 import math
 
 import numpy as np
 import pytest
 
+from conftest import assert_check
+from metareweight.checks import random_batch, random_model
 from metareweight.errors import DimensionError, NonFiniteError
 from metareweight.nn import (
+    ACTIVATIONS,
     Batch,
     MLPModel,
     backward_per_example,
     dot_with_each,
-    finite_diff_grad,
     forward,
-    mean_loss,
     sgd_step,
     weighted_gradient,
 )
 
-_ACT_SCALAR = {
-    "relu": lambda v: v if v > 0 else 0.0,
-    "tanh": math.tanh,
-    "sigmoid": lambda v: 1.0 / (1.0 + math.exp(-v)),
-}
-
-
-def naive_example_loss_probs(model, x, label):
-    """Reference forward pass: python floats, explicit bias, shifted softmax."""
-    act = _ACT_SCALAR[model.activation]
-    a = [float(v) for v in x]
-    z = []
-    for l, w in enumerate(model.layers):
-        a = a + [1.0]
-        z = [sum(a[p] * w[p, q] for p in range(len(a))) for q in range(w.shape[1])]
-        if l < len(model.layers) - 1:
-            a = [act(v) for v in z]
-    mx = max(z)
-    exps = [math.exp(v - mx) for v in z]
-    total = sum(exps)
-    loss = math.log(total) - (z[label] - mx)
-    return loss, [e / total for e in exps]
-
-
-def random_model(rng, sizes, activation="relu", bias_scale=0.0):
-    model = MLPModel.init(sizes, activation=activation, rng=rng)
-    if bias_scale:
-        for w in model.layers:
-            w[-1, :] = bias_scale * rng.standard_normal(w.shape[1])
-    return model
-
-
-def random_batch(rng, n, d, k):
-    return Batch(rng.random((n, d)), rng.integers(0, k, size=n))
-
 
 class TestForward:
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_matches_naive_loop(self, activation):
-        rng = np.random.default_rng(3)
-        model = random_model(rng, [7, 5, 4], activation, bias_scale=0.4)
-        batch = random_batch(rng, 9, 7, 4)
-        cache = forward(model, batch)
-        for i in range(len(batch)):
-            loss, probs = naive_example_loss_probs(model, batch.inputs[i], int(batch.labels[i]))
-            assert abs(float(cache.losses[i]) - loss) <= 1e-12
-            assert np.abs(cache.probs[i] - probs).max() <= 1e-12
+        assert_check("forward_matches_reference_loop", activation)
 
     def test_three_layer_matches_naive_loop(self):
-        rng = np.random.default_rng(4)
-        model = random_model(rng, [5, 6, 4, 3], "tanh", bias_scale=0.2)
-        batch = random_batch(rng, 4, 5, 3)
-        cache = forward(model, batch)
-        for i in range(len(batch)):
-            loss, _ = naive_example_loss_probs(model, batch.inputs[i], int(batch.labels[i]))
-            assert abs(float(cache.losses[i]) - loss) <= 1e-12
+        assert_check("forward_matches_reference_loop")
 
     def test_losses_nonnegative_probs_normalized(self):
         rng = np.random.default_rng(5)
@@ -126,16 +80,9 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_per_example_matches_finite_differences(self, activation):
-        rng = np.random.default_rng(8)
-        model = random_model(rng, [6, 5, 3], activation, bias_scale=0.3)
-        batch = random_batch(rng, 5, 6, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
-        for i in range(len(batch)):
-            fd = finite_diff_grad(model, lambda m, i=i: float(forward(m, batch).losses[i]))
-            err = np.abs(grads.flat_one(i) - fd) / (1.0 + np.abs(fd))
-            assert err.max() <= 1e-6
+        assert_check("per_example_gradients_match_finite_differences", activation)
 
     def test_relu_dead_unit_has_zero_gradient(self):
         # Input 0 with zero bias lands exactly on the relu kink; the chosen
@@ -155,14 +102,7 @@ class TestBackward:
         assert math.sqrt(float(grads.norms_squared()[0])) <= 1e-12
 
     def test_flat_reconstruction_bitwise(self):
-        rng = np.random.default_rng(10)
-        model = random_model(rng, [5, 4, 3], "tanh", bias_scale=0.2)
-        batch = random_batch(rng, 7, 5, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
-        flat = grads.flat()
-        assert flat.shape == (7, model.param_count)
-        for i in range(7):
-            assert np.array_equal(flat[i], grads.flat_one(i))
+        assert_check("per_example_flat_reconstruction_bitwise")
 
     def test_norms_squared_matches_flat(self):
         rng = np.random.default_rng(12)
@@ -185,14 +125,7 @@ class TestWeightedGradient:
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_matches_finite_differences_of_weighted_loss(self):
-        rng = np.random.default_rng(15)
-        model = random_model(rng, [5, 4, 2], "tanh", bias_scale=0.1)
-        batch = random_batch(rng, 4, 5, 2)
-        w = rng.random(4)
-        grads = backward_per_example(model, forward(model, batch), batch)
-        fd = finite_diff_grad(model, lambda m: float(w @ forward(m, batch).losses))
-        err = np.abs(weighted_gradient(grads, w) - fd) / (1.0 + np.abs(fd))
-        assert err.max() <= 1e-6
+        assert_check("per_example_gradients_match_finite_differences")
 
     def test_zero_weights_give_zero_gradient(self):
         rng = np.random.default_rng(16)
@@ -278,15 +211,6 @@ class TestModelAndStep:
         moved = sgd_step(model, weighted_gradient(grads, w1), alpha).flatten()
         want = -alpha * h * grads.flat_one(i)
         assert np.abs((moved - base) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-
-    def test_mean_loss_matches_naive(self):
-        rng = np.random.default_rng(24)
-        model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.1)
-        batch = random_batch(rng, 5, 4, 2)
-        want = np.mean(
-            [naive_example_loss_probs(model, batch.inputs[i], int(batch.labels[i]))[0] for i in range(5)]
-        )
-        assert abs(mean_loss(model, batch) - want) <= 1e-12
 
 
 class TestBatchValidation:

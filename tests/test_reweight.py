@@ -1,12 +1,15 @@
-"""Weighting route tests. The two analytic routes are checked against each
-other, against a materialized-gradient form, and against the slow
-finite-difference lookahead oracle."""
+"""Weighting route tests. The oracles (the materialized-gradient form, the
+finite-difference lookahead, the sort, the counting and the normalization
+invariants) live in `metareweight.checks`; the tests here cover input
+validation and the edge cases no check holds."""
 
 import numpy as np
 import pytest
 
+from conftest import assert_check
+from metareweight.checks import random_batch, random_model
 from metareweight.errors import ConfigError, DimensionError, NonFiniteError
-from metareweight.nn import Batch, MLPModel, backward_per_example, forward
+from metareweight.nn import backward_per_example, forward
 from metareweight.reweight import (
     hard_mining_select,
     meta_grad_closed_form,
@@ -14,12 +17,8 @@ from metareweight.reweight import (
     proportion_weights,
     random_weights,
     rectify_normalize,
-    resample_batch,
     resample_indices,
 )
-from metareweight.theory import fd_meta_gradient
-
-from test_nn import random_batch, random_model
 
 
 def grads_for(model, batch):
@@ -28,26 +27,10 @@ def grads_for(model, batch):
 
 class TestClosedForm:
     def test_matches_materialized_gradients(self):
-        rng = np.random.default_rng(30)
-        for activation in ("relu", "tanh", "sigmoid"):
-            model = random_model(rng, [6, 5, 3], activation, bias_scale=0.3)
-            tb = random_batch(rng, 8, 6, 3)
-            vb = random_batch(rng, 4, 6, 3)
-            tg, vg = grads_for(model, tb), grads_for(model, vb)
-            u = meta_grad_closed_form(tg, vg)
-            u_ref = (tg.flat() @ vg.flat().T).mean(axis=1)
-            scale = max(1.0, np.abs(u_ref).max())
-            assert np.abs(u - u_ref).max() <= 1e-12 * scale
+        assert_check("closed_form_matches_materialized_form")
 
     def test_single_example_is_self_alignment(self):
-        rng = np.random.default_rng(31)
-        model = random_model(rng, [5, 4, 2], "tanh", bias_scale=0.2)
-        b = random_batch(rng, 1, 5, 2)
-        g = grads_for(model, b)
-        u = meta_grad_closed_form(g, g)
-        want = float(g.flat_one(0) @ g.flat_one(0))
-        assert abs(float(u[0]) - want) <= 1e-12 * max(1.0, want)
-        assert u[0] > 0
+        assert_check("closed_form_matches_materialized_form")
 
     def test_layer_shape_mismatch_raises(self):
         rng = np.random.default_rng(32)
@@ -60,50 +43,16 @@ class TestClosedForm:
 
 class TestLookahead:
     def test_zero_eps_equals_scaled_closed_form(self):
-        rng = np.random.default_rng(33)
-        for activation in ("relu", "tanh", "sigmoid"):
-            model = random_model(rng, [6, 5, 3], activation, bias_scale=0.2)
-            tb = random_batch(rng, 8, 6, 3)
-            vb = random_batch(rng, 4, 6, 3)
-            u_closed = meta_grad_closed_form(grads_for(model, tb), grads_for(model, vb))
-            for alpha in (1e-3, 0.05, 0.7):
-                u_look = meta_grad_lookahead(model, tb, vb, alpha)
-                scale = np.abs(alpha * u_closed).max()
-                assert np.abs(u_look - alpha * u_closed).max() <= 1e-10 * scale
+        assert_check("lookahead_matches_closed_form_scaled")
 
     def test_matches_finite_difference_oracle(self):
-        rng = np.random.default_rng(34)
-        model = random_model(rng, [6, 5, 3], "tanh", bias_scale=0.2)
-        tb = random_batch(rng, 6, 6, 3)
-        vb = random_batch(rng, 4, 6, 3)
-        alpha = 0.05
-        for eps0 in (None, np.full(6, 1.0 / 6), rng.random(6)):
-            u = meta_grad_lookahead(model, tb, vb, alpha, eps0=eps0)
-            u_fd = fd_meta_gradient(model, tb, vb, alpha, eps0=eps0)
-            err = np.abs(u - u_fd) / (1.0 + np.abs(u_fd))
-            assert err.max() <= 1e-4
+        assert_check("meta_gradient_matches_finite_differences")
 
     def test_exact_at_large_alpha(self):
-        # The derivative through the step is exact, not first order: even a
-        # coarse step size must agree with the oracle at the oracle's accuracy.
-        rng = np.random.default_rng(35)
-        model = random_model(rng, [5, 4, 2], "sigmoid", bias_scale=0.3)
-        tb = random_batch(rng, 5, 5, 2)
-        vb = random_batch(rng, 3, 5, 2)
-        eps0 = rng.random(5)
-        u = meta_grad_lookahead(model, tb, vb, 2.0, eps0=eps0)
-        u_fd = fd_meta_gradient(model, tb, vb, 2.0, eps0=eps0)
-        err = np.abs(u - u_fd) / (1.0 + np.abs(u_fd))
-        assert err.max() <= 1e-4
+        assert_check("meta_gradient_matches_finite_differences")
 
     def test_vanishes_linearly_with_alpha(self):
-        rng = np.random.default_rng(36)
-        model = random_model(rng, [5, 4, 2], "relu", bias_scale=0.1)
-        tb = random_batch(rng, 5, 5, 2)
-        vb = random_batch(rng, 3, 5, 2)
-        u1 = meta_grad_lookahead(model, tb, vb, 1e-3)
-        u2 = meta_grad_lookahead(model, tb, vb, 1e-6)
-        assert np.abs(u1 / 1e-3 - u2 / 1e-6).max() <= 1e-9 * max(1.0, np.abs(u1 / 1e-3).max())
+        assert_check("lookahead_matches_closed_form_scaled")
 
     def test_bad_eps_shape_raises(self):
         rng = np.random.default_rng(37)
@@ -122,43 +71,16 @@ class TestLookahead:
 
 class TestRectifyNormalize:
     def test_properties_over_many_vectors(self):
-        rng = np.random.default_rng(39)
-        for _ in range(10000):
-            n = int(rng.integers(1, 12))
-            kind = rng.integers(0, 4)
-            if kind == 0:
-                u = rng.standard_normal(n)
-            elif kind == 1:
-                u = -np.abs(rng.standard_normal(n))
-            elif kind == 2:
-                u = np.zeros(n)
-            else:
-                u = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 9)
-            w = rectify_normalize(u)
-            assert (w >= 0).all()
-            assert not np.any((u <= 0) & (w != 0))
-            if (u > 0).any():
-                assert abs(w.sum() - 1.0) <= 1e-12
-            else:
-                assert np.array_equal(w, np.zeros(n))
+        assert_check("rectified_normalization_invariants")
 
     def test_positive_scale_invariance(self):
-        rng = np.random.default_rng(40)
-        for _ in range(300):
-            u = rng.standard_normal(10)
-            if not (u > 0).any():
-                continue
-            base = rectify_normalize(u)
-            for c in (1e-8, 3.7, 1e8):
-                assert np.abs(rectify_normalize(c * u) - base).max() <= 1e-12
+        assert_check("positive_scale_invariance")
 
     def test_all_nonpositive_gives_exact_zero_vector(self):
-        w = rectify_normalize(np.array([-3.0, 0.0, -1e-300]))
-        assert np.array_equal(w, np.zeros(3))
+        assert_check("rectified_normalization_invariants")
 
     def test_single_positive_takes_all(self):
-        w = rectify_normalize(np.array([-1.0, 1e-12, -5.0]))
-        assert np.array_equal(w, np.array([0.0, 1.0, 0.0]))
+        assert_check("rectified_normalization_invariants")
 
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteError):
@@ -167,41 +89,15 @@ class TestRectifyNormalize:
 
 class TestSignSemantics:
     def test_helpful_up_harmful_zero(self):
-        # Single-layer model, train batch = one copy of a validation example
-        # with its true label and one with the wrong label. The aligned copy
-        # must score positive, the mislabeled one negative, so after
-        # rectification the weights are exactly (1, 0).
-        rng = np.random.default_rng(41)
-        model = random_model(rng, [4, 2], "relu")
-        x = rng.random(4)
-        vb = Batch(x[None, :], np.array([0]))
-        tb = Batch(np.stack([x, x]), np.array([0, 1]))
-        u = meta_grad_closed_form(grads_for(model, tb), grads_for(model, vb))
-        assert u[0] > 0 and u[1] < 0
-        assert np.array_equal(rectify_normalize(u), np.array([1.0, 0.0]))
+        assert_check("alignment_sign_semantics")
 
 
 class TestRandomWeights:
     def test_distribution(self):
-        rng = np.random.default_rng(42)
-        zeros = total = 0
-        for _ in range(2000):
-            w = random_weights(5, rng)
-            assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-12
-            zeros += int((w == 0).sum())
-            total += 5
-        assert abs(zeros / total - 0.5) <= 0.05
+        assert_check("random_weights_distribution")
 
     def test_redraw_on_all_negative(self):
-        # Find a seed whose first 3-draw is all negative, then confirm the
-        # redraw loop still produces a valid weight vector.
-        seed = next(
-            s
-            for s in range(1000)
-            if (np.random.default_rng(s).standard_normal(3) <= 0).all()
-        )
-        w = random_weights(3, np.random.default_rng(seed))
-        assert (w > 0).any() and abs(w.sum() - 1.0) <= 1e-12
+        assert_check("random_weights_distribution")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -227,17 +123,7 @@ class TestProportionWeights:
 
 class TestHardMining:
     def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(43)
-        for _ in range(300):
-            n = int(rng.integers(3, 20))
-            losses = rng.integers(0, 4, size=n).astype(np.float64)  # forces ties
-            labels = rng.integers(0, 2, size=n)
-            maj = [i for i in range(n) if labels[i] == 1]
-            k = int(rng.integers(0, len(maj) + 1))
-            got = list(hard_mining_select(losses, labels, 1, k))
-            ranked = sorted(maj, key=lambda i: (-losses[i], i))[:k]
-            want = sorted([i for i in range(n) if labels[i] != 1] + ranked)
-            assert got == want
+        assert_check("hard_mining_matches_sort")
 
     def test_k_zero_keeps_only_minority(self):
         losses = np.array([5.0, 1.0, 3.0])
@@ -251,33 +137,16 @@ class TestHardMining:
 
 class TestResample:
     def test_class_frequencies_balanced(self):
-        rng = np.random.default_rng(44)
-        labels = np.array([0] * 990 + [1] * 10)
-        idx = resample_indices(labels, 10000, rng)
-        frac = float((labels[idx] == 1).mean())
-        assert abs(frac - 0.5) <= 0.02
+        assert_check("class_balanced_resampling")
 
     def test_three_classes(self):
-        rng = np.random.default_rng(45)
-        labels = np.array([0] * 500 + [1] * 30 + [2] * 5)
-        idx = resample_indices(labels, 9000, rng)
-        for c in range(3):
-            assert abs(float((labels[idx] == c).mean()) - 1 / 3) <= 0.02
+        assert_check("class_balanced_resampling")
 
     def test_deterministic_given_seed(self):
         labels = np.array([0, 0, 1, 1, 1])
         a = resample_indices(labels, 50, np.random.default_rng(7))
         b = resample_indices(labels, 50, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-    def test_batch_wrapper(self):
-        rng = np.random.default_rng(46)
-        images = rng.random((20, 3))
-        labels = np.array([0] * 15 + [1] * 5)
-        batch = resample_batch(images, labels, 8, np.random.default_rng(1))
-        idx = resample_indices(labels, 8, np.random.default_rng(1))
-        assert np.array_equal(batch.inputs, images[idx])
-        assert np.array_equal(batch.labels, labels[idx])
 
     def test_empty_raises(self):
         with pytest.raises(ConfigError):

@@ -1,16 +1,18 @@
-"""Convergence machinery tests: closed-form oracles for the estimators, a
-materialized-gradient oracle for the descent step, and synthetic monotone
-descent runs."""
+"""Convergence machinery tests. The closed-form oracles for the estimators,
+the materialized-gradient oracle for the descent step and the rate-report
+oracles live in `metareweight.checks`; the tests here cover validation,
+the CSV files and synthetic monotone descent runs."""
 
 import csv
-import math
 
 import numpy as np
 import pytest
 
+from conftest import assert_check, make_blobs
+from metareweight.checks import random_batch, random_model
 from metareweight.data import Dataset
 from metareweight.errors import ConfigError
-from metareweight.nn import Batch, MLPModel, backward_per_example, forward
+from metareweight.nn import MLPModel
 from metareweight.theory import (
     DescentEntry,
     estimate_grad_bound,
@@ -21,23 +23,15 @@ from metareweight.theory import (
     rate_report,
     run_descent_verification,
     safe_step_size,
-    unnormalized_descent_step,
     validation_objective,
     write_descent_csv,
     write_rate_csv,
 )
 
-from conftest import make_blobs
-from test_nn import random_batch, random_model
-
 
 class TestEstimators:
     def test_quadratic_smoothness_exact(self):
-        rng = np.random.default_rng(70)
-        model = random_model(rng, [5, 4, 3], "tanh", bias_scale=0.4)
-        for c in (0.25, 1.0, 8.0):
-            est = estimate_smoothness(model, quadratic_surrogate(c), probes=8, radius=1e-3, rng=rng)
-            assert est == pytest.approx(c, rel=1e-12)
+        assert_check("descent_step_properties")
 
     def test_probe_validation(self):
         model = MLPModel.init([3, 2])
@@ -47,18 +41,7 @@ class TestEstimators:
             estimate_smoothness(model, quadratic_surrogate(1.0), radius=0.0)
 
     def test_grad_bound_zero_model_closed_form(self):
-        # With all-zero parameters the softmax is uniform, every example's
-        # output signal has norm sqrt((k-1)/k), and the per-example gradient
-        # norm factorizes as that times the augmented input norm.
-        rng = np.random.default_rng(71)
-        k = 4
-        images = rng.random((30, 6))
-        ds = Dataset(images, rng.integers(0, k, size=30))
-        model = MLPModel([np.zeros((7, k))])
-        got = estimate_grad_bound(model, ds, sample_count=30, rng=rng)
-        aug = np.hstack([images, np.ones((30, 1))])
-        want = math.sqrt((k - 1) / k) * float(np.linalg.norm(aug, axis=1).max())
-        assert got == pytest.approx(want, rel=1e-12)
+        assert_check("descent_step_properties")
 
     def test_grad_bound_subsample_is_lower_bound(self):
         rng = np.random.default_rng(72)
@@ -89,35 +72,10 @@ class TestEstimators:
 
 class TestDescentStep:
     def test_matches_materialized_update(self):
-        rng = np.random.default_rng(73)
-        model = random_model(rng, [5, 4, 3], "sigmoid", bias_scale=0.3)
-        batch = random_batch(rng, 8, 5, 3)
-        val = random_batch(rng, 5, 5, 3)
-        objective = validation_objective(val.inputs, val.labels)
-        alpha = 0.07
-        stepped, entry = unnormalized_descent_step(model, batch, objective, alpha)
-
-        _, grad_g = objective(model)
-        grads = backward_per_example(model, forward(model, batch), batch)
-        flats = grads.flat()
-        coef = np.maximum(flats @ grad_g, 0.0)
-        want = model.flatten() - (alpha / 8) * (flats.T @ coef)
-        scale = max(1.0, np.abs(want).max())
-        assert np.abs(stepped.flatten() - want).max() <= 1e-12 * scale
-        assert entry.align_sq == pytest.approx(float((coef**2).sum()), rel=1e-12)
-        assert entry.grad_norm_sq == pytest.approx(float(grad_g @ grad_g), rel=1e-12)
+        assert_check("descent_step_properties")
 
     def test_orthogonal_batch_leaves_parameters(self):
-        rng = np.random.default_rng(74)
-        model = random_model(rng, [5, 4, 3], "tanh")
-        zero_model = model.with_params(np.zeros(model.param_count))
-        batch = random_batch(rng, 6, 5, 3)
-        stepped, entry = unnormalized_descent_step(
-            zero_model, batch, quadratic_surrogate(1.0), alpha=0.5
-        )
-        assert entry.align_sq == 0.0
-        assert np.array_equal(stepped.flatten(), zero_model.flatten())
-        assert entry.g_after == entry.g_before
+        assert_check("descent_step_properties")
 
     def test_synthetic_monotone_descent(self):
         rng = np.random.default_rng(75)
@@ -145,28 +103,10 @@ class TestDescentStep:
 
 class TestRateReport:
     def test_running_min_matches_naive(self):
-        rng = np.random.default_rng(77)
-        trace = [
-            DescentEntry(t, 0.0, 0.0, float(abs(rng.standard_normal()) + 1e-4), 0.0)
-            for t in range(1500)
-        ]
-        rows = rate_report(trace)
-        assert len(rows) >= 5
-        horizons = [r.horizon for r in rows]
-        assert horizons == sorted(set(horizons))
-        assert horizons[0] == 1 and horizons[-1] == 1500
-        norms = [e.grad_norm_sq for e in trace]
-        for r in rows:
-            assert r.min_grad_norm_sq == min(norms[: r.horizon])  # naive prefix oracle
-        mins = [r.min_grad_norm_sq for r in rows]
-        assert all(b <= a for a, b in zip(mins, mins[1:]))
+        assert_check("rate_report_properties")
 
     def test_envelope_shape(self):
-        trace = [DescentEntry(t, 0.0, 0.0, 1.0, 0.0) for t in range(64)]
-        rows = rate_report(trace)
-        c = rows[0].envelope * math.sqrt(rows[0].horizon)
-        for r in rows:
-            assert r.envelope == pytest.approx(c / math.sqrt(r.horizon), rel=1e-12)
+        assert_check("rate_report_properties")
 
     def test_short_trace(self):
         rows = rate_report([DescentEntry(0, 0.0, 0.0, 2.0, 0.0)])
