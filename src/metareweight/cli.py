@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_corrupt.add_argument("--out", required=True, help="path for the corrupted labels IDX file")
     p_corrupt.add_argument("--kind", required=True, choices=("uniform_flip", "background_flip"))
     p_corrupt.add_argument("--ratio", required=True, type=float)
-    p_corrupt.add_argument("--num-classes", type=int, default=10)
-    p_corrupt.add_argument("--background-class", type=int, default=0)
+    p_corrupt.add_argument("--num-classes", type=int, default=NoiseSpec.num_classes)
+    p_corrupt.add_argument("--background-class", type=int, default=NoiseSpec.background_class)
     p_corrupt.add_argument("--seed", type=int, default=0)
 
     p_report = sub.add_parser("report", help="aggregate run directories into plot-ready CSVs")

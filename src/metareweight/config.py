@@ -60,13 +60,13 @@ SCHEMA: dict = {
     "test_labels": (str, None),
     "subset_total": (int, None),
     "imbalance_ratio": (float, None),
-    "imbalance_total": (int, 5000),
-    "minority_class": (int, 4),
-    "majority_class": (int, 9),
+    "imbalance_total": (int, ImbalanceSpec.total),
+    "minority_class": (int, ImbalanceSpec.minority_class),
+    "majority_class": (int, ImbalanceSpec.majority_class),
     "noise_kind": (str, None),
     "noise_ratio": (float, 0.0),
-    "background_class": (int, 0),
-    "num_classes": (int, 10),
+    "background_class": (int, NoiseSpec.background_class),
+    "num_classes": (int, NoiseSpec.num_classes),
     "val_per_class": (int, 5),
     "hyperval_total": (int, 0),
     "repeat": (int, 1),

@@ -143,7 +143,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
                 f"images payload: header promises {expected} bytes, file has {len(payload)}"
             )
         pixels = np.frombuffer(payload, dtype=np.uint8)
-        images = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+        images = pixels.astype(np.float64).reshape(count, rows * cols)
+        images /= 255.0
 
     with _open_maybe_gzip(labels_path) as f:
         (magic,) = struct.unpack(">i", _read_exact(f, 4, "labels magic"))
@@ -213,14 +214,20 @@ def filter_remap(ds: Dataset, label_map: dict) -> Dataset:
     return Dataset(ds.images[keep], new_labels, new_labels.copy(), dict(label_map))
 
 
+def split_indices(size: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `count` of `size` indices at random: returns (rest, taken)."""
+    if not 0 <= count <= size:
+        raise ConfigError(f"cannot split {count} examples from {size}")
+    taken = rng.choice(size, size=count, replace=False)
+    mask = np.zeros(size, dtype=bool)
+    mask[taken] = True
+    return np.flatnonzero(~mask), taken
+
+
 def random_split(ds: Dataset, count: int, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Split off `count` random examples: returns (rest, taken)."""
-    if not 0 <= count <= len(ds):
-        raise ConfigError(f"cannot split {count} examples from {len(ds)}")
-    taken = rng.choice(len(ds), size=count, replace=False)
-    mask = np.zeros(len(ds), dtype=bool)
-    mask[taken] = True
-    return ds.subset(np.flatnonzero(~mask)), ds.subset(taken)
+    rest, taken = split_indices(len(ds), count, rng)
+    return ds.subset(rest), ds.subset(taken)
 
 
 def split_clean_validation(

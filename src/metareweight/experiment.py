@@ -24,6 +24,7 @@ from .data import (
     make_imbalanced_pair,
     random_split,
     split_clean_validation,
+    split_indices,
 )
 from .trainer import MetricsRecord, TrainResult, train
 
@@ -36,9 +37,10 @@ def prepare_datasets(
     rng = np.random.default_rng(seed)
     ds = base_train
     test = base_test
-    rest = None
+    rest = None  # indices into base_train that the subset left out
     if exp.subset_total is not None:
-        rest, ds = random_split(ds, exp.subset_total, rng)
+        rest, keep = split_indices(len(ds), exp.subset_total, rng)
+        ds = ds.subset(keep)
     if exp.imbalance is not None:
         ds = make_imbalanced_pair(ds, exp.imbalance, rng)
         test = filter_remap(base_test, ds.label_map)
@@ -48,7 +50,8 @@ def prepare_datasets(
         if exp.imbalance is None and rest is not None and len(rest) >= exp.hyperval_total:
             # Monitoring data comes from the unused pool so the training set
             # keeps its configured size.
-            _, hyper = random_split(rest, exp.hyperval_total, rng)
+            _, taken = split_indices(len(rest), exp.hyperval_total, rng)
+            hyper = base_train.subset(rest[taken])
         else:
             ds, hyper = random_split(ds, exp.hyperval_total, rng)
 

@@ -295,10 +295,7 @@ def run_descent_verification(
     n_pool = len(train_ds)
     batches = []
     for _ in range(steps):
-        if n_pool >= batch_size:
-            idx = rng.choice(n_pool, size=batch_size, replace=False)
-        else:
-            idx = rng.choice(n_pool, size=batch_size, replace=True)
+        idx = rng.choice(n_pool, size=batch_size, replace=n_pool < batch_size)
         batches.append(Batch(train_ds.images[idx], train_ds.labels[idx]))
 
     smooth = estimate.smoothness

@@ -7,13 +7,15 @@ mini-batch per step; that extra work is tracked in the result's counters.
 """
 
 import collections
+import functools
+import operator
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 from .nn import (
     ACTIVATIONS,
     Batch,
@@ -166,6 +168,28 @@ def _concat(a: Dataset, b: Dataset) -> Dataset:
     )
 
 
+def _left_sum(values) -> float:
+    """Floats added one at a time from 0.0, in order (sum() may compensate)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _window_columns(window: list) -> dict:
+    """MetricsRecord's window columns over logged (t, w, flipped, loss) steps.
+
+    Weight mass is summed within each step first, then over the steps."""
+    n_flipped = sum(int(f.sum()) for _, _, f, _ in window)
+    n_clean = sum(f.size for _, _, f, _ in window) - n_flipped
+    w_clean = _left_sum(float(w[~f].sum()) for _, w, f, _ in window)
+    w_flipped = _left_sum(float(w[f].sum()) for _, w, f, _ in window)
+    zero = sum(int((w == 0.0).sum()) for _, w, _, _ in window)
+    return dict(
+        train_loss=_left_sum(loss for *_, loss in window) / len(window),
+        mean_w_clean=w_clean / n_clean if n_clean else float("nan"),
+        mean_w_flipped=w_flipped / n_flipped if n_flipped else float("nan"),
+        frac_zero_w=zero / (n_clean + n_flipped),
+    )
+
+
 def train(
     config: TrainConfig,
     train_ds: Dataset,
@@ -178,6 +202,7 @@ def train(
     The validation set must be provenance-clean. By default it is folded back
     into the training pool, so every strategy sees the same examples and
     meta_reweight gets no extra data, only the identity of the clean ones.
+    A NonFiniteError is raised again with the seed and the step it hit.
     """
     config.validate()
     if len(train_ds) == 0:
@@ -195,107 +220,83 @@ def train(
     if config.include_val_in_train and len(val_ds):
         pool = _concat(train_ds, val_ds)
 
-    sets = [pool.labels]
-    if len(val_ds):
-        sets.append(val_ds.labels)
-    sets.append(test_ds.labels)
-    num_classes = int(max(s.max() for s in sets if s.size)) + 1
+    labels = (pool.labels, val_ds.labels, test_ds.labels)
+    num_classes = int(max(s.max() for s in labels if s.size)) + 1
     if num_classes < 2:
         raise ConfigError("need at least two classes to train a classifier")
 
     rng = np.random.default_rng(config.seed)
-    model = MLPModel.init(
-        [pool.images.shape[1], *config.hidden_sizes, num_classes],
-        activation=config.activation,
-        rng=rng,
-    )
+    sizes = [pool.images.shape[1], *config.hidden_sizes, num_classes]
+    model = MLPModel.init(sizes, activation=config.activation, rng=rng)
 
     counts = np.bincount(pool.labels, minlength=num_classes)
     majority_class = int(np.argmax(counts))
     pool_flipped = pool.flipped_mask
     n = config.batch_size_train
-    n_pool = len(pool)
-    m_val = min(config.batch_size_val, len(val_ds)) if len(val_ds) else 0
+    examples = 0  # example passes (forward and backward alike) in the stepping path
 
-    forward_examples = 0
-    backward_examples = 0
-    window_loss = 0.0
-    window_steps = 0
-    window_w_clean = 0.0
-    window_n_clean = 0
-    window_w_flipped = 0.0
-    window_n_flipped = 0
-    window_zero = 0
-    window_total = 0
-    weight_tail: collections.deque = collections.deque(maxlen=config.eval_every)
+    # Weight functions (batch, cache, grads) -> w, one per strategy, on the current model.
+    def uniform(batch, cache, grads):
+        return np.full(n, 1.0 / n)
 
+    def hard_mining(batch, cache, grads):
+        majority = batch.labels == majority_class
+        k = config.hard_mining_k if config.hard_mining_k is not None else int((~majority).sum())
+        k = min(k, int(majority.sum()))
+        sel = hard_mining_select(cache.losses, batch.labels, majority_class, k)
+        w = np.zeros(n)
+        if sel.size:
+            w[sel] = 1.0 / sel.size
+        return w
+
+    def meta_reweight(batch, cache, grads):
+        nonlocal examples
+        if config.batch_size_val >= len(val_ds):
+            vidx = np.arange(len(val_ds))
+        else:
+            vidx = rng.choice(len(val_ds), size=config.batch_size_val, replace=False)
+        vbatch = Batch(val_ds.images[vidx], val_ds.labels[vidx])
+        vgrads = backward_per_example(model, forward(model, vbatch), vbatch)
+        examples += len(vbatch)
+        return rectify_normalize(meta_grad_closed_form(grads, vgrads))
+
+    weights = {
+        "uniform": uniform,
+        "meta_reweight": meta_reweight,
+        "proportion": lambda batch, cache, grads: proportion_weights(batch.labels, counts),
+        "resample": uniform,
+        "hard_mining": hard_mining,
+        "random": lambda batch, cache, grads: random_weights(n, rng),
+    }[config.strategy]
+
+    # (t, w, flipped, loss) per step; evaluation at step t reads the last t % eval_every + 1.
+    log: collections.deque = collections.deque(maxlen=config.eval_every)
     records: list[MetricsRecord] = []
     best_hyper = float("inf")
     best_model = model
     t0 = time.perf_counter()
 
-    for t in range(config.total_steps):
-        alpha = config.learning_rate * _lr_multiplier(config.lr_schedule, t)
-
-        if config.strategy == "resample":
-            idx = resample_indices(pool.labels, n, rng)
-        elif n_pool >= n:
-            idx = rng.choice(n_pool, size=n, replace=False)
-        else:
-            idx = rng.choice(n_pool, size=n, replace=True)
-        batch = Batch(pool.images[idx], pool.labels[idx])
-
-        cache = forward(model, batch)
-        grads = backward_per_example(model, cache, batch)
-        forward_examples += len(batch)
-        backward_examples += len(batch)
-
-        if config.strategy in ("uniform", "resample"):
-            w = np.full(n, 1.0 / n)
-        elif config.strategy == "proportion":
-            w = proportion_weights(batch.labels, counts)
-        elif config.strategy == "random":
-            w = random_weights(n, rng)
-        elif config.strategy == "hard_mining":
-            in_batch_minority = int((batch.labels != majority_class).sum())
-            k = config.hard_mining_k if config.hard_mining_k is not None else in_batch_minority
-            k = min(k, int((batch.labels == majority_class).sum()))
-            sel = hard_mining_select(cache.losses, batch.labels, majority_class, k)
-            w = np.zeros(n)
-            if sel.size:
-                w[sel] = 1.0 / sel.size
-        else:  # meta_reweight
-            if m_val >= len(val_ds):
-                vidx = np.arange(len(val_ds))
+    try:
+        for t in range(config.total_steps):
+            alpha = config.learning_rate * _lr_multiplier(config.lr_schedule, t)
+            if config.strategy == "resample":
+                idx = resample_indices(pool.labels, n, rng)
             else:
-                vidx = rng.choice(len(val_ds), size=m_val, replace=False)
-            vbatch = Batch(val_ds.images[vidx], val_ds.labels[vidx])
-            vcache = forward(model, vbatch)
-            vgrads = backward_per_example(model, vcache, vbatch)
-            forward_examples += len(vbatch)
-            backward_examples += len(vbatch)
-            w = rectify_normalize(meta_grad_closed_form(grads, vgrads))
+                idx = rng.choice(len(pool), size=n, replace=len(pool) < n)
+            batch = Batch(pool.images[idx], pool.labels[idx])
+            cache = forward(model, batch)
+            grads = backward_per_example(model, cache, batch)
+            examples += len(batch)
+            w = weights(batch, cache, grads)
+            log.append((t, w, pool_flipped[idx], float(w @ cache.losses)))
+            model = sgd_step(model, weighted_gradient(grads, w), alpha)
 
-        step_loss = float(w @ cache.losses)
-        model = sgd_step(model, weighted_gradient(grads, w), alpha)
-
-        flipped = pool_flipped[idx]
-        window_loss += step_loss
-        window_steps += 1
-        window_w_clean += float(w[~flipped].sum())
-        window_n_clean += int((~flipped).sum())
-        window_w_flipped += float(w[flipped].sum())
-        window_n_flipped += int(flipped.sum())
-        window_zero += int((w == 0.0).sum())
-        window_total += n
-        weight_tail.append((t, w, flipped.copy()))
-
-        if (t + 1) % config.eval_every == 0 or t + 1 == config.total_steps:
+            if (t + 1) % config.eval_every and t + 1 < config.total_steps:
+                continue
+            val_loss, grad_norm_sq = float("nan"), float("nan")
             if len(val_ds):
                 val_loss, val_grad = validation_loss_and_grad(model, val_ds)
                 grad_norm_sq = float(val_grad @ val_grad)
-            else:
-                val_loss, grad_norm_sq = float("nan"), float("nan")
             test_error, _ = evaluate(model, test_ds)
             hyper_err = float("nan")
             if hyperval_ds is not None and len(hyperval_ds):
@@ -303,29 +304,13 @@ def train(
                 if config.early_stop_on_hyperval and hyper_err < best_hyper:
                     best_hyper = hyper_err
                     best_model = model
-            records.append(
-                MetricsRecord(
-                    step=t + 1,
-                    train_loss=window_loss / max(window_steps, 1),
-                    val_loss=val_loss,
-                    test_error=test_error,
-                    grad_norm_sq=grad_norm_sq,
-                    mean_w_clean=window_w_clean / window_n_clean if window_n_clean else float("nan"),
-                    mean_w_flipped=(
-                        window_w_flipped / window_n_flipped if window_n_flipped else float("nan")
-                    ),
-                    frac_zero_w=window_zero / window_total if window_total else float("nan"),
-                    hyperval_error=hyper_err,
-                )
-            )
-            window_loss = 0.0
-            window_steps = 0
-            window_w_clean = 0.0
-            window_n_clean = 0
-            window_w_flipped = 0.0
-            window_n_flipped = 0
-            window_zero = 0
-            window_total = 0
+            window = _window_columns(list(log)[-(t % config.eval_every + 1) :])
+            records.append(MetricsRecord(
+                step=t + 1, val_loss=val_loss, test_error=test_error,
+                grad_norm_sq=grad_norm_sq, hyperval_error=hyper_err, **window,
+            ))
+    except NonFiniteError as e:
+        raise NonFiniteError(f"seed {config.seed} step {t}: {e}") from e
 
     if config.early_stop_on_hyperval:
         model = best_model
@@ -333,16 +318,18 @@ def train(
     else:
         final_test_error = records[-1].test_error
 
-    steps_arr = np.concatenate([np.full(w.size, s) for s, w, _ in weight_tail])
-    weights_arr = np.concatenate([w for _, w, _ in weight_tail])
-    flipped_arr = np.concatenate([f for _, _, f in weight_tail])
+    steps, ws, flipped, _ = zip(*log)
     return TrainResult(
         records=records,
         model=model,
         final_test_error=final_test_error,
         steps=config.total_steps,
-        forward_examples=forward_examples,
-        backward_examples=backward_examples,
+        forward_examples=examples,
+        backward_examples=examples,
         wall_time=time.perf_counter() - t0,
-        weight_log={"step": steps_arr, "weight": weights_arr, "flipped": flipped_arr},
+        weight_log={
+            "step": np.repeat(steps, n),
+            "weight": np.concatenate(ws),
+            "flipped": np.concatenate(flipped),
+        },
     )

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_check
+from metareweight import checks
 from metareweight.cli import main
 from metareweight.data import load_idx
 
@@ -138,14 +140,19 @@ class TestTrainCommand:
 
     def test_non_finite_run_exits_2(self, tmp_path, capsys):
         paths = synth_mnist_like(tmp_path)
-        cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(
-            open(write_train_config(tmp_path, paths, strategy="uniform")).read().replace(
-                "learning_rate = 0.05", "learning_rate = 1e300"
+        for strategy, message in (
+            ("uniform", "gradient contains non-finite values"),
+            ("meta_reweight", "weight scores contain non-finite values"),
+        ):
+            cfg = tmp_path / f"{strategy}.cfg"
+            cfg.write_text(
+                open(write_train_config(tmp_path, paths, strategy=strategy)).read().replace(
+                    "learning_rate = 0.05", "learning_rate = 1e300"
+                )
             )
-        )
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
-        assert "error: gradient contains non-finite values" in capsys.readouterr().err
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / strategy)]) == 2
+            # The first step overflows the parameters; the second meets the non-finite values.
+            assert f"error: seed 0 step 1: {message}" in capsys.readouterr().err
 
     def test_noise_pipeline_runs(self, tmp_path):
         paths = synth_mnist_like(tmp_path)
@@ -249,17 +256,32 @@ class TestReportCommand:
         assert "summary.json" in capsys.readouterr().err
 
 
+@pytest.fixture
+def cached_checks(monkeypatch):
+    """QUICK_CHECKS answered from the session's cached results (test_checks.py runs them)."""
+    cached = [(name, lambda name=name: run_check(name)[:2]) for name, _ in checks.QUICK_CHECKS]
+    monkeypatch.setattr(checks, "QUICK_CHECKS", cached)
+
+
 class TestVerifyCommand:
-    def test_quick_suite_passes(self, capsys):
+    def test_quick_suite_passes(self, capsys, cached_checks):
         assert main(["verify", "--level", "quick"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") >= 16
         assert "[FAIL]" not in out
 
-    def test_full_without_data_skips(self, tmp_path, capsys, monkeypatch):
+    def test_full_without_data_skips(self, tmp_path, capsys, monkeypatch, cached_checks):
         monkeypatch.delenv("MNIST_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HOME", str(tmp_path))
         assert main(["verify", "--level", "full"]) == 0
         out = capsys.readouterr().out
         assert "[SKIP] mnist_monotone_descent" in out
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        failing = [("passing", lambda: (True, "")), ("broken", lambda: (False, "gap 3.0e-02"))]
+        monkeypatch.setattr(checks, "QUICK_CHECKS", failing)
+        assert main(["verify", "--level", "quick"]) == 1
+        out = capsys.readouterr().out
+        assert "[PASS] passing\n" in out
+        assert "[FAIL] broken: gap 3.0e-02\n" in out

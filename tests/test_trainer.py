@@ -16,7 +16,8 @@ from metareweight.nn import (
     sgd_step,
     weighted_gradient,
 )
-from metareweight.trainer import TrainConfig, evaluate, train
+from metareweight.reweight import meta_grad_closed_form, rectify_normalize
+from metareweight.trainer import STRATEGIES, TrainConfig, evaluate, train
 
 from conftest import make_blobs
 
@@ -137,20 +138,24 @@ class TestTrainBasics:
 
     def test_all_strategies_run(self):
         train_ds, val_ds, test_ds = blob_sets()
-        for strategy in ("uniform", "meta_reweight", "proportion", "resample", "hard_mining", "random"):
+        for strategy in STRATEGIES:
             result = train(small_config(strategy=strategy, total_steps=10), train_ds, val_ds, test_ds)
             assert len(result.records) >= 1
             assert np.isfinite(result.model.flatten()).all()
 
 
 class TestReplayOracle:
-    def _replay_uniform(self, cfg, train_ds):
-        """Reference loop: same RNG stream, explicit batch draw and update."""
+    def _replay(self, cfg, train_ds, val_ds):
+        """Reference loop: same RNG stream, explicit batch draw, uniform or
+        meta_reweight weights (validation draw, closed-form scores,
+        rectify-normalize) and update. Returns the model and the
+        (loss, weights, flipped) of every step."""
         rng = np.random.default_rng(cfg.seed)
         model = MLPModel.init(
             [train_ds.images.shape[1], *cfg.hidden_sizes, 2], activation=cfg.activation, rng=rng
         )
         n = cfg.batch_size_train
+        steps = []
         for t in range(cfg.total_steps):
             alpha = cfg.learning_rate
             for boundary, mult in cfg.lr_schedule:
@@ -158,25 +163,54 @@ class TestReplayOracle:
                     alpha = cfg.learning_rate * mult
             idx = rng.choice(len(train_ds), size=n, replace=False)
             batch = Batch(train_ds.images[idx], train_ds.labels[idx])
-            grads = backward_per_example(model, forward(model, batch), batch)
-            model = sgd_step(model, weighted_gradient(grads, np.full(n, 1.0 / n)), alpha)
-        return model
+            cache = forward(model, batch)
+            grads = backward_per_example(model, cache, batch)
+            w = np.full(n, 1.0 / n)
+            if cfg.strategy == "meta_reweight":
+                vidx = rng.choice(len(val_ds), size=cfg.batch_size_val, replace=False)
+                vbatch = Batch(val_ds.images[vidx], val_ds.labels[vidx])
+                vgrads = backward_per_example(model, forward(model, vbatch), vbatch)
+                w = rectify_normalize(meta_grad_closed_form(grads, vgrads))
+            steps.append((float(w @ cache.losses), w, train_ds.flipped_mask[idx]))
+            model = sgd_step(model, weighted_gradient(grads, w), alpha)
+        return model, steps
 
     def test_uniform_steps_match_reference(self):
         train_ds, val_ds, test_ds = blob_sets()
         cfg = small_config(total_steps=5, eval_every=5)
         result = train(cfg, train_ds, val_ds, test_ds)
-        want = self._replay_uniform(cfg, train_ds)
+        want, _ = self._replay(cfg, train_ds, val_ds)
         assert np.array_equal(result.model.flatten(), want.flatten())
+
+    def test_meta_reweight_steps_match_reference(self):
+        train_ds, val_ds, test_ds = blob_sets()
+        spec = NoiseSpec("uniform_flip", 0.3, num_classes=2)
+        noisy = corrupt_uniform_flip(train_ds, spec, np.random.default_rng(4))
+        # 23 steps at eval_every 10: the last window holds 3 steps.
+        cfg = small_config(strategy="meta_reweight", total_steps=23, eval_every=10)
+        result = train(cfg, noisy, val_ds, test_ds)
+        want, steps = self._replay(cfg, noisy, val_ds)
+        assert np.array_equal(result.model.flatten(), want.flatten())
+
+        assert [r.step for r in result.records] == [10, 20, 23]
+        for r, start in zip(result.records, (0, 10, 20)):
+            window = steps[start : r.step]
+            w = np.concatenate([s[1] for s in window])
+            flipped = np.concatenate([s[2] for s in window])
+            assert flipped.any() and not flipped.all()
+            assert r.train_loss == pytest.approx(np.mean([s[0] for s in window]), rel=1e-12)
+            assert r.mean_w_clean == pytest.approx(w[~flipped].mean(), rel=1e-12)
+            assert r.mean_w_flipped == pytest.approx(w[flipped].mean(), rel=1e-12)
+            assert r.frac_zero_w == np.mean(w == 0.0)
 
     def test_lr_schedule_applied(self):
         train_ds, val_ds, test_ds = blob_sets()
         cfg = small_config(total_steps=6, eval_every=6, lr_schedule=[(3, 0.1)])
         result = train(cfg, train_ds, val_ds, test_ds)
-        want = self._replay_uniform(cfg, train_ds)
+        want, _ = self._replay(cfg, train_ds, val_ds)
         assert np.array_equal(result.model.flatten(), want.flatten())
         # And the schedule must actually change the outcome.
-        plain = self._replay_uniform(small_config(total_steps=6, eval_every=6), train_ds)
+        plain, _ = self._replay(small_config(total_steps=6, eval_every=6), train_ds, val_ds)
         assert not np.array_equal(result.model.flatten(), plain.flatten())
 
 
