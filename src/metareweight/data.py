@@ -26,7 +26,10 @@ MNIST_FILES = {
 
 @dataclass
 class Dataset:
-    """Images (count, features) in [0, 1], labels, and pre-corruption labels."""
+    """Images (count, features), labels, and pre-corruption labels.
+
+    uint8 images are pixel bytes, kept as such and scaled to [0, 1] only by
+    `nn.Batch`; any other dtype becomes float64 and is model input as it is."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -34,7 +37,8 @@ class Dataset:
     label_map: dict | None = None
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
+        images = np.asarray(self.images)
+        self.images = images if images.dtype == np.uint8 else np.asarray(images, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.original_labels is None:
             self.original_labels = self.labels.copy()
@@ -123,7 +127,8 @@ def _read_exact(f, count: int, what: str) -> bytes:
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
-    Big-endian headers; pixel bytes are scaled to [0, 1]. Files ending in .gz
+    Big-endian headers. Images come back as a read-only (count, rows * cols)
+    uint8 view of the bytes read, not a copy. Files ending in .gz
     are decompressed transparently. Any header or size violation raises
     IdxParseError naming the offending file and field.
     """
@@ -142,9 +147,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
             raise IdxParseError(
                 f"images payload: header promises {expected} bytes, file has {len(payload)}"
             )
-        pixels = np.frombuffer(payload, dtype=np.uint8)
-        images = pixels.astype(np.float64).reshape(count, rows * cols)
-        images /= 255.0
+        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
     with _open_maybe_gzip(labels_path) as f:
         (magic,) = struct.unpack(">i", _read_exact(f, 4, "labels magic"))

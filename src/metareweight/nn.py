@@ -38,13 +38,19 @@ def _augment_ones(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Batch:
-    """A mini-batch of examples: float inputs (n, d) and integer labels (n,)."""
+    """A mini-batch of examples: float64 inputs (n, d) and integer labels (n,).
+
+    uint8 inputs are pixel bytes: they become byte / 255.0, other dtypes stay unscaled."""
 
     inputs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        inputs = np.asarray(self.inputs)
+        if inputs.dtype == np.uint8:
+            self.inputs = np.divide(inputs, 255.0, dtype=np.float64)  # one pass, no temporary
+        else:
+            self.inputs = np.asarray(inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2:
             raise DimensionError(f"batch inputs must be 2-d, got shape {self.inputs.shape}")

@@ -160,6 +160,9 @@ def _lr_multiplier(schedule: list[tuple[int, float]], step: int) -> float:
 
 
 def _concat(a: Dataset, b: Dataset) -> Dataset:
+    # np.concatenate would upcast pixel bytes to unscaled 0..255 floats.
+    if a.images.dtype != b.images.dtype:
+        raise ConfigError(f"cannot join {a.images.dtype} images with {b.images.dtype} images")
     return Dataset(
         np.concatenate([a.images, b.images]),
         np.concatenate([a.labels, b.labels]),
@@ -284,12 +287,14 @@ def train(
             else:
                 idx = rng.choice(len(pool), size=n, replace=len(pool) < n)
             batch = Batch(pool.images[idx], pool.labels[idx])
-            cache = forward(model, batch)
-            grads = backward_per_example(model, cache, batch)
-            examples += len(batch)
-            w = weights(batch, cache, grads)
-            log.append((t, w, pool_flipped[idx], float(w @ cache.losses)))
-            model = sgd_step(model, weighted_gradient(grads, w), alpha)
+            # Overflow ends in a NonFiniteError that names the step; NumPy's warnings repeat it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cache = forward(model, batch)
+                grads = backward_per_example(model, cache, batch)
+                examples += len(batch)
+                w = weights(batch, cache, grads)
+                log.append((t, w, pool_flipped[idx], float(w @ cache.losses)))
+                model = sgd_step(model, weighted_gradient(grads, w), alpha)
 
             if (t + 1) % config.eval_every and t + 1 < config.total_steps:
                 continue

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,9 +151,13 @@ class TestTrainCommand:
                     "learning_rate = 0.05", "learning_rate = 1e300"
                 )
             )
-            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / strategy)]) == 2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["train", "--config", str(cfg), "--out", str(tmp_path / strategy)])
+            assert code == 2
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             # The first step overflows the parameters; the second meets the non-finite values.
-            assert f"error: seed 0 step 1: {message}" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: seed 0 step 1: {message}\n"
 
     def test_noise_pipeline_runs(self, tmp_path):
         paths = synth_mnist_like(tmp_path)

@@ -22,6 +22,7 @@ from metareweight.data import (
     write_idx_labels,
 )
 from metareweight.errors import ConfigError, IdxParseError
+from metareweight.nn import Batch
 
 
 def idx_images_bytes(arrays):
@@ -55,11 +56,16 @@ class TestIdxParsing:
         images = np.array([[[0, 128], [255, 3]], [[1, 2], [3, 4]]], dtype=np.uint8)
         labels = [7, 2]
         ds = load_idx(*write_pair(tmp_path, images, labels))
+        # The file's bytes, unscaled and read-only; Batch scales them.
         assert ds.images.shape == (2, 4)
-        assert ds.images.dtype == np.float64
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == images.tobytes()
+        assert not ds.images.flags.writeable
+        inputs = Batch(ds.images, ds.labels).inputs
+        assert inputs.dtype == np.float64
         want = images.reshape(2, 4).astype(np.float64) / 255.0
-        assert np.array_equal(ds.images, want)
-        assert ds.images[0, 2] == 1.0 and ds.images[0, 0] == 0.0
+        assert np.array_equal(inputs, want)
+        assert inputs[0, 2] == 1.0 and inputs[0, 0] == 0.0
         assert list(ds.labels) == labels
         assert np.array_equal(ds.labels, ds.original_labels)
 
@@ -67,7 +73,21 @@ class TestIdxParsing:
         images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
         ds = load_idx(*write_pair(tmp_path, images, [1, 0], gz=True))
         assert len(ds) == 2
-        assert np.array_equal(ds.images, images.reshape(2, 4) / 255.0)
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == images.tobytes()
+        assert not ds.images.flags.writeable
+        inputs = Batch(ds.images, ds.labels).inputs
+        assert inputs.dtype == np.float64
+        assert np.array_equal(inputs, images.reshape(2, 4).astype(np.float64) / 255.0)
+
+    def test_mnist_sized_file_holds_one_byte_per_pixel(self, tmp_path):
+        ip = tmp_path / "img"
+        ip.write_bytes(struct.pack(">iiii", 0x00000803, 60000, 28, 28) + bytes(60000 * 784))
+        lp = tmp_path / "lab"
+        lp.write_bytes(idx_labels_bytes(np.zeros(60000)))
+        ds = load_idx(str(ip), str(lp))
+        assert ds.images.shape == (60000, 784)
+        assert ds.images.nbytes == 60000 * 784
 
     def test_wrong_image_magic(self, tmp_path):
         ip = tmp_path / "img"

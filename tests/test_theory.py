@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_check, make_blobs
+from test_trainer import byte_backed, pre_scaled
 from metareweight.checks import random_batch, random_model
 from metareweight.data import Dataset
 from metareweight.errors import ConfigError
@@ -92,6 +93,19 @@ class TestDescentStep:
         # Consecutive entries agree on the objective value at the shared point.
         for a, b in zip(run.trace, run.trace[1:]):
             assert a.g_after == b.g_before
+
+    def test_bytes_descend_like_pre_scaled_pixels(self):
+        full = byte_backed(make_blobs(np.random.default_rng(77), 60, 6, 2))
+        runs = []
+        for ds in (full, pre_scaled(full)):
+            runs.append(run_descent_verification(
+                ds.subset(np.arange(100)), ds.subset(np.arange(100, 120)), steps=20,
+                batch_size=20, seed=3, hidden_sizes=(12,), probes=15, sample_count=64,
+            ))
+        a, b = runs
+        assert len(a.trace) == 20
+        assert [w.tobytes() for w in a.model.layers] == [w.tobytes() for w in b.model.layers]
+        assert (a.alpha, a.trace) == (b.alpha, b.trace)
 
     def test_requires_validation_set(self):
         rng = np.random.default_rng(76)

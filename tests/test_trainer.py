@@ -35,6 +35,17 @@ def blob_sets(seed=0, n_per=80, d=6, k=2):
     return train, val, test
 
 
+def byte_backed(ds):
+    """ds with its pixels quantized to uint8 bytes, as `load_idx` returns them."""
+    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
+    return Dataset(pixels, ds.labels, ds.original_labels, ds.label_map)
+
+
+def pre_scaled(ds):
+    """A byte-backed ds with its pixels already scaled to float64 in [0, 1]."""
+    return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels, ds.original_labels, ds.label_map)
+
+
 def small_config(**kw):
     base = dict(
         strategy="uniform",
@@ -212,6 +223,32 @@ class TestReplayOracle:
         # And the schedule must actually change the outcome.
         plain, _ = self._replay(small_config(total_steps=6, eval_every=6), train_ds, val_ds)
         assert not np.array_equal(result.model.flatten(), plain.flatten())
+
+
+class TestByteBackedImages:
+    def test_bytes_train_like_pre_scaled_pixels(self):
+        # A flipped pool and the validation fold exercise every weight
+        # column and the joined pool; the bytes are scaled only in Batch.
+        train_ds, val_ds, test_ds = blob_sets()
+        noisy = corrupt_uniform_flip(
+            train_ds, NoiseSpec("uniform_flip", 0.3, num_classes=2), np.random.default_rng(4)
+        )
+        as_bytes = [byte_backed(ds) for ds in (noisy, val_ds, test_ds)]
+        assert all(ds.images.dtype == np.uint8 for ds in as_bytes)
+        as_floats = [pre_scaled(ds) for ds in as_bytes]
+        for strategy in STRATEGIES:
+            cfg = small_config(strategy=strategy, include_val_in_train=True, eval_every=25)
+            a, b = train(cfg, *as_bytes), train(cfg, *as_floats)
+            assert [w.tobytes() for w in a.model.layers] == [w.tobytes() for w in b.model.layers]
+            assert [repr(r.csv_row()) for r in a.records] == [repr(r.csv_row()) for r in b.records]
+            for key in ("step", "weight", "flipped"):
+                assert a.weight_log[key].tobytes() == b.weight_log[key].tobytes(), (strategy, key)
+
+    def test_bytes_and_floats_not_joined(self):
+        train_ds, val_ds, test_ds = blob_sets()
+        cfg = small_config(include_val_in_train=True)
+        with pytest.raises(ConfigError, match="uint8 images with float64"):
+            train(cfg, byte_backed(train_ds), val_ds, test_ds)
 
 
 class TestValidationFolding:
