@@ -11,7 +11,9 @@ Each tree runs in its own process with BLAS on one thread. The items:
 - train/<strategy>: the final layer bytes, every `csv_row()` and
   `hyperval_error`, the weight log, both work counters and the final test
   error of `train()` for each of the six strategies on
-  `tests/test_trainer.py::blob_sets()` with `small_config()`;
+  `tests/test_trainer.py::blob_sets()` with `small_config()` (relu);
+- train/<activation>/<strategy>: the same for uniform and meta_reweight
+  with tanh and with sigmoid hidden units;
 - experiment/<workload>/<strategy>: every file `run_experiment` writes, with
   the wall times taken out of `summary.json`, for the imbalance config (six
   strategies) and the noise config (meta_reweight, uniform) of
@@ -59,10 +61,14 @@ def train_items() -> dict:
     from test_trainer import blob_sets, small_config
 
     sets = blob_sets()
+    runs = {f"train/{s}": small_config(strategy=s) for s in STRATEGIES}
+    for activation in ("tanh", "sigmoid"):
+        for s in ("uniform", "meta_reweight"):
+            runs[f"train/{activation}/{s}"] = small_config(strategy=s, activation=activation)
     items = {}
-    for strategy in STRATEGIES:
-        r = train(small_config(strategy=strategy), *sets)
-        items[f"train/{strategy}"] = _sha([
+    for name, config in runs.items():
+        r = train(config, *sets)
+        items[name] = _sha([
             *(_array(w) for w in r.model.layers),
             *((rec.csv_row(), rec.hyperval_error) for rec in r.records),
             *((key, _array(a)) for key, a in sorted(r.weight_log.items())),

@@ -114,7 +114,9 @@ class NoiseSpec:
 def _open_maybe_gzip(path: str):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    # Unbuffered, so that read() returns the payload in one allocation: a
+    # buffered reader joins its buffer with the rest, a second full copy.
+    return open(path, "rb", buffering=0)
 
 
 def _read_exact(f, count: int, what: str) -> bytes:

@@ -10,10 +10,15 @@ Per-example gradients are kept in factored form. For example i and layer l
 the gradient of loss_i with respect to that layer is the outer product
 inputs[l][i] (x) signals[l][i], so a batch of n full gradients costs
 O(n * (d_in + d_out)) memory instead of O(n * d_in * d_out).
+
+Gradients travel per layer: `weighted_gradient` returns one (d_in + 1, d_out)
+array per layer, and `sgd_step` takes those arrays over, scaling them in
+place into the new model's layers. Flat vectors (`flatten`) are only for
+the code that needs a norm or a dot over all parameters at once.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,40 +32,53 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteError(f"{name} contains non-finite values")
 
 
-def _augment_ones(x: np.ndarray) -> np.ndarray:
-    """Append a constant-1 column: (n, d) -> (n, d + 1)."""
-    n, d = x.shape
+def _rng_or_default(rng: np.random.Generator | None) -> np.random.Generator:
+    """The generator to draw from: rng, or a fresh one seeded 0 when rng is None."""
+    return np.random.default_rng(0) if rng is None else rng
+
+
+def flatten(layers: list[np.ndarray]) -> np.ndarray:
+    """Per-layer arrays as one flat vector, layer after layer in row-major order."""
+    return np.concatenate([w.ravel() for w in layers])
+
+
+def _with_ones_column(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, d + 1) float64 buffer whose last column is 1, and a view of its first d."""
     out = np.empty((n, d + 1), dtype=np.float64)
-    out[:, :d] = x
     out[:, d] = 1.0
-    return out
+    return out, out[:, :d]
 
 
 @dataclass
 class Batch:
     """A mini-batch of examples: float64 inputs (n, d) and integer labels (n,).
 
-    uint8 inputs are pixel bytes: they become byte / 255.0, other dtypes stay unscaled."""
+    uint8 inputs are pixel bytes: they become byte / 255.0, other dtypes stay
+    unscaled and must be finite. Built once, in one pass, into `augmented`,
+    the (n, d + 1) layer-0 input with its constant-1 column; `inputs` is a
+    view of its first d columns."""
 
     inputs: np.ndarray
     labels: np.ndarray
+    augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs)
-        if inputs.dtype == np.uint8:
-            self.inputs = np.divide(inputs, 255.0, dtype=np.float64)  # one pass, no temporary
-        else:
-            self.inputs = np.asarray(inputs, dtype=np.float64)
+        raw = np.asarray(self.inputs)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2:
-            raise DimensionError(f"batch inputs must be 2-d, got shape {self.inputs.shape}")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.inputs.shape[0]:
+        if raw.ndim != 2:
+            raise DimensionError(f"batch inputs must be 2-d, got shape {raw.shape}")
+        if self.labels.ndim != 1 or self.labels.shape[0] != raw.shape[0]:
             raise DimensionError(
-                f"batch labels shape {self.labels.shape} does not match "
-                f"{self.inputs.shape[0]} inputs"
+                f"batch labels shape {self.labels.shape} does not match {raw.shape[0]} inputs"
             )
-        if len(self) == 0:
+        if raw.shape[0] == 0:
             raise DimensionError("batch must contain at least one example")
+        self.augmented, self.inputs = _with_ones_column(*raw.shape)
+        if raw.dtype == np.uint8:
+            np.divide(raw, 255.0, out=self.inputs, dtype=np.float64)
+        else:
+            self.inputs[...] = raw
+            _check_finite("batch inputs", self.inputs)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -93,8 +111,7 @@ class MLPModel:
         """Glorot-uniform weights, zero biases. sizes = [d_in, hidden..., classes]."""
         if len(sizes) < 2:
             raise DimensionError("need at least input and output sizes")
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = _rng_or_default(rng)
         layers = []
         for d_in, d_out in zip(sizes[:-1], sizes[1:]):
             limit = math.sqrt(6.0 / (d_in + d_out))
@@ -119,7 +136,7 @@ class MLPModel:
         return sum(w.size for w in self.layers)
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.layers])
+        return flatten(self.layers)
 
     def with_params(self, flat: np.ndarray) -> "MLPModel":
         """Rebuild a model of the same shape from a flat parameter vector."""
@@ -183,8 +200,7 @@ class PerExampleGrads:
 
     def flat_one(self, i: int) -> np.ndarray:
         """Gradient of a single example as a flat vector."""
-        parts = [np.outer(z[i], g[i]).ravel() for z, g in zip(self.inputs, self.signals)]
-        return np.concatenate(parts)
+        return flatten([np.outer(z[i], g[i]) for z, g in zip(self.inputs, self.signals)])
 
     def norms_squared(self) -> np.ndarray:
         """Squared L2 norm of each example's gradient, via the rank-1 structure."""
@@ -194,10 +210,19 @@ class PerExampleGrads:
         return total
 
 
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), one operation at a time into out."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+# Activations f(z, out) writing into out.
 _ACT = {
-    "relu": lambda z: np.maximum(z, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
+    "relu": lambda z, out: np.maximum(z, 0.0, out=out),
+    "tanh": lambda z, out: np.tanh(z, out=out),
+    "sigmoid": _sigmoid,
 }
 
 # Derivatives written in terms of the activation output. For relu the
@@ -215,23 +240,22 @@ def forward(model: MLPModel, batch: Batch) -> ForwardCache:
         raise DimensionError(
             f"batch has {batch.inputs.shape[1]} features, model expects {model.input_dim}"
         )
-    _check_finite("batch inputs", batch.inputs)
     k = model.num_classes
     if batch.labels.min() < 0 or batch.labels.max() >= k:
         raise DimensionError(f"labels must lie in [0, {k})")
 
     act = _ACT[model.activation]
-    post = [_augment_ones(batch.inputs)]
-    a = post[0]
+    n = len(batch)
+    post = [batch.augmented]
     last = model.num_layers - 1
     for l, w in enumerate(model.layers):
-        z = a @ w
+        z = post[-1] @ w
         if l < last:
-            a = _augment_ones(act(z))
+            a, hidden = _with_ones_column(n, z.shape[1])
+            act(z, hidden)
             post.append(a)
 
     logits = z
-    n = len(batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
@@ -258,17 +282,14 @@ def backward_per_example(model: MLPModel, cache: ForwardCache, batch: Batch) -> 
     return PerExampleGrads(inputs=cache.post, signals=signals)
 
 
-def weighted_gradient(grads: PerExampleGrads, weights: np.ndarray) -> np.ndarray:
-    """Flat gradient of sum_i weights[i] * loss_i."""
+def weighted_gradient(grads: PerExampleGrads, weights: np.ndarray) -> list[np.ndarray]:
+    """Gradient of sum_i weights[i] * loss_i: one (d_in + 1, d_out) array per layer."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (grads.count,):
         raise DimensionError(f"weights shape {w.shape} does not match {grads.count} examples")
     # Scale the signal factor rather than the input factor: signals have the
     # layer's output width, which is never wider than the augmented input.
-    parts = [
-        (z.T @ (g * w[:, None])).ravel() for z, g in zip(grads.inputs, grads.signals)
-    ]
-    return np.concatenate(parts)
+    return [z.T @ (g * w[:, None]) for z, g in zip(grads.inputs, grads.signals)]
 
 
 def dot_with_each(grads: PerExampleGrads, flat: np.ndarray) -> np.ndarray:
@@ -287,23 +308,25 @@ def dot_with_each(grads: PerExampleGrads, flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sgd_step(model: MLPModel, grad_flat: np.ndarray, alpha: float) -> MLPModel:
-    """Return a new model with parameters theta - alpha * grad."""
-    grad_flat = np.asarray(grad_flat, dtype=np.float64)
-    if grad_flat.shape != (model.param_count,):
-        raise DimensionError(
-            f"gradient has {grad_flat.size} entries, expected {model.param_count}"
-        )
+def sgd_step(model: MLPModel, grad_layers: list[np.ndarray], alpha: float) -> MLPModel:
+    """Return a new model with parameters theta - alpha * grad.
+
+    Takes over grad_layers (one array per layer, as `weighted_gradient`
+    returns them): float64 arrays are scaled in place and become the new
+    model's layers, so the caller must not use them afterwards. The input
+    model is left as it was."""
+    layers = [np.asarray(g, dtype=np.float64) for g in grad_layers]
+    shapes = [g.shape for g in layers]
+    expected = [w.shape for w in model.layers]
+    if shapes != expected:
+        raise DimensionError(f"gradient layers have shapes {shapes}, expected {expected}")
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
-    _check_finite("gradient", grad_flat)
-    layers = []
-    offset = 0
-    for w in model.layers:
-        step = grad_flat[offset : offset + w.size].reshape(w.shape) * (-alpha)
-        step += w
-        layers.append(step)
-        offset += w.size
+    for g in layers:
+        _check_finite("gradient", g)
+    for g, w in zip(layers, model.layers):
+        g *= -alpha
+        g += w
     return MLPModel(layers, model.activation)
 
 

@@ -21,8 +21,10 @@ from .errors import ConfigError, NonFiniteError
 from .nn import (
     Batch,
     MLPModel,
+    _rng_or_default,
     backward_per_example,
     dot_with_each,
+    flatten,
     forward,
     sgd_step,
     weighted_gradient,
@@ -74,8 +76,7 @@ def estimate_smoothness(
         raise ValueError("probe radius must be positive")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = _rng_or_default(rng)
     theta = model.flatten()
     _, g0 = objective(model)
     best = 0.0
@@ -112,8 +113,7 @@ def estimate_grad_bound(
         raise ConfigError("cannot estimate gradient bound on an empty dataset")
     if sample_count is not None and sample_count < 1:
         raise ValueError("need at least one sampled example")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = _rng_or_default(rng)
     if sample_count is None or sample_count >= len(ds):
         idx = np.arange(len(ds))
     else:
@@ -143,8 +143,7 @@ def estimate_regularity(
     sample_count: int | None = 256,
     rng: np.random.Generator | None = None,
 ) -> RegularityEstimate:
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = _rng_or_default(rng)
     smooth = estimate_smoothness(model, objective, probes=probes, radius=radius, rng=rng)
     bound = estimate_grad_bound(model, train_ds, sample_count=sample_count, rng=rng)
     return RegularityEstimate(
@@ -222,7 +221,8 @@ def _descent_trial(
             grad_norm = max(grad_norm, float(np.sqrt(grads.norms_squared().max())))
             coef = np.maximum(dot_with_each(grads, grad_g), 0.0)
             direction = weighted_gradient(grads, coef)
-            stepped = sgd_step(model, direction, alpha / n)
+            step_len = (alpha / n) * float(np.linalg.norm(flatten(direction)))
+            stepped = sgd_step(model, direction, alpha / n)  # takes over direction
             g_next, grad_next = objective(stepped)
         except NonFiniteError:
             break
@@ -235,7 +235,6 @@ def _descent_trial(
                 align_sq=float(coef @ coef),
             )
         )
-        step_len = (alpha / n) * float(np.linalg.norm(direction))
         if step_len > 0:
             seg_ratio = max(
                 seg_ratio, float(np.linalg.norm(grad_next - grad_g)) / step_len

@@ -21,6 +21,7 @@ from .nn import (
     Batch,
     MLPModel,
     backward_per_example,
+    flatten,
     forward,
     weighted_gradient,
     sgd_step,
@@ -126,8 +127,12 @@ class TrainResult:
         return self.forward_examples + self.backward_examples
 
 
-def evaluate(model: MLPModel, ds: Dataset, chunk: int = 2048) -> tuple[float, float]:
-    """(error rate, mean loss) over a dataset, computed in chunks."""
+def evaluate(model: MLPModel, ds: Dataset, chunk: int = 256) -> tuple[float, float]:
+    """(error rate, mean loss) over a dataset, computed in chunks.
+
+    Chunks are kept small, so that their arrays (1.6 MB at 784 features) are
+    no larger than a training step's: with 2,048-example chunks, peak memory
+    varied by 25 MB between identical runs."""
     if len(ds) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     wrong = 0
@@ -147,7 +152,7 @@ def validation_loss_and_grad(model: MLPModel, ds: Dataset) -> tuple[float, np.nd
     batch = Batch(ds.images, ds.labels)
     cache = forward(model, batch)
     grads = backward_per_example(model, cache, batch)
-    g = weighted_gradient(grads, np.full(len(ds), 1.0 / len(ds)))
+    g = flatten(weighted_gradient(grads, np.full(len(ds), 1.0 / len(ds))))
     return float(cache.losses.mean()), g
 
 

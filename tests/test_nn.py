@@ -17,6 +17,7 @@ from metareweight.nn import (
     MLPModel,
     backward_per_example,
     dot_with_each,
+    flatten,
     forward,
     sgd_step,
     weighted_gradient,
@@ -54,6 +55,12 @@ class TestForward:
         model = MLPModel.init([4, 3, 2])
         with pytest.raises(DimensionError):
             forward(model, Batch(np.zeros((2, 5)), np.zeros(2, dtype=int)))
+
+    def test_input_is_batch_augmented(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, [6, 5, 3], "tanh")
+        batch = random_batch(rng, 4, 6, 3)
+        assert forward(model, batch).post[0] is batch.augmented
 
     def test_nan_input_raises(self):
         model = MLPModel.init([3, 2])
@@ -120,7 +127,7 @@ class TestWeightedGradient:
         batch = random_batch(rng, 5, 6, 3)
         grads = backward_per_example(model, forward(model, batch), batch)
         w = rng.random(5)
-        got = weighted_gradient(grads, w)
+        got = flatten(weighted_gradient(grads, w))
         want = sum(w[i] * grads.flat_one(i) for i in range(5))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -132,7 +139,20 @@ class TestWeightedGradient:
         model = random_model(rng, [4, 3, 2], "relu")
         batch = random_batch(rng, 3, 4, 2)
         grads = backward_per_example(model, forward(model, batch), batch)
-        assert np.array_equal(weighted_gradient(grads, np.zeros(3)), np.zeros(model.param_count))
+        assert np.array_equal(
+            flatten(weighted_gradient(grads, np.zeros(3))), np.zeros(model.param_count)
+        )
+
+    def test_layers_in_flat_layout(self):
+        rng = np.random.default_rng(15)
+        model = random_model(rng, [5, 4, 3], "tanh", bias_scale=0.2)
+        batch = random_batch(rng, 6, 5, 3)
+        grads = backward_per_example(model, forward(model, batch), batch)
+        w = rng.random(6)
+        layers = weighted_gradient(grads, w)
+        assert [g.shape for g in layers] == [m.shape for m in model.layers]
+        want = w @ grads.flat()
+        assert np.abs(flatten(layers) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_weight_shape_mismatch_raises(self):
         rng = np.random.default_rng(17)
@@ -178,23 +198,46 @@ class TestModelAndStep:
         rng = np.random.default_rng(21)
         model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
         g = rng.standard_normal(model.param_count)
-        stepped = sgd_step(model, g, 0.05)
+        stepped = sgd_step(model, model.with_params(g).layers, 0.05)
         assert np.array_equal(stepped.flatten(), model.flatten() - 0.05 * g)
 
     def test_sgd_step_alpha_zero_is_identity(self):
         rng = np.random.default_rng(22)
         model = random_model(rng, [4, 3, 2], "relu")
-        stepped = sgd_step(model, rng.standard_normal(model.param_count), 0.0)
+        g = model.with_params(rng.standard_normal(model.param_count)).layers
+        stepped = sgd_step(model, g, 0.0)
         assert np.array_equal(stepped.flatten(), model.flatten())
 
     def test_sgd_step_rejects_bad_inputs(self):
         model = MLPModel.init([3, 2])
         with pytest.raises(DimensionError):
-            sgd_step(model, np.zeros(5), 0.1)
+            sgd_step(model, [np.zeros(5)], 0.1)
+        with pytest.raises(DimensionError):
+            sgd_step(model, [np.zeros((4, 2)), np.zeros((3, 2))], 0.1)
         with pytest.raises(NonFiniteError):
-            sgd_step(model, np.full(model.param_count, np.nan), 0.1)
+            sgd_step(model, [np.full((4, 2), np.nan)], 0.1)
         with pytest.raises(ValueError):
-            sgd_step(model, np.zeros(model.param_count), -0.1)
+            sgd_step(model, [np.zeros((4, 2))], -0.1)
+
+    def test_sgd_step_leaves_input_model_unchanged(self):
+        rng = np.random.default_rng(24)
+        model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
+        before = [w.tobytes() for w in model.layers]
+        g = model.with_params(rng.standard_normal(model.param_count)).layers
+        stepped = sgd_step(model, g, 0.05)
+        assert [w.tobytes() for w in model.layers] == before
+        assert all(not np.shares_memory(a, b) for a in stepped.layers for b in model.layers)
+
+    def test_sgd_step_rejects_nan_in_last_layer(self):
+        rng = np.random.default_rng(25)
+        model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
+        before = [w.tobytes() for w in model.layers]
+        g = [np.zeros(w.shape) for w in model.layers]
+        g[-1][1, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="^gradient contains non-finite values$"):
+            sgd_step(model, g, 0.1)
+        assert [w.tobytes() for w in model.layers] == before
+        assert np.array_equal(g[0], np.zeros(model.layers[0].shape))
 
     def test_step_linear_in_weights(self):
         # theta_hat(w + h e_i) - theta_hat(w) must equal -alpha h grad_i to
@@ -221,6 +264,22 @@ class TestBatchValidation:
     def test_empty_batch(self):
         with pytest.raises(DimensionError):
             Batch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_nan_float_batch_raises_when_built(self):
+        bad = np.zeros((2, 3))
+        bad[0, 2] = np.nan
+        with pytest.raises(NonFiniteError, match="^batch inputs contains non-finite values$"):
+            Batch(bad, np.zeros(2, dtype=int))
+
+    def test_augmented_bytes_scaled_with_ones_column(self):
+        images = np.arange(256, dtype=np.uint8).reshape(32, 8)
+        batch = Batch(images, np.zeros(32, dtype=int))
+        assert batch.augmented.dtype == np.float64 and batch.augmented.shape == (32, 9)
+        assert np.array_equal(batch.augmented[:, -1], np.ones(32))
+        want = images.astype(np.float64) / 255.0
+        assert batch.augmented[:, :-1].tobytes() == want.tobytes()
+        assert np.shares_memory(batch.inputs, batch.augmented)
+        assert batch.inputs.tobytes() == want.tobytes()
 
     def test_non_2d_inputs(self):
         with pytest.raises(DimensionError):
