@@ -14,7 +14,10 @@ O(n * (d_in + d_out)) memory instead of O(n * d_in * d_out).
 Gradients travel per layer: `weighted_gradient` returns one (d_in + 1, d_out)
 array per layer, and `sgd_step` takes those arrays over, scaling them in
 place into the new model's layers. Flat vectors (`flatten`) are only for
-the code that needs a norm or a dot over all parameters at once.
+the code that needs a norm or a dot over all parameters at once, and they
+cost no copy: each gradient is one float64 buffer of param_count entries,
+its layers are consecutive row-major views of it (`layer_views`), and
+`flatten` of such views returns that buffer itself.
 """
 
 import math
@@ -37,9 +40,42 @@ def _rng_or_default(rng: np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(0) if rng is None else rng
 
 
+def layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Consecutive row-major views of a flat vector, one per shape; no copy."""
+    total = sum(p * q for p, q in shapes)
+    if flat.shape != (total,):
+        raise DimensionError(f"flat vector has shape {flat.shape}, the shapes need ({total},)")
+    views = []
+    offset = 0
+    for p, q in shapes:
+        views.append(flat[offset : offset + p * q].reshape(p, q))
+        offset += p * q
+    return views
+
+
+def _shared_vector(layers: list[np.ndarray]) -> np.ndarray | None:
+    """The 1-D float64 vector whose consecutive row-major views `layers` are, or None."""
+    base = layers[0].base if layers else None
+    if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
+            and base.flags.c_contiguous):
+        return None
+    address = base.ctypes.data
+    for w in layers:
+        if (w.base is not base or w.dtype != np.float64 or not w.flags.c_contiguous
+                or w.ctypes.data != address):
+            return None
+        address += w.nbytes
+    return base if address == base.ctypes.data + base.nbytes else None
+
+
 def flatten(layers: list[np.ndarray]) -> np.ndarray:
-    """Per-layer arrays as one flat vector, layer after layer in row-major order."""
-    return np.concatenate([w.ravel() for w in layers])
+    """Per-layer arrays as one flat vector, layer after layer in row-major order.
+
+    When the layers are exactly the consecutive views of one 1-D float64
+    vector, as `weighted_gradient` returns them, that vector is returned
+    itself and shares their memory; otherwise the layers are copied."""
+    shared = _shared_vector(layers)
+    return shared if shared is not None else np.concatenate([w.ravel() for w in layers])
 
 
 def _with_ones_column(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,21 +172,13 @@ class MLPModel:
         return sum(w.size for w in self.layers)
 
     def flatten(self) -> np.ndarray:
-        return flatten(self.layers)
+        """The parameters as a new flat vector, never memory of the layers."""
+        return np.concatenate([w.ravel() for w in self.layers])
 
     def with_params(self, flat: np.ndarray) -> "MLPModel":
-        """Rebuild a model of the same shape from a flat parameter vector."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count,):
-            raise DimensionError(
-                f"flat parameter vector has {flat.size} entries, expected {self.param_count}"
-            )
-        layers = []
-        offset = 0
-        for w in self.layers:
-            layers.append(flat[offset : offset + w.size].reshape(w.shape).copy())
-            offset += w.size
-        return MLPModel(layers, self.activation)
+        """Rebuild a model of the same shape from a copy of a flat parameter vector."""
+        flat = np.array(flat, dtype=np.float64)
+        return MLPModel(layer_views(flat, [w.shape for w in self.layers]), self.activation)
 
 
 @dataclass
@@ -283,28 +311,28 @@ def backward_per_example(model: MLPModel, cache: ForwardCache, batch: Batch) -> 
 
 
 def weighted_gradient(grads: PerExampleGrads, weights: np.ndarray) -> list[np.ndarray]:
-    """Gradient of sum_i weights[i] * loss_i: one (d_in + 1, d_out) array per layer."""
+    """Gradient of sum_i weights[i] * loss_i: one (d_in + 1, d_out) array per layer.
+
+    The layers are consecutive views of one new flat vector, so `flatten`
+    of them costs no copy."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (grads.count,):
         raise DimensionError(f"weights shape {w.shape} does not match {grads.count} examples")
+    shapes = grads.layer_shapes()
+    layers = layer_views(np.empty(sum(p * q for p, q in shapes)), shapes)
     # Scale the signal factor rather than the input factor: signals have the
     # layer's output width, which is never wider than the augmented input.
-    return [z.T @ (g * w[:, None]) for z, g in zip(grads.inputs, grads.signals)]
+    for z, g, out in zip(grads.inputs, grads.signals, layers):
+        np.matmul(z.T, g * w[:, None], out=out)
+    return layers
 
 
 def dot_with_each(grads: PerExampleGrads, flat: np.ndarray) -> np.ndarray:
     """Vector of <grad_i, flat> for every example i, without materializing grads."""
-    flat = np.asarray(flat, dtype=np.float64)
-    shapes = grads.layer_shapes()
-    expected = sum(p * q for p, q in shapes)
-    if flat.shape != (expected,):
-        raise DimensionError(f"flat vector has {flat.size} entries, expected {expected}")
+    views = layer_views(np.asarray(flat, dtype=np.float64), grads.layer_shapes())
     out = np.zeros(grads.count)
-    offset = 0
-    for (p, q), z, g in zip(shapes, grads.inputs, grads.signals):
-        v = flat[offset : offset + p * q].reshape(p, q)
+    for v, z, g in zip(views, grads.inputs, grads.signals):
         out += ((z @ v) * g).sum(axis=1)
-        offset += p * q
     return out
 
 

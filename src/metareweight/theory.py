@@ -1,14 +1,31 @@
 """Empirical checks of the convergence story behind the reweighted update.
 
-The guarantee under test: with the unnormalized rectified update
+The update under test is the unnormalized rectified step
 
-    theta' = theta - (alpha / n) * sum_i max(<grad_G, grad_f_i>, 0) * grad_f_i
+    theta' = theta - (alpha / n) * D,  D = sum_i c_i * grad_f_i,  c_i = max(<grad_G, grad_f_i>, 0).
 
-the validation objective G never increases, provided G is L-smooth, example
-gradients are bounded by sigma, and alpha <= 2 n / (L sigma^2). Neither L nor
-sigma is available in closed form for an MLP, so both are estimated by
-sampling; the estimates are lower bounds, which is why callers apply a
-safety factor to the step-size bound.
+If the validation objective G is L-smooth, the descent lemma gives
+
+    G(theta') <= G(theta) - (alpha / n) * sum_i c_i^2 + (L / 2) * (alpha / n)^2 * ||D||^2.
+
+The paper's step bound alpha <= 2 n / (L sigma^2), with sigma bounding every
+example gradient norm, makes the right side at most G(theta) only if
+||D||^2 <= sigma^2 * sum_i c_i^2. That holds for orthogonal example
+gradients, but Cauchy-Schwarz gives only ||D||^2 <= n sigma^2 sum_i c_i^2, so
+the bound does not guarantee descent. `safe_step_size` still follows the
+paper's form. Neither L nor sigma is available in closed form for an MLP, so
+both are estimated by sampling; the estimates are lower bounds, which is why
+callers apply a safety factor.
+
+The check therefore measures rather than proves: `run_descent_verification`
+picks the step size from the estimates, refines them along its own trials,
+and records G before and after every step of the accepted trajectory.
+`DescentRun.violations` counts the steps on which G rose by more than the
+tolerance; on MNIST-shaped two-class pairs that is a few percent of steps.
+
+An objective is a callable model -> (G, flat gradient of G). The gradient
+is a new array that the caller may overwrite, and the objective keeps
+neither the model nor the array: `estimate_smoothness` reuses both.
 """
 
 import csv
@@ -26,6 +43,7 @@ from .nn import (
     dot_with_each,
     flatten,
     forward,
+    layer_views,
     sgd_step,
     weighted_gradient,
 )
@@ -35,10 +53,11 @@ from .trainer import validation_loss_and_grad
 def validation_objective(images: np.ndarray, labels: np.ndarray):
     """Objective G(model) = mean loss on a fixed clean set.
 
-    Returns a callable model -> (value, flat gradient).
+    Returns a callable model -> (value, flat gradient), the set built into
+    one batch once.
     """
-    ds = Dataset(images, labels)
-    return lambda model: validation_loss_and_grad(model, ds)
+    batch = Batch(images, labels)
+    return lambda model: validation_loss_and_grad(model, batch)
 
 
 def quadratic_surrogate(curvature: float):
@@ -79,6 +98,11 @@ def estimate_smoothness(
     rng = _rng_or_default(rng)
     theta = model.flatten()
     _, g0 = objective(model)
+    # Every probe point theta + radius * d goes into one buffer, which the
+    # probe model's layers view; the difference and the next direction are
+    # computed in the gradient the objective has just handed over.
+    probe = np.empty_like(theta)
+    probe_model = MLPModel(layer_views(probe, [w.shape for w in model.layers]), model.activation)
     best = 0.0
     per_restart = max(1, -(-probes // restarts))
     spent = 0
@@ -88,14 +112,18 @@ def estimate_smoothness(
         for _ in range(per_restart):
             if spent >= probes:
                 break
-            _, g1 = objective(model.with_params(theta + radius * d))
+            np.multiply(d, radius, out=probe)
+            probe += theta
+            _, diff = objective(probe_model)
             spent += 1
-            diff = g1 - g0
-            ratio = float(np.linalg.norm(diff)) / radius
+            diff -= g0
+            norm = np.linalg.norm(diff)
+            ratio = float(norm) / radius
             best = max(best, ratio)
             if ratio == 0.0 or not np.isfinite(ratio):
                 break
-            d = diff / np.linalg.norm(diff)
+            diff /= norm
+            d = diff
     return best
 
 
@@ -236,9 +264,9 @@ def _descent_trial(
             )
         )
         if step_len > 0:
-            seg_ratio = max(
-                seg_ratio, float(np.linalg.norm(grad_next - grad_g)) / step_len
-            )
+            # grad_g is not read again: the segment difference goes into it.
+            diff = np.subtract(grad_next, grad_g, out=grad_g)
+            seg_ratio = max(seg_ratio, float(np.linalg.norm(diff)) / step_len)
         model, g_val, grad_g = stepped, g_next, grad_next
         if not np.isfinite(g_val) or g_val > ceiling:
             break

@@ -116,15 +116,22 @@ class TrainResult:
     model: MLPModel
     final_test_error: float
     steps: int
-    forward_examples: int
-    backward_examples: int
+    examples: int  # examples through the stepping path, each once forward and once backward
     wall_time: float
     weight_log: dict  # arrays: step, weight, flipped (last eval window)
 
     @property
+    def forward_examples(self) -> int:
+        return self.examples
+
+    @property
+    def backward_examples(self) -> int:
+        return self.examples
+
+    @property
     def work_units(self) -> int:
         """Example passes spent inside the stepping path."""
-        return self.forward_examples + self.backward_examples
+        return 2 * self.examples
 
 
 def evaluate(model: MLPModel, ds: Dataset, chunk: int = 256) -> tuple[float, float]:
@@ -145,14 +152,11 @@ def evaluate(model: MLPModel, ds: Dataset, chunk: int = 256) -> tuple[float, flo
     return wrong / len(ds), loss_sum / len(ds)
 
 
-def validation_loss_and_grad(model: MLPModel, ds: Dataset) -> tuple[float, np.ndarray]:
-    """Mean validation loss and its flat gradient over the whole set."""
-    if len(ds) == 0:
-        raise ConfigError("validation set is empty")
-    batch = Batch(ds.images, ds.labels)
+def validation_loss_and_grad(model: MLPModel, batch: Batch) -> tuple[float, np.ndarray]:
+    """Mean loss over a validation batch and its flat gradient, a new vector."""
     cache = forward(model, batch)
     grads = backward_per_example(model, cache, batch)
-    g = flatten(weighted_gradient(grads, np.full(len(ds), 1.0 / len(ds))))
+    g = flatten(weighted_gradient(grads, np.full(len(batch), 1.0 / len(batch))))
     return float(cache.losses.mean()), g
 
 
@@ -241,6 +245,9 @@ def train(
     majority_class = int(np.argmax(counts))
     pool_flipped = pool.flipped_mask
     n = config.batch_size_train
+    # The whole validation set as one batch, built once: the evaluation pass
+    # and, when batch_size_val covers the set, every meta_reweight step use it.
+    val_batch = Batch(val_ds.images, val_ds.labels) if len(val_ds) else None
     examples = 0  # example passes (forward and backward alike) in the stepping path
 
     # Weight functions (batch, cache, grads) -> w, one per strategy, on the current model.
@@ -260,10 +267,10 @@ def train(
     def meta_reweight(batch, cache, grads):
         nonlocal examples
         if config.batch_size_val >= len(val_ds):
-            vidx = np.arange(len(val_ds))
+            vbatch = val_batch
         else:
             vidx = rng.choice(len(val_ds), size=config.batch_size_val, replace=False)
-        vbatch = Batch(val_ds.images[vidx], val_ds.labels[vidx])
+            vbatch = Batch(val_ds.images[vidx], val_ds.labels[vidx])
         vgrads = backward_per_example(model, forward(model, vbatch), vbatch)
         examples += len(vbatch)
         return rectify_normalize(meta_grad_closed_form(grads, vgrads))
@@ -304,8 +311,8 @@ def train(
             if (t + 1) % config.eval_every and t + 1 < config.total_steps:
                 continue
             val_loss, grad_norm_sq = float("nan"), float("nan")
-            if len(val_ds):
-                val_loss, val_grad = validation_loss_and_grad(model, val_ds)
+            if val_batch is not None:
+                val_loss, val_grad = validation_loss_and_grad(model, val_batch)
                 grad_norm_sq = float(val_grad @ val_grad)
             test_error, _ = evaluate(model, test_ds)
             hyper_err = float("nan")
@@ -334,8 +341,7 @@ def train(
         model=model,
         final_test_error=final_test_error,
         steps=config.total_steps,
-        forward_examples=examples,
-        backward_examples=examples,
+        examples=examples,
         wall_time=time.perf_counter() - t0,
         weight_log={
             "step": np.repeat(steps, n),

@@ -19,6 +19,7 @@ from metareweight.nn import (
     dot_with_each,
     flatten,
     forward,
+    layer_views,
     sgd_step,
     weighted_gradient,
 )
@@ -171,6 +172,64 @@ class TestWeightedGradient:
         want = grads.flat() @ v
         got = dot_with_each(grads, v)
         assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+
+
+class TestFlatLayout:
+    def _gradient(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, [5, 4, 3], "relu", bias_scale=0.2)
+        batch = random_batch(rng, 6, 5, 3)
+        grads = backward_per_example(model, forward(model, batch), batch)
+        w = rng.random(6)
+        return model, grads, w, weighted_gradient(grads, w)
+
+    def test_weighted_gradient_layers_view_one_vector(self):
+        model, _, _, layers = self._gradient(30)
+        base = layers[0].base
+        assert base.shape == (model.param_count,) and base.dtype == np.float64
+        assert all(g.base is base for g in layers)
+        base[:] = np.arange(base.size)
+        offset = 0
+        for g in layers:
+            assert np.array_equal(g.ravel(), np.arange(offset, offset + g.size))
+            offset += g.size
+
+    def test_flatten_of_gradient_is_its_vector_bitwise(self):
+        _, grads, w, layers = self._gradient(31)
+        flat = flatten(layers)
+        assert all(np.shares_memory(flat, g) for g in layers)
+        want = np.concatenate(
+            [(z.T @ (g * w[:, None])).ravel() for z, g in zip(grads.inputs, grads.signals)]
+        )
+        assert np.array_equal(flat.view(np.int64), want.view(np.int64))
+
+    def test_flatten_copies_separate_layers(self):
+        model = MLPModel.init([5, 4, 3], rng=np.random.default_rng(32))
+        flat = flatten(model.layers)
+        assert not any(np.shares_memory(flat, w) for w in model.layers)
+        # Views of one vector out of order are not its layout either.
+        vector = np.arange(12.0)
+        a, b = layer_views(vector, [(2, 3), (3, 2)])
+        assert not np.shares_memory(flatten([b, a]), vector)
+
+    def test_model_flatten_never_aliases_layers(self):
+        model, _, _, layers = self._gradient(33)
+        stepped = sgd_step(model, layers, 0.1)
+        before = [w.tobytes() for w in stepped.layers]
+        flat = stepped.flatten()
+        flat[:] = 0.0
+        assert [w.tobytes() for w in stepped.layers] == before
+
+    def test_layer_views_size_checked(self):
+        with pytest.raises(DimensionError):
+            layer_views(np.zeros(11), [(2, 3), (3, 2)])
+
+    def test_with_params_does_not_alias_its_input(self):
+        model = random_model(np.random.default_rng(34), [4, 3, 2], "tanh")
+        flat = np.arange(float(model.param_count))
+        rebuilt = model.with_params(flat)
+        assert not any(np.shares_memory(flat, w) for w in rebuilt.layers)
+        assert np.array_equal(rebuilt.flatten(), flat)
 
 
 class TestModelAndStep:

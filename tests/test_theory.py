@@ -12,7 +12,7 @@ from conftest import assert_check, make_blobs
 from test_trainer import byte_backed, pre_scaled
 from metareweight.checks import random_batch, random_model
 from metareweight.data import Dataset
-from metareweight.errors import ConfigError
+from metareweight.errors import ConfigError, DimensionError
 from metareweight.nn import MLPModel
 from metareweight.theory import (
     DescentEntry,
@@ -169,3 +169,55 @@ class TestRegularity:
         assert est.smoothness > 0 and est.grad_bound > 0
         assert est.probe_count == 5 and est.sample_count == 16
         assert "lower bound" in est.note
+
+
+class TestObjectiveContract:
+    def _setup(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = make_blobs(rng, 30, 5, 2)
+        model = random_model(rng, [5, 6, 2], "relu", bias_scale=0.1)
+        return model, validation_objective(ds.images[:10], ds.labels[:10])
+
+    def test_gradients_are_fresh_writable_arrays(self):
+        model, objective = self._setup(80)
+        (va, ga), (vb, gb) = objective(model), objective(model)
+        assert va == vb and np.array_equal(ga, gb)
+        assert ga is not gb and not np.shares_memory(ga, gb)
+        assert ga.flags.writeable and gb.flags.writeable
+        assert not any(np.shares_memory(ga, w) for w in model.layers)
+
+    def test_empty_validation_set_rejected(self):
+        with pytest.raises(DimensionError):
+            validation_objective(np.zeros((0, 5)), np.zeros(0, dtype=int))
+
+    def test_smoothness_matches_copying_loop_bitwise(self):
+        model, objective = self._setup(81)
+        probes, radius, restarts = 9, 1e-3, 4
+
+        def reference(rng):
+            # The estimator written with a new model and new arrays per probe.
+            theta = model.flatten()
+            _, g0 = objective(model)
+            best, spent = 0.0, 0
+            for _ in range(restarts):
+                d = rng.standard_normal(theta.size)
+                d /= np.linalg.norm(d)
+                for _ in range(-(-probes // restarts)):
+                    if spent >= probes:
+                        break
+                    _, g1 = objective(model.with_params(theta + radius * d))
+                    spent += 1
+                    diff = g1 - g0
+                    ratio = float(np.linalg.norm(diff)) / radius
+                    best = max(best, ratio)
+                    if ratio == 0.0 or not np.isfinite(ratio):
+                        break
+                    d = diff / np.linalg.norm(diff)
+            return best
+
+        before = [w.tobytes() for w in model.layers]
+        got = estimate_smoothness(model, objective, probes=probes, radius=radius,
+                                  rng=np.random.default_rng(5), restarts=restarts)
+        want = reference(np.random.default_rng(5))
+        assert got > 0 and repr(got) == repr(want)
+        assert [w.tobytes() for w in model.layers] == before

@@ -141,6 +141,13 @@ class TestTrainBasics:
         with pytest.raises(ConfigError):
             train(small_config(strategy="meta_reweight"), train_ds, empty, test_ds)
 
+    def test_uniform_runs_without_validation_set(self):
+        train_ds, val_ds, test_ds = blob_sets()
+        empty = val_ds.subset(np.empty(0, dtype=np.int64))
+        result = train(small_config(total_steps=20), train_ds, empty, test_ds)
+        assert [r.step for r in result.records] == [20]
+        assert np.isnan(result.records[0].val_loss) and np.isnan(result.records[0].grad_norm_sq)
+
     def test_empty_train_rejected(self):
         train_ds, val_ds, test_ds = blob_sets()
         empty = train_ds.subset(np.empty(0, dtype=np.int64))
@@ -178,7 +185,10 @@ class TestReplayOracle:
             grads = backward_per_example(model, cache, batch)
             w = np.full(n, 1.0 / n)
             if cfg.strategy == "meta_reweight":
-                vidx = rng.choice(len(val_ds), size=cfg.batch_size_val, replace=False)
+                if cfg.batch_size_val >= len(val_ds):
+                    vidx = np.arange(len(val_ds))
+                else:
+                    vidx = rng.choice(len(val_ds), size=cfg.batch_size_val, replace=False)
                 vbatch = Batch(val_ds.images[vidx], val_ds.labels[vidx])
                 vgrads = backward_per_example(model, forward(model, vbatch), vbatch)
                 w = rectify_normalize(meta_grad_closed_form(grads, vgrads))
@@ -213,6 +223,19 @@ class TestReplayOracle:
             assert r.mean_w_clean == pytest.approx(w[~flipped].mean(), rel=1e-12)
             assert r.mean_w_flipped == pytest.approx(w[flipped].mean(), rel=1e-12)
             assert r.frac_zero_w == np.mean(w == 0.0)
+
+    @pytest.mark.parametrize("batch_size_val", [12, 50])
+    def test_full_validation_batch_matches_reference(self, batch_size_val):
+        # A batch_size_val covering the set takes the whole set, in order,
+        # and draws nothing from the generator.
+        train_ds, val_ds, test_ds = blob_sets()
+        assert len(val_ds) == 12
+        cfg = small_config(strategy="meta_reweight", total_steps=15, eval_every=5,
+                           batch_size_val=batch_size_val)
+        result = train(cfg, train_ds, val_ds, test_ds)
+        want, _ = self._replay(cfg, train_ds, val_ds)
+        assert np.array_equal(result.model.flatten(), want.flatten())
+        assert result.forward_examples == 15 * (16 + 12)
 
     def test_lr_schedule_applied(self):
         train_ds, val_ds, test_ds = blob_sets()
