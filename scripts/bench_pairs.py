@@ -10,15 +10,23 @@ ones, so neither side always runs on a warmer or a busier machine. Each run
 prints its verdict (`correct`, `attempted`, `failed`) and its end-to-end
 metrics as it ends. At the end, for every end-to-end metric of the parent's
 BENCHMARK.json, the script prints each side's median and quartiles over the
-completed pairs, how many pairs each side won (ties count for neither) and
-whether the change's gain is claimable: every change run completed and was
-correct with no more failed operations than its paired parent run, the
-change won at least nine tenths of all the pairs run, and the medians differ
-by more than the parent's interquartile range. A run that fails drops its
-pair from the medians; it, or a change run that is not correct or fails
-more operations than its paired parent run, makes the exit status 1. The
-script only reads `perfbench/`; the runs write what any benchmark run
-writes, `.perfbench/` in each root.
+completed pairs, how many pairs each side won (ties count for neither),
+whether the change's gain is claimable and whether the change regressed.
+
+A gain is claimable when every change run completed and was correct with no
+more failed operations than its paired parent run, the change won at least
+nine tenths of all the pairs run, and the medians differ by more than the
+parent's interquartile range. The regression verdict takes the metric's
+`bound` in BENCHMARK.json as a fraction of the parent's median: `worse` when
+the change's median is worse than the parent's by more than that, else
+`unresolved` when the parent's interquartile range is wider than that and
+not every change run beats every parent run, else `ok`.
+
+A run that fails drops its pair from the medians; it, a change run that is
+not correct or fails more operations than its paired parent run, or any
+`worse` verdict makes the exit status 1. The script only reads
+`perfbench/`; the runs write what any benchmark run writes, `.perfbench/` in
+each root.
 """
 
 import argparse
@@ -58,13 +66,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def regression(m: dict, parent: list[float], change: list[float]) -> str:
+    """`worse`, `unresolved` or `ok` for one end-to-end metric, its bound read
+    as a fraction of the parent's median."""
+    higher = m["better"] == "higher"
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    allowed = m["bound"] * abs(pm)
+    if (pm - cm if higher else cm - pm) > allowed:
+        return "worse"
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    return "unresolved" if p3 - p1 > allowed and not beats_all else "ok"
+
+
 def compare(metrics: list[dict], pairs: list[tuple[dict, dict]], pairs_run: int,
-            sound: bool) -> list[str]:
-    """One table row per metric: medians, quartiles, wins and whether a gain is
-    claimable. `pairs` holds the completed pairs' metrics; the nine-tenths test
-    counts against all `pairs_run`, and no gain is claimable unless `sound`."""
+            sound: bool) -> tuple[list[str], bool]:
+    """One table row per metric: medians, quartiles, wins, whether a gain is
+    claimable and the regression verdict; and whether any verdict is `worse`.
+    `pairs` holds the completed pairs' metrics; the nine-tenths test counts
+    against all `pairs_run`, and no gain is claimable unless `sound`."""
     rows = [f"{'metric':<28} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} "
-            f"{'wins p/c':>9}  gain"]
+            f"{'wins p/c':>9}  gain  regression"]
+    worse = False
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p[name] for p, _ in pairs]
@@ -75,9 +97,12 @@ def compare(metrics: list[dict], pairs: list[tuple[dict, dict]], pairs_run: int,
         improved = cm > pm if higher else cm < pm
         claim = (sound and improved and change_wins >= 0.9 * pairs_run
                  and abs(cm - pm) > p3 - p1)
+        verdict = regression(m, parent, change)
+        worse = worse or verdict == "worse"
         rows.append(f"{name:<28} {p1:>10.4g} {pm:>9.4g} {p3:>9.4g} {c1:>10.4g} {cm:>9.4g} "
-                    f"{c3:>9.4g} {parent_wins:>4}/{change_wins:<4}  {'yes' if claim else 'no'}")
-    return rows
+                    f"{c3:>9.4g} {parent_wins:>4}/{change_wins:<4}  {'yes' if claim else 'no':<4}  "
+                    f"{verdict}")
+    return rows, worse
 
 
 def main() -> int:
@@ -121,9 +146,11 @@ def main() -> int:
     if not sound:
         print("no gain is claimable: a change run failed, was not correct, "
               "or failed more operations than its paired parent run")
+    worse = False
     if pairs:
-        print("\n".join(compare(spec["end_to_end"], pairs, args.pairs, sound)))
-    return 1 if failed or not sound else 0
+        rows, worse = compare(spec["end_to_end"], pairs, args.pairs, sound)
+        print("\n".join(rows))
+    return 1 if failed or not sound or worse else 0
 
 
 if __name__ == "__main__":

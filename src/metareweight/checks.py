@@ -24,7 +24,6 @@ from .nn import (
     MLPModel,
     backward_per_example,
     finite_diff_grad,
-    flatten,
     forward,
     weighted_gradient,
 )
@@ -123,7 +122,7 @@ def check_per_example_gradients():
     rng, model, batch = _seeded(15, [5, 4, 2], "tanh", 0.1, 4)
     w = rng.random(4)
     fd = finite_diff_grad(model, lambda m: float(w @ forward(m, batch).losses))
-    weighted = flatten(weighted_gradient(_grads(model, batch), w))
+    weighted = weighted_gradient(_grads(model, batch), w)
     worst["tanh"] = max(worst["tanh"], _fd_err(weighted, fd))
     return max(worst.values()) <= 1e-6, (
         f"max relative deviation from finite differences {_per_activation(worst)} (<=1e-6)"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import run_checks
 from .config import build_experiment, parse_config_file
-from .data import NoiseSpec, corrupt, load_idx, write_idx_labels
+from .data import NoiseSpec, corrupt, load_idx, write_csv, write_idx_labels
 from .errors import ConfigError, DimensionError, IdxParseError, NonFiniteError
 from .experiment import run_experiment
 
@@ -93,18 +93,27 @@ def cmd_corrupt(args) -> int:
     write_idx_labels(corrupted.labels, args.out)
     sidecar = args.out + ".provenance.csv"
     changed = np.flatnonzero(corrupted.flipped_mask)
-    with open(sidecar, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "original_label", "new_label"])
-        for i in changed:
-            writer.writerow([int(i), int(corrupted.original_labels[i]), int(corrupted.labels[i])])
+    write_csv(
+        sidecar,
+        ["index", "original_label", "new_label"],
+        zip(changed, corrupted.original_labels[changed], corrupted.labels[changed]),
+    )
     print(f"flipped {changed.size} of {len(ds)} labels; wrote {args.out} and {sidecar}")
     return 0
 
 
-def _read_csv(path: str) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
+# Columns of report_final.csv, each echoing the config field of that name.
+_CONFIG_COLUMNS = ("imbalance_ratio", "noise_kind", "noise_ratio")
+
+
+def _seed_rows(root: str, summary: dict, prefix: str):
+    """The rows, as dicts, of every {prefix}_seed{S}.csv under root for the
+    summary's seeds, seed after seed; a missing file is skipped."""
+    for seed in summary["seeds"]:
+        path = os.path.join(root, f"{prefix}_seed{seed}.csv")
+        if os.path.isfile(path):
+            with open(path, newline="") as f:
+                yield from csv.DictReader(f)
 
 
 def cmd_report(args) -> int:
@@ -117,107 +126,51 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no summary.json found under {args.dir}")
     summaries.sort(key=lambda item: (item[1]["strategy"], item[1]["config_hash"], item[0]))
 
-    final_path = os.path.join(args.dir, "report_final.csv")
-    with open(final_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "config_hash",
-                "strategy",
-                "imbalance_ratio",
-                "noise_kind",
-                "noise_ratio",
-                "num_seeds",
-                "mean_test_error",
-                "ci_half_width",
-            ]
-        )
-        for _root, s in summaries:
-            cfg = s.get("config", {})
-            writer.writerow(
-                [
-                    s["config_hash"],
-                    s["strategy"],
-                    cfg.get("imbalance_ratio", ""),
-                    cfg.get("noise_kind", ""),
-                    cfg.get("noise_ratio", ""),
-                    len(s["seeds"]),
-                    repr(s["mean_test_error"]),
-                    repr(s["ci_half_width"]),
-                ]
-            )
-
-    curves_path = os.path.join(args.dir, "report_curves.csv")
-    with open(curves_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["config_hash", "strategy", "step", "mean_test_error", "mean_train_loss", "mean_val_loss_G"]
-        )
-        for root, s in summaries:
-            by_step: dict[int, list[tuple[float, float, float]]] = {}
-            for seed in s["seeds"]:
-                path = os.path.join(root, f"metrics_seed{seed}.csv")
-                if not os.path.isfile(path):
-                    continue
-                for row in _read_csv(path):
-                    by_step.setdefault(int(row["step"]), []).append(
-                        (
-                            float(row["test_error"]),
-                            float(row["train_loss"]),
-                            float(row["val_loss_G"]),
-                        )
-                    )
-            for step in sorted(by_step):
-                cols = np.array(by_step[step])
-                writer.writerow(
-                    [
-                        s["config_hash"],
-                        s["strategy"],
-                        step,
-                        repr(float(cols[:, 0].mean())),
-                        repr(float(cols[:, 1].mean())),
-                        repr(float(cols[:, 2].mean())),
-                    ]
-                )
-
-    hist_path = os.path.join(args.dir, "report_weight_hist.csv")
     bins = 50
-    with open(hist_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["config_hash", "strategy", "bin_lo", "bin_hi", "clean_count", "flipped_count"]
+    final, curves, hist = [], [], []
+    for root, s in summaries:
+        key = [s["config_hash"], s["strategy"]]
+        cfg = s.get("config", {})
+        final.append(
+            key
+            + [cfg.get(c, "") for c in _CONFIG_COLUMNS]
+            + [len(s["seeds"]), s["mean_test_error"], s["ci_half_width"]]
         )
-        for root, s in summaries:
-            weights = []
-            flipped = []
-            for seed in s["seeds"]:
-                path = os.path.join(root, f"weights_seed{seed}.csv")
-                if not os.path.isfile(path):
-                    continue
-                for row in _read_csv(path):
-                    weights.append(float(row["weight"]))
-                    flipped.append(row["flipped"] == "1")
-            if not weights:
-                continue
-            w = np.array(weights)
-            fl = np.array(flipped)
-            hi = max(float(w.max()), 1e-12)
-            edges = np.linspace(0.0, hi, bins + 1)
-            clean_hist, _ = np.histogram(w[~fl], bins=edges)
-            flip_hist, _ = np.histogram(w[fl], bins=edges)
-            for b in range(bins):
-                writer.writerow(
-                    [
-                        s["config_hash"],
-                        s["strategy"],
-                        repr(float(edges[b])),
-                        repr(float(edges[b + 1])),
-                        int(clean_hist[b]),
-                        int(flip_hist[b]),
-                    ]
-                )
 
-    print(f"wrote {final_path}, {curves_path}, {hist_path}")
+        by_step: dict[int, list[tuple[float, float, float]]] = {}
+        for row in _seed_rows(root, s, "metrics"):
+            by_step.setdefault(int(row["step"]), []).append(
+                (float(row["test_error"]), float(row["train_loss"]), float(row["val_loss_G"]))
+            )
+        for step in sorted(by_step):
+            cols = np.array(by_step[step])
+            curves.append(key + [step] + [cols[:, k].mean() for k in range(3)])
+
+        weights = []
+        flipped = []
+        for row in _seed_rows(root, s, "weights"):
+            weights.append(float(row["weight"]))
+            flipped.append(row["flipped"] == "1")
+        if not weights:
+            continue
+        w = np.array(weights)
+        fl = np.array(flipped)
+        hi = max(float(w.max()), 1e-12)
+        edges = np.linspace(0.0, hi, bins + 1)
+        clean_hist, _ = np.histogram(w[~fl], bins=edges)
+        flip_hist, _ = np.histogram(w[fl], bins=edges)
+        for b in range(bins):
+            hist.append(key + [edges[b], edges[b + 1], clean_hist[b], flip_hist[b]])
+
+    paths = []
+    for name, columns, rows in (
+        ("final", [*_CONFIG_COLUMNS, "num_seeds", "mean_test_error", "ci_half_width"], final),
+        ("curves", ["step", "mean_test_error", "mean_train_loss", "mean_val_loss_G"], curves),
+        ("weight_hist", ["bin_lo", "bin_hi", "clean_count", "flipped_count"], hist),
+    ):
+        paths.append(os.path.join(args.dir, f"report_{name}.csv"))
+        write_csv(paths[-1], ["config_hash", "strategy", *columns], rows)
+    print(f"wrote {', '.join(paths)}")
     return 0
 
 
@@ -231,7 +184,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except (ConfigError, DimensionError, IdxParseError, NonFiniteError, FileNotFoundError) as e:
+    except (ConfigError, DimensionError, IdxParseError, NonFiniteError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ Every dataset keeps a provenance array of original labels so that later
 stages can tell clean examples from corrupted ones without re-deriving it.
 """
 
+import csv
 import gzip
 import os
 import struct
@@ -179,6 +180,18 @@ def write_idx_labels(labels: np.ndarray, path: str) -> None:
     with opener(path, "wb") as f:
         f.write(struct.pack(">ii", LABEL_MAGIC, labels.size))
         f.write(labels.astype(np.uint8).tobytes())
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a header row, then rows, as CSV: the format of every CSV the package writes.
+
+    A float cell, np.float64 included, is written as its repr, so it reads
+    back exactly (nan as `nan`); an integer cell, np.int64 included, as plain
+    digits. Rows may be any iterable."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def make_imbalanced_pair(ds: Dataset, spec: ImbalanceSpec, rng: np.random.Generator) -> Dataset:

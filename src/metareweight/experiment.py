@@ -6,7 +6,6 @@ both initialization and the bias realization, matching how the mean and
 confidence interval are meant to be read.
 """
 
-import csv
 import json
 import math
 import os
@@ -25,6 +24,7 @@ from .data import (
     random_split,
     split_clean_validation,
     split_indices,
+    write_csv,
 )
 from .trainer import MetricsRecord, TrainResult, train
 
@@ -65,30 +65,17 @@ def prepare_datasets(
 
 
 def write_metrics_csv(records: list[MetricsRecord], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(MetricsRecord.CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.csv_row()[0]] + [repr(v) for v in r.csv_row()[1:]]
-            )
+    write_csv(path, MetricsRecord.CSV_COLUMNS, (r.csv_row() for r in records))
 
 
 def write_weights_csv(weight_log: dict, path: str) -> None:
     """Per-example weights from the last evaluation window, with provenance."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "weight", "flipped"])
-        for s, w, fl in zip(weight_log["step"], weight_log["weight"], weight_log["flipped"]):
-            writer.writerow([int(s), repr(float(w)), int(fl)])
+    rows = zip(weight_log["step"], weight_log["weight"], weight_log["flipped"].astype(np.int64))
+    write_csv(path, ["step", "weight", "flipped"], rows)
 
 
 def write_hyperval_csv(records: list[MetricsRecord], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "hyperval_error"])
-        for r in records:
-            writer.writerow([r.step, repr(r.hyperval_error)])
+    write_csv(path, ["step", "hyperval_error"], ((r.step, r.hyperval_error) for r in records))
 
 
 def mean_and_ci(values: list[float]) -> tuple[float, float]:

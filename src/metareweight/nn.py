@@ -11,13 +11,14 @@ the gradient of loss_i with respect to that layer is the outer product
 inputs[l][i] (x) signals[l][i], so a batch of n full gradients costs
 O(n * (d_in + d_out)) memory instead of O(n * d_in * d_out).
 
-Gradients travel per layer: `weighted_gradient` returns one (d_in + 1, d_out)
-array per layer, and `sgd_step` takes those arrays over, scaling them in
-place into the new model's layers. Flat vectors (`flatten`) are only for
-the code that needs a norm or a dot over all parameters at once, and they
-cost no copy: each gradient is one float64 buffer of param_count entries,
-its layers are consecutive row-major views of it (`layer_views`), and
-`flatten` of such views returns that buffer itself.
+A gradient is one flat float64 vector of param_count entries, the layers
+laid out one after another in row-major order. `weighted_gradient` writes
+each layer's product straight into its slice of a new vector and returns
+the vector, so a norm or a dot over all parameters reads it as it is.
+`sgd_step` takes the vector over: it scales it in place, adds the current
+parameters through `layer_views`, and those views become the new model's
+layers. `MLPModel.flatten` is the one place parameters are copied into a
+flat vector.
 """
 
 import math
@@ -51,31 +52,6 @@ def layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndar
         views.append(flat[offset : offset + p * q].reshape(p, q))
         offset += p * q
     return views
-
-
-def _shared_vector(layers: list[np.ndarray]) -> np.ndarray | None:
-    """The 1-D float64 vector whose consecutive row-major views `layers` are, or None."""
-    base = layers[0].base if layers else None
-    if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
-            and base.flags.c_contiguous):
-        return None
-    address = base.ctypes.data
-    for w in layers:
-        if (w.base is not base or w.dtype != np.float64 or not w.flags.c_contiguous
-                or w.ctypes.data != address):
-            return None
-        address += w.nbytes
-    return base if address == base.ctypes.data + base.nbytes else None
-
-
-def flatten(layers: list[np.ndarray]) -> np.ndarray:
-    """Per-layer arrays as one flat vector, layer after layer in row-major order.
-
-    When the layers are exactly the consecutive views of one 1-D float64
-    vector, as `weighted_gradient` returns them, that vector is returned
-    itself and shares their memory; otherwise the layers are copied."""
-    shared = _shared_vector(layers)
-    return shared if shared is not None else np.concatenate([w.ravel() for w in layers])
 
 
 def _with_ones_column(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +204,8 @@ class PerExampleGrads:
 
     def flat_one(self, i: int) -> np.ndarray:
         """Gradient of a single example as a flat vector."""
-        return flatten([np.outer(z[i], g[i]) for z, g in zip(self.inputs, self.signals)])
+        parts = [np.outer(z[i], g[i]).ravel() for z, g in zip(self.inputs, self.signals)]
+        return np.concatenate(parts)
 
     def norms_squared(self) -> np.ndarray:
         """Squared L2 norm of each example's gradient, via the rank-1 structure."""
@@ -310,21 +287,18 @@ def backward_per_example(model: MLPModel, cache: ForwardCache, batch: Batch) -> 
     return PerExampleGrads(inputs=cache.post, signals=signals)
 
 
-def weighted_gradient(grads: PerExampleGrads, weights: np.ndarray) -> list[np.ndarray]:
-    """Gradient of sum_i weights[i] * loss_i: one (d_in + 1, d_out) array per layer.
-
-    The layers are consecutive views of one new flat vector, so `flatten`
-    of them costs no copy."""
+def weighted_gradient(grads: PerExampleGrads, weights: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i weights[i] * loss_i as a new flat (param_count,) vector."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (grads.count,):
         raise DimensionError(f"weights shape {w.shape} does not match {grads.count} examples")
     shapes = grads.layer_shapes()
-    layers = layer_views(np.empty(sum(p * q for p, q in shapes)), shapes)
+    flat = np.empty(sum(p * q for p, q in shapes))
     # Scale the signal factor rather than the input factor: signals have the
     # layer's output width, which is never wider than the augmented input.
-    for z, g, out in zip(grads.inputs, grads.signals, layers):
+    for z, g, out in zip(grads.inputs, grads.signals, layer_views(flat, shapes)):
         np.matmul(z.T, g * w[:, None], out=out)
-    return layers
+    return flat
 
 
 def dot_with_each(grads: PerExampleGrads, flat: np.ndarray) -> np.ndarray:
@@ -336,44 +310,38 @@ def dot_with_each(grads: PerExampleGrads, flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sgd_step(model: MLPModel, grad_layers: list[np.ndarray], alpha: float) -> MLPModel:
+def sgd_step(model: MLPModel, grad: np.ndarray, alpha: float) -> MLPModel:
     """Return a new model with parameters theta - alpha * grad.
 
-    Takes over grad_layers (one array per layer, as `weighted_gradient`
-    returns them): float64 arrays are scaled in place and become the new
-    model's layers, so the caller must not use them afterwards. The input
-    model is left as it was."""
-    layers = [np.asarray(g, dtype=np.float64) for g in grad_layers]
-    shapes = [g.shape for g in layers]
-    expected = [w.shape for w in model.layers]
-    if shapes != expected:
-        raise DimensionError(f"gradient layers have shapes {shapes}, expected {expected}")
+    Takes over grad, a flat (param_count,) vector as `weighted_gradient`
+    returns it: a C-contiguous float64 vector is scaled in place and its
+    layer views become the new model's layers, so the caller must not use
+    it afterwards; any other array is copied first. The input model is left
+    as it was."""
+    grad = np.ascontiguousarray(grad, dtype=np.float64)
+    layers = layer_views(grad, [w.shape for w in model.layers])
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
-    for g in layers:
-        _check_finite("gradient", g)
+    _check_finite("gradient", grad)
+    grad *= -alpha
     for g, w in zip(layers, model.layers):
-        g *= -alpha
         g += w
     return MLPModel(layers, model.activation)
 
 
-def finite_diff_grad(model: MLPModel, evaluator, h=1e-5) -> np.ndarray:
-    """Central-difference gradient of evaluator(model) over all parameters.
-
-    h may be a scalar or a per-coordinate array. Meant for tests and
-    verification; cost is 2 * param_count evaluations.
+def finite_diff_grad(model: MLPModel, evaluator, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of evaluator(model) over all parameters,
+    with step h on every coordinate. Meant for tests and verification; cost
+    is 2 * param_count evaluations.
     """
     theta = model.flatten()
-    h_arr = np.broadcast_to(np.asarray(h, dtype=np.float64), theta.shape)
     grad = np.empty_like(theta)
     for k in range(theta.size):
-        hk = h_arr[k]
         plus = theta.copy()
-        plus[k] += hk
+        plus[k] += h
         minus = theta.copy()
-        minus[k] -= hk
+        minus[k] -= h
         grad[k] = (evaluator(model.with_params(plus)) - evaluator(model.with_params(minus))) / (
-            2.0 * hk
+            2.0 * h
         )
     return grad

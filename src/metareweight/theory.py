@@ -28,12 +28,11 @@ is a new array that the caller may overwrite, and the objective keeps
 neither the model nor the array: `estimate_smoothness` reuses both.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import ConfigError, NonFiniteError
 from .nn import (
     Batch,
@@ -41,7 +40,6 @@ from .nn import (
     _rng_or_default,
     backward_per_example,
     dot_with_each,
-    flatten,
     forward,
     layer_views,
     sgd_step,
@@ -249,7 +247,7 @@ def _descent_trial(
             grad_norm = max(grad_norm, float(np.sqrt(grads.norms_squared().max())))
             coef = np.maximum(dot_with_each(grads, grad_g), 0.0)
             direction = weighted_gradient(grads, coef)
-            step_len = (alpha / n) * float(np.linalg.norm(flatten(direction)))
+            step_len = (alpha / n) * float(np.linalg.norm(direction))
             stepped = sgd_step(model, direction, alpha / n)  # takes over direction
             g_next, grad_next = objective(stepped)
         except NonFiniteError:
@@ -383,19 +381,13 @@ def rate_report(trace: list[DescentEntry], checkpoints: int = 20) -> list[RateRo
 
 
 def write_descent_csv(trace: list[DescentEntry], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "G", "grad_norm_sq", "T_t"])
-        for e in trace:
-            writer.writerow([e.step, repr(e.g_before), repr(e.grad_norm_sq), repr(e.align_sq)])
+    rows = ((e.step, e.g_before, e.grad_norm_sq, e.align_sq) for e in trace)
+    write_csv(path, ["step", "G", "grad_norm_sq", "T_t"], rows)
 
 
 def write_rate_csv(rows: list[RateRow], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["T", "min_grad_norm_sq", "envelope"])
-        for r in rows:
-            writer.writerow([r.horizon, repr(r.min_grad_norm_sq), repr(r.envelope)])
+    cells = ((r.horizon, r.min_grad_norm_sq, r.envelope) for r in rows)
+    write_csv(path, ["T", "min_grad_norm_sq", "envelope"], cells)
 
 
 def fd_meta_gradient(

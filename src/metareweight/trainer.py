@@ -21,7 +21,6 @@ from .nn import (
     Batch,
     MLPModel,
     backward_per_example,
-    flatten,
     forward,
     weighted_gradient,
     sgd_step,
@@ -156,7 +155,7 @@ def validation_loss_and_grad(model: MLPModel, batch: Batch) -> tuple[float, np.n
     """Mean loss over a validation batch and its flat gradient, a new vector."""
     cache = forward(model, batch)
     grads = backward_per_example(model, cache, batch)
-    g = flatten(weighted_gradient(grads, np.full(len(batch), 1.0 / len(batch))))
+    g = weighted_gradient(grads, np.full(len(batch), 1.0 / len(batch)))
     return float(cache.losses.mean()), g
 
 

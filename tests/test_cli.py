@@ -123,6 +123,11 @@ class TestTrainCommand:
         bad.write_text(content)
         assert main(["train", "--config", str(bad)]) == 2
         assert "test_labels" in capsys.readouterr().err
+        # An output directory that is a file (FileExistsError) is bad input too.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["train", "--config", text, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -219,6 +224,19 @@ class TestCorruptCommand:
         )
         assert code == 2
         assert "ratio" in capsys.readouterr().err
+        # An images path that is a directory (IsADirectoryError) is bad input too.
+        code = main(
+            [
+                "corrupt",
+                "--images", str(tmp_path),
+                "--labels", paths["train_labels"],
+                "--out", str(tmp_path / "x"),
+                "--kind", "uniform_flip",
+                "--ratio", "0.5",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
 
 class TestReportCommand:

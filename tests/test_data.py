@@ -1,6 +1,7 @@
 """Dataset tests: IDX parsing against hand-built byte strings, bias
 generators against explicit counting oracles."""
 
+import csv
 import gzip
 import struct
 
@@ -19,9 +20,11 @@ from metareweight.data import (
     make_imbalanced_pair,
     random_split,
     split_clean_validation,
+    write_csv,
     write_idx_labels,
 )
 from metareweight.errors import ConfigError, IdxParseError
+from metareweight.experiment import write_weights_csv
 from metareweight.nn import Batch
 
 
@@ -147,6 +150,29 @@ class TestIdxParsing:
         write_idx_labels(np.array([5, 0]), str(out))
         raw = gzip.decompress(out.read_bytes())
         assert raw == idx_labels_bytes([5, 0])
+
+
+class TestCsvRows:
+    def test_floats_read_back_bitwise(self, tmp_path):
+        values = [0.1, 1 / 3, -0.0, 1e-300, 2.5e17, float("nan")]
+        path = tmp_path / "floats.csv"
+        write_csv(str(path), ["float", "float64"], [(v, np.float64(v)) for v in values])
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["float", "float64"] and len(rows) == len(values) + 1
+        for v, row in zip(values, rows[1:]):
+            assert [struct.pack("<d", float(cell)) for cell in row] == [struct.pack("<d", v)] * 2
+
+    def test_int64_cells_are_digits(self, tmp_path):
+        path = tmp_path / "ints.csv"
+        write_csv(str(path), ["a", "b"], [(np.int64(7), np.int64(-12345678901234))])
+        assert path.read_text().splitlines() == ["a,b", "7,-12345678901234"]
+
+    def test_weights_flipped_column_is_zero_or_one(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        log = {"step": np.array([3, 3]), "weight": np.array([0.25, 0.0])}
+        write_weights_csv({**log, "flipped": np.array([True, False])}, str(path))
+        assert path.read_text().splitlines() == ["step,weight,flipped", "3,0.25,1", "3,0.0,0"]
 
 
 def labeled_dataset(rng, counts: dict) -> Dataset:

@@ -17,7 +17,6 @@ from metareweight.nn import (
     MLPModel,
     backward_per_example,
     dot_with_each,
-    flatten,
     forward,
     layer_views,
     sgd_step,
@@ -128,7 +127,7 @@ class TestWeightedGradient:
         batch = random_batch(rng, 5, 6, 3)
         grads = backward_per_example(model, forward(model, batch), batch)
         w = rng.random(5)
-        got = flatten(weighted_gradient(grads, w))
+        got = weighted_gradient(grads, w)
         want = sum(w[i] * grads.flat_one(i) for i in range(5))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -140,9 +139,7 @@ class TestWeightedGradient:
         model = random_model(rng, [4, 3, 2], "relu")
         batch = random_batch(rng, 3, 4, 2)
         grads = backward_per_example(model, forward(model, batch), batch)
-        assert np.array_equal(
-            flatten(weighted_gradient(grads, np.zeros(3))), np.zeros(model.param_count)
-        )
+        assert np.array_equal(weighted_gradient(grads, np.zeros(3)), np.zeros(model.param_count))
 
     def test_layers_in_flat_layout(self):
         rng = np.random.default_rng(15)
@@ -150,10 +147,10 @@ class TestWeightedGradient:
         batch = random_batch(rng, 6, 5, 3)
         grads = backward_per_example(model, forward(model, batch), batch)
         w = rng.random(6)
-        layers = weighted_gradient(grads, w)
-        assert [g.shape for g in layers] == [m.shape for m in model.layers]
+        flat = weighted_gradient(grads, w)
+        assert flat.shape == (model.param_count,)
         want = w @ grads.flat()
-        assert np.abs(flatten(layers) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(flat - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_weight_shape_mismatch_raises(self):
         rng = np.random.default_rng(17)
@@ -184,37 +181,38 @@ class TestFlatLayout:
         return model, grads, w, weighted_gradient(grads, w)
 
     def test_weighted_gradient_layers_view_one_vector(self):
-        model, _, _, layers = self._gradient(30)
-        base = layers[0].base
-        assert base.shape == (model.param_count,) and base.dtype == np.float64
-        assert all(g.base is base for g in layers)
-        base[:] = np.arange(base.size)
+        # The stepped model's layers are consecutive row-major views of the
+        # vector sgd_step took over.
+        model, _, _, flat = self._gradient(30)
+        stepped = sgd_step(model, flat, 0.1)
+        assert all(w.base is flat for w in stepped.layers)
+        flat[:] = np.arange(flat.size)
         offset = 0
-        for g in layers:
-            assert np.array_equal(g.ravel(), np.arange(offset, offset + g.size))
-            offset += g.size
+        for w in stepped.layers:
+            assert np.array_equal(w.ravel(), np.arange(offset, offset + w.size))
+            offset += w.size
+        assert offset == model.param_count
 
     def test_flatten_of_gradient_is_its_vector_bitwise(self):
-        _, grads, w, layers = self._gradient(31)
-        flat = flatten(layers)
-        assert all(np.shares_memory(flat, g) for g in layers)
+        _, grads, w, flat = self._gradient(31)
         want = np.concatenate(
             [(z.T @ (g * w[:, None])).ravel() for z, g in zip(grads.inputs, grads.signals)]
         )
+        assert flat.dtype == np.float64 and flat.shape == want.shape
         assert np.array_equal(flat.view(np.int64), want.view(np.int64))
+        # Each call fills a new vector.
+        assert not np.shares_memory(weighted_gradient(grads, w), flat)
 
     def test_flatten_copies_separate_layers(self):
         model = MLPModel.init([5, 4, 3], rng=np.random.default_rng(32))
-        flat = flatten(model.layers)
+        flat = model.flatten()
         assert not any(np.shares_memory(flat, w) for w in model.layers)
-        # Views of one vector out of order are not its layout either.
-        vector = np.arange(12.0)
-        a, b = layer_views(vector, [(2, 3), (3, 2)])
-        assert not np.shares_memory(flatten([b, a]), vector)
+        for v, w in zip(layer_views(flat, [w.shape for w in model.layers]), model.layers):
+            assert np.array_equal(v, w)
 
     def test_model_flatten_never_aliases_layers(self):
-        model, _, _, layers = self._gradient(33)
-        stepped = sgd_step(model, layers, 0.1)
+        model, _, _, grad = self._gradient(33)
+        stepped = sgd_step(model, grad, 0.1)
         before = [w.tobytes() for w in stepped.layers]
         flat = stepped.flatten()
         flat[:] = 0.0
@@ -257,33 +255,31 @@ class TestModelAndStep:
         rng = np.random.default_rng(21)
         model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
         g = rng.standard_normal(model.param_count)
-        stepped = sgd_step(model, model.with_params(g).layers, 0.05)
+        stepped = sgd_step(model, g.copy(), 0.05)
         assert np.array_equal(stepped.flatten(), model.flatten() - 0.05 * g)
 
     def test_sgd_step_alpha_zero_is_identity(self):
         rng = np.random.default_rng(22)
         model = random_model(rng, [4, 3, 2], "relu")
-        g = model.with_params(rng.standard_normal(model.param_count)).layers
-        stepped = sgd_step(model, g, 0.0)
+        stepped = sgd_step(model, rng.standard_normal(model.param_count), 0.0)
         assert np.array_equal(stepped.flatten(), model.flatten())
 
     def test_sgd_step_rejects_bad_inputs(self):
         model = MLPModel.init([3, 2])
         with pytest.raises(DimensionError):
-            sgd_step(model, [np.zeros(5)], 0.1)
+            sgd_step(model, np.zeros(5), 0.1)
         with pytest.raises(DimensionError):
-            sgd_step(model, [np.zeros((4, 2)), np.zeros((3, 2))], 0.1)
+            sgd_step(model, np.zeros((4, 2)), 0.1)
         with pytest.raises(NonFiniteError):
-            sgd_step(model, [np.full((4, 2), np.nan)], 0.1)
+            sgd_step(model, np.full(8, np.nan), 0.1)
         with pytest.raises(ValueError):
-            sgd_step(model, [np.zeros((4, 2))], -0.1)
+            sgd_step(model, np.zeros(8), -0.1)
 
     def test_sgd_step_leaves_input_model_unchanged(self):
         rng = np.random.default_rng(24)
         model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
         before = [w.tobytes() for w in model.layers]
-        g = model.with_params(rng.standard_normal(model.param_count)).layers
-        stepped = sgd_step(model, g, 0.05)
+        stepped = sgd_step(model, rng.standard_normal(model.param_count), 0.05)
         assert [w.tobytes() for w in model.layers] == before
         assert all(not np.shares_memory(a, b) for a in stepped.layers for b in model.layers)
 
@@ -291,12 +287,13 @@ class TestModelAndStep:
         rng = np.random.default_rng(25)
         model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
         before = [w.tobytes() for w in model.layers]
-        g = [np.zeros(w.shape) for w in model.layers]
-        g[-1][1, 0] = np.nan
+        g = np.zeros(model.param_count)
+        g[model.param_count - model.layers[-1].size + 2] = np.nan  # row 1, column 0
+        g_before = g.tobytes()
         with pytest.raises(NonFiniteError, match="^gradient contains non-finite values$"):
             sgd_step(model, g, 0.1)
         assert [w.tobytes() for w in model.layers] == before
-        assert np.array_equal(g[0], np.zeros(model.layers[0].shape))
+        assert g.tobytes() == g_before
 
     def test_step_linear_in_weights(self):
         # theta_hat(w + h e_i) - theta_hat(w) must equal -alpha h grad_i to
