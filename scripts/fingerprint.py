@@ -18,6 +18,10 @@ Each tree runs in its own process with BLAS on one thread. The items:
   the wall times taken out of `summary.json`, for the imbalance config (six
   strategies) and the noise config (meta_reweight, uniform) of
   `perfbench/workload.py`, cut to 60 steps, seed 5, two repeats;
+- nn/weighted_gradient: `weighted_gradient` on one seeded 784-256-10 batch of
+  100 examples for fixed weight patterns: dense, rectified normal, a
+  hard-mining mask, one nonzero weight and all zero, so that skipping
+  zero-weight rows is checked whichever fixtures happen to draw zeros;
 - descent: the final layer bytes, the trace, the step size and the
   regularity estimate of one `run_descent_verification` on the 4-vs-9 pair
   of the benchmark's descent workload.
@@ -75,6 +79,29 @@ def train_items() -> dict:
             r.forward_examples, r.backward_examples, r.final_test_error,
         ])
     return items
+
+
+def gradient_items() -> dict:
+    import numpy as np
+
+    from metareweight.nn import Batch, MLPModel, backward_per_example, forward, weighted_gradient
+
+    n = 100
+    rng = np.random.default_rng(DATA_SEED)
+    model = MLPModel.init([784, 256, 10], rng=rng)
+    batch = Batch(rng.integers(0, 256, size=(n, 784), dtype=np.uint8), rng.integers(0, 10, size=n))
+    cache = forward(model, batch)
+    grads = backward_per_example(model, cache, batch)
+    rectified = np.maximum(rng.standard_normal(n), 0.0)
+    hard = np.zeros(n)
+    hard[np.argsort(cache.losses)[-10:]] = 0.1
+    one = np.zeros(n)
+    one[7] = 1.0
+    patterns = {"dense": np.full(n, 1.0 / n), "rectified": rectified / rectified.sum(),
+                "hard_mining": hard, "one": one, "zero": np.zeros(n)}
+    return {"nn/weighted_gradient": _sha(
+        (name, _array(weighted_gradient(grads, w))) for name, w in patterns.items()
+    )}
 
 
 def experiment_items(work: str) -> dict:
@@ -136,6 +163,7 @@ def fingerprint() -> dict:
     import gen
 
     items = train_items()
+    items.update(gradient_items())
     with tempfile.TemporaryDirectory() as work:
         gen.write_idx(os.path.join(work, "data"), DATA_SEED)
         cwd = os.getcwd()

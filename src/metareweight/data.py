@@ -174,7 +174,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 def write_idx_labels(labels: np.ndarray, path: str) -> None:
     """Write labels back out in IDX form (gzipped when path ends in .gz)."""
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() > 255:
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise ConfigError("IDX labels must fit in a byte")
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wb") as f:

@@ -10,7 +10,7 @@ import pytest
 from conftest import run_check
 from metareweight import checks
 from metareweight.cli import main
-from metareweight.data import load_idx
+from metareweight.data import load_idx, write_csv
 
 from test_data import idx_images_bytes, idx_labels_bytes
 
@@ -238,6 +238,28 @@ class TestCorruptCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
+    def test_empty_dataset_writes_empty_label_file(self, tmp_path):
+        images = tmp_path / "images-idx3-ubyte"
+        labels = tmp_path / "labels-idx1-ubyte"
+        images.write_bytes(idx_images_bytes(np.zeros((0, 6, 6))))
+        labels.write_bytes(idx_labels_bytes([]))
+        out = tmp_path / "corrupted-labels-idx1-ubyte"
+        code = main(
+            [
+                "corrupt",
+                "--images", str(images),
+                "--labels", str(labels),
+                "--out", str(out),
+                "--kind", "uniform_flip",
+                "--ratio", "0.5",
+            ]
+        )
+        assert code == 0
+        assert out.read_bytes() == idx_labels_bytes([])
+        assert len(load_idx(str(images), str(out))) == 0
+        with open(str(out) + ".provenance.csv") as f:
+            assert list(csv.reader(f)) == [["index", "original_label", "new_label"]]
+
 
 class TestReportCommand:
     def test_aggregates_runs(self, tmp_path):
@@ -268,6 +290,29 @@ class TestReportCommand:
         assert len(hrows) == 2 * 50  # 50 bins per configuration
         total = sum(int(r["clean_count"]) + int(r["flipped_count"]) for r in hrows)
         assert total > 0
+
+    def test_curve_means_over_nine_seeds_exact_bytes(self, tmp_path):
+        # From 8 seeds on, numpy sums a column and a whole-array axis in
+        # different orders, so the pinned bytes fix how a curve is averaged.
+        seeds = list(range(9))
+        (tmp_path / "summary.json").write_text(json.dumps({
+            "strategy": "uniform", "config_hash": "c0ffee", "config": {}, "seeds": seeds,
+            "mean_test_error": 0.25, "ci_half_width": 0.0,
+        }))
+        for seed in seeds:
+            rows = [
+                (step, 0.3 + 0.1 * seed + 0.01 * step, 1.0 / (seed + step + 1),
+                 0.1 * ((seed + step) % 7))
+                for step in (10, 20)
+            ]
+            write_csv(tmp_path / f"metrics_seed{seed}.csv",
+                      ["step", "train_loss", "val_loss_G", "test_error"], rows)
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert (tmp_path / "report_curves.csv").read_bytes() == (
+            b"config_hash,strategy,step,mean_test_error,mean_train_loss,mean_val_loss_G\r\n"
+            b"c0ffee,uniform,10,0.3111111111111111,0.8000000000000002,0.0687523781306031\r\n"
+            b"c0ffee,uniform,20,0.30000000000000004,0.8999999999999999,0.04043490449370843\r\n"
+        )
 
     def test_duplicate_strategy_in_config_rejected(self, tmp_path):
         paths = synth_mnist_like(tmp_path)

@@ -141,6 +141,64 @@ class TestWeightedGradient:
         grads = backward_per_example(model, forward(model, batch), batch)
         assert np.array_equal(weighted_gradient(grads, np.zeros(3)), np.zeros(model.param_count))
 
+    @staticmethod
+    def _mnist_shaped_grads(seed=40, n=100):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, [784, 256, 10], "relu", bias_scale=0.1)
+        batch = Batch(rng.integers(0, 256, size=(n, 784), dtype=np.uint8), rng.integers(0, 10, n))
+        return rng, backward_per_example(model, forward(model, batch), batch)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["no_zeros", "half_zeros", "one_nonzero", "one_negative", "negative_zeros", "all_zero"],
+    )
+    def test_zero_weight_rows_skipped_bitwise(self, pattern):
+        # Leaving out the rows whose weight is exactly 0 must not move a bit
+        # of the product over all rows.
+        rng, grads = self._mnist_shaped_grads()
+        n = grads.count
+        u = rng.standard_normal(n)
+        w = {
+            "no_zeros": rng.random(n) + 0.1,
+            "half_zeros": np.maximum(u, 0.0),
+            "one_nonzero": np.where(np.arange(n) == 37, 0.7, 0.0),
+            "one_negative": np.where(np.arange(n) == np.argmin(u), -0.25, np.maximum(u, 0.0)),
+            "negative_zeros": np.where(u > 0, u, -0.0),
+            "all_zero": np.zeros(n),
+        }[pattern]
+        got = weighted_gradient(grads, w)
+        want = np.concatenate(
+            [(z.T @ (g * w[:, None])).ravel() for z, g in zip(grads.inputs, grads.signals)]
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if pattern == "all_zero":
+            assert not np.signbit(got).any() and not got.any()
+
+    def test_nan_weight_is_kept(self):
+        _, grads = self._mnist_shaped_grads()
+        w = np.zeros(grads.count)
+        w[:3] = [0.5, np.nan, 0.5]
+        assert np.isnan(weighted_gradient(grads, w)).all()
+
+    @pytest.mark.parametrize("where", ["hidden_input_inf", "signal_nan"])
+    def test_non_finite_zero_weight_row_still_reaches_sgd_step(self, where):
+        # A dropped row must not hide a non-finite value that the product
+        # over all rows would carry into the gradient.
+        rng = np.random.default_rng(41)
+        model = random_model(rng, [6, 5, 3], "relu", bias_scale=0.2)
+        batch = random_batch(rng, 8, 6, 3)
+        grads = backward_per_example(model, forward(model, batch), batch)
+        w = np.array([0.3, 0.0, 0.2, 0.0, 0.1, 0.4, 0.0, 0.0])
+        if where == "hidden_input_inf":
+            grads.inputs[1][3, 2] = np.inf
+        else:
+            grads.signals[0][6, 1] = np.nan
+        with np.errstate(invalid="ignore"):  # as in the training loop
+            grad = weighted_gradient(grads, w)
+        assert not np.isfinite(grad).all()
+        with pytest.raises(NonFiniteError):
+            sgd_step(model, grad, 0.1)
+
     def test_layers_in_flat_layout(self):
         rng = np.random.default_rng(15)
         model = random_model(rng, [5, 4, 3], "tanh", bias_scale=0.2)
