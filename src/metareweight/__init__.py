@@ -12,8 +12,7 @@ from .data import (
     Dataset,
     ImbalanceSpec,
     NoiseSpec,
-    corrupt_background_flip,
-    corrupt_uniform_flip,
+    corrupt,
     filter_remap,
     load_idx,
     locate_mnist,
@@ -31,7 +30,6 @@ from .nn import (
     PerExampleGrads,
     backward_per_example,
     dot_with_each,
-    finite_diff_grad,
     forward,
     sgd_step,
     weighted_gradient,
@@ -53,8 +51,6 @@ from .theory import (
     estimate_grad_bound,
     estimate_regularity,
     estimate_smoothness,
-    fd_meta_gradient,
-    quadratic_surrogate,
     rate_report,
     run_descent_verification,
     safe_step_size,

@@ -8,6 +8,11 @@ materialized gradient, or a closed-form value, and returns (passed, detail).
 One check deliberately breaks the bias handling in a copy of the score
 computation and demands that the finite-difference oracle notices, which
 guards the oracle itself against going soft.
+
+The helpers only the oracles need live here as well: materialized flat
+gradients, a model rebuilt from a flat vector, the two finite-difference
+oracles and a quadratic objective with known curvature. The runtime modules
+hold only what training and the descent check run.
 """
 
 import math
@@ -22,12 +27,16 @@ from .nn import (
     ACTIVATIONS,
     Batch,
     MLPModel,
+    PerExampleGrads,
     backward_per_example,
-    finite_diff_grad,
     forward,
+    layer_views,
+    sgd_step,
     weighted_gradient,
 )
 from .trainer import TrainConfig, train
+
+FD_STEP = 1e-5  # central-difference step of both finite-difference oracles
 
 _ACT_SCALAR = {
     "relu": lambda v: v if v > 0 else 0.0,
@@ -64,6 +73,86 @@ def _grads(model, batch):
 def _fd_err(got, fd) -> float:
     """Largest deviation from a finite-difference value, relative to 1 + |fd|."""
     return float((np.abs(got - fd) / (1.0 + np.abs(fd))).max())
+
+
+def flat_grads(grads: PerExampleGrads) -> np.ndarray:
+    """Every example's gradient materialized as a row: shape (n, param_count)."""
+    parts = [
+        np.einsum("np,nq->npq", z, g).reshape(grads.count, -1)
+        for z, g in zip(grads.inputs, grads.signals)
+    ]
+    return np.concatenate(parts, axis=1)
+
+
+def flat_grad(grads: PerExampleGrads, i: int) -> np.ndarray:
+    """The gradient of example i alone as a flat vector."""
+    return np.concatenate([np.outer(z[i], g[i]).ravel() for z, g in zip(grads.inputs, grads.signals)])
+
+
+def with_params(model: MLPModel, flat: np.ndarray) -> MLPModel:
+    """A model of the same shape built from a copy of a flat parameter vector."""
+    flat = np.array(flat, dtype=np.float64)
+    return MLPModel(layer_views(flat, [w.shape for w in model.layers]), model.activation)
+
+
+def finite_diff_grad(model: MLPModel, evaluator) -> np.ndarray:
+    """Central-difference gradient of evaluator(model) over all parameters,
+    with step FD_STEP on every coordinate: 2 * param_count evaluations."""
+    theta = model.flatten()
+    grad = np.empty_like(theta)
+    for k in range(theta.size):
+        plus = theta.copy()
+        plus[k] += FD_STEP
+        minus = theta.copy()
+        minus[k] -= FD_STEP
+        grad[k] = (evaluator(with_params(model, plus)) - evaluator(with_params(model, minus))) / (
+            2.0 * FD_STEP
+        )
+    return grad
+
+
+def fd_meta_gradient(
+    model: MLPModel,
+    train_batch: Batch,
+    val_batch: Batch,
+    alpha: float,
+    eps0: np.ndarray | None = None,
+) -> np.ndarray:
+    """Finite-difference oracle for the lookahead scores.
+
+    Perturbs each example's epsilon by +-FD_STEP, takes the actual SGD step,
+    and differences the validation loss. Slow by design; used to cross-check
+    the analytic routes.
+    """
+    n = len(train_batch)
+    if eps0 is None:
+        eps0 = np.zeros(n)
+    eps0 = np.asarray(eps0, dtype=np.float64)
+    grads = _grads(model, train_batch)
+
+    def val_loss_after(eps: np.ndarray) -> float:
+        stepped = sgd_step(model, weighted_gradient(grads, eps), alpha)
+        return float(forward(stepped, val_batch).losses.mean())
+
+    u = np.empty(n)
+    for i in range(n):
+        plus = eps0.copy()
+        plus[i] += FD_STEP
+        minus = eps0.copy()
+        minus[i] -= FD_STEP
+        u[i] = -(val_loss_after(plus) - val_loss_after(minus)) / (2.0 * FD_STEP)
+    return u
+
+
+def quadratic_surrogate(curvature: float):
+    """Objective G(model) = curvature/2 * ||theta||^2, whose smoothness L is
+    exactly curvature."""
+
+    def objective(model: MLPModel) -> tuple[float, np.ndarray]:
+        theta = model.flatten()
+        return 0.5 * curvature * float(theta @ theta), curvature * theta
+
+    return objective
 
 
 def _per_activation(worst: dict) -> str:
@@ -117,7 +206,7 @@ def check_per_example_gradients():
         grads = _grads(model, batch)
         for i in range(n):
             fd = finite_diff_grad(model, lambda m, i=i: float(forward(m, batch).losses[i]))
-            worst[activation] = max(worst[activation], _fd_err(grads.flat_one(i), fd))
+            worst[activation] = max(worst[activation], _fd_err(flat_grad(grads, i), fd))
     # The weighted sum of them that a training step applies.
     rng, model, batch = _seeded(15, [5, 4, 2], "tanh", 0.1, 4)
     w = rng.random(4)
@@ -133,12 +222,12 @@ def check_flat_reconstruction():
     for seed, bias, n in ((13, 0.1, 6), (10, 0.2, 7)):
         _, model, batch = _seeded(seed, [5, 4, 3], "tanh", bias, n)
         grads = _grads(model, batch)
-        flat = grads.flat()
+        flat = flat_grads(grads)
         if flat.shape != (n, model.param_count):
-            return False, f"flat() has shape {flat.shape}, expected {(n, model.param_count)}"
+            return False, f"flat_grads has shape {flat.shape}, expected {(n, model.param_count)}"
         for i in range(n):
-            if not np.array_equal(flat[i], grads.flat_one(i)):
-                return False, f"row {i} of flat() differs from flat_one({i})"
+            if not np.array_equal(flat[i], flat_grad(grads, i)):
+                return False, f"row {i} of flat_grads differs from flat_grad(grads, {i})"
     return True, ""
 
 
@@ -152,7 +241,7 @@ def check_closed_form_vs_flat():
     for model, tb, vb in problems:
         tg, vg = _grads(model, tb), _grads(model, vb)
         u = reweight.meta_grad_closed_form(tg, vg)
-        u_ref = (tg.flat() @ vg.flat().T).mean(axis=1)
+        u_ref = (flat_grads(tg) @ flat_grads(vg).T).mean(axis=1)
         worst = max(worst, float(np.abs(u - u_ref).max()))
     if not u[0] > 0:
         return False, f"self-alignment {u[0]} is not positive"
@@ -185,7 +274,7 @@ def check_lookahead_matches_closed_form():
 def check_meta_gradient_finite_differences():
     worst = 0.0
     for model, tb, vb, alpha in _chain_trials():
-        fd = theory.fd_meta_gradient(model, tb, vb, alpha)
+        fd = fd_meta_gradient(model, tb, vb, alpha)
         closed = reweight.meta_grad_closed_form(_grads(model, tb), _grads(model, vb))
         look = reweight.meta_grad_lookahead(model, tb, vb, alpha)
         worst = max(worst, _fd_err(alpha * closed, fd), _fd_err(look, fd))
@@ -199,7 +288,7 @@ def check_meta_gradient_finite_differences():
     problems.append((model, tb, vb, 2.0, rng.random(5)))
     for model, tb, vb, alpha, eps0 in problems:
         u = reweight.meta_grad_lookahead(model, tb, vb, alpha, eps0=eps0)
-        worst = max(worst, _fd_err(u, theory.fd_meta_gradient(model, tb, vb, alpha, eps0=eps0)))
+        worst = max(worst, _fd_err(u, fd_meta_gradient(model, tb, vb, alpha, eps0=eps0)))
     return worst <= 1e-4, f"max relative deviation from finite differences {worst:.2e} (<=1e-4)"
 
 
@@ -214,7 +303,7 @@ def check_bias_mutation_detected():
         scores += (zt[:, :-1] @ zv[:, :-1].T) * (gt @ gv.T)
     u_broken = scores.mean(axis=1)
 
-    u_fd = theory.fd_meta_gradient(model, tb, vb, alpha=0.05) / 0.05
+    u_fd = fd_meta_gradient(model, tb, vb, alpha=0.05) / 0.05
     gap = float(np.abs(u_broken - u_fd).max() / (np.abs(u_fd).max() + 1e-300))
     return gap > 1e-3, f"bias-free variant {gap:.2e} away from oracle (needs >1e-3)"
 
@@ -354,7 +443,7 @@ def check_descent_step_properties():
     alpha = 0.07
     stepped, (entry,), _, _ = theory._descent_trial(model, [batch], objective, alpha)
     _, grad_g = objective(model)
-    flats = _grads(model, batch).flat()
+    flats = flat_grads(_grads(model, batch))
     coef = np.maximum(flats @ grad_g, 0.0)
     want = model.flatten() - (alpha / len(batch)) * (flats.T @ coef)
     if np.abs(stepped.flatten() - want).max() > 1e-12 * max(1.0, np.abs(want).max()):
@@ -365,9 +454,9 @@ def check_descent_step_properties():
 
     rng, model, batch, val = _seeded(61, [5, 4, 3], "tanh", 0.3, 10, 6)
     # Zero-gradient objective: nothing aligns, parameters must not move.
-    zero_model = model.with_params(np.zeros(model.param_count))
+    zero_model = with_params(model, np.zeros(model.param_count))
     for curvature, alpha in ((0.8, 0.1), (1.0, 0.5)):
-        quad = theory.quadratic_surrogate(curvature)
+        quad = quadratic_surrogate(curvature)
         stepped, (entry,), _, _ = theory._descent_trial(zero_model, [batch], quad, alpha)
         if entry.align_sq != 0.0 or entry.g_after != entry.g_before or not np.array_equal(
             stepped.flatten(), zero_model.flatten()
@@ -376,8 +465,8 @@ def check_descent_step_properties():
 
     # Quadratic surrogate: smoothness estimate must equal the curvature.
     for curvature in (0.25, 0.8, 1.0, 8.0):
-        quad = theory.quadratic_surrogate(curvature)
-        l_est = theory.estimate_smoothness(model, quad, probes=10, radius=1e-3, rng=rng)
+        quad = quadratic_surrogate(curvature)
+        l_est = theory.estimate_smoothness(model, quad, probes=10, rng=rng)
         if abs(l_est - curvature) > 1e-12 * max(curvature, 1.0):
             return False, f"quadratic smoothness estimate {l_est} != {curvature}"
 
@@ -395,7 +484,7 @@ def check_descent_step_properties():
     # Real objective: descent should hold at a compliant step size.
     objective = theory.validation_objective(val.inputs, val.labels)
     est = theory.estimate_regularity(model, ds, objective, probes=10, rng=rng)
-    alpha = theory.safe_step_size(len(batch), est, cap=0.1)
+    alpha = theory.safe_step_size(len(batch), est)
     _, trace, _, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
     if len(trace) != 50:
         return False, f"trial stopped after {len(trace)} of 50 steps"
@@ -421,7 +510,7 @@ def check_rate_report():
     )
     traces.append(run.trace)
     for trace in traces:
-        rows = theory.rate_report(trace, checkpoints=20)
+        rows = theory.rate_report(trace)
         horizons = [r.horizon for r in rows]
         if len(rows) < 5 or horizons != sorted(set(horizons)) or horizons[0] != 1 or horizons[-1] != len(trace):
             return False, f"checkpoints {horizons} are not log-spaced over 1..{len(trace)}"
@@ -468,9 +557,7 @@ def check_mnist_monotone_descent(data_dir=None, out_dir=None):
     rng = np.random.default_rng(0)
     pair = make_imbalanced_pair(full, ImbalanceSpec(ratio=1, total=510), rng)
     train_ds, val_ds = split_clean_validation(pair, 5, rng)
-    run = theory.run_descent_verification(
-        train_ds, val_ds, steps=1000, batch_size=100, seed=0, alpha_cap=0.1
-    )
+    run = theory.run_descent_verification(train_ds, val_ds, steps=1000, batch_size=100, seed=0)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         theory.write_descent_csv(run.trace, os.path.join(out_dir, "descent_trace.csv"))

@@ -87,6 +87,8 @@ def cmd_corrupt(args) -> int:
         num_classes=args.num_classes,
         background_class=args.background_class,
     )
+    if args.seed < 0:
+        raise ConfigError("--seed: must be nonnegative")
     ds = load_idx(args.images, args.labels)
     rng = np.random.default_rng(args.seed)
     corrupted = corrupt(ds, spec, rng)

@@ -78,11 +78,11 @@ HASH_EXCLUDED = ("seed", "repeat", "output_dir")
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a key=value file into a typed dict (defaults filled in)."""
+    """Read a UTF-8 key=value file into a typed dict (defaults filled in)."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
 
     values = {}

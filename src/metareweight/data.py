@@ -6,8 +6,10 @@ stages can tell clean examples from corrupted ones without re-deriving it.
 
 import csv
 import gzip
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,45 +129,45 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return data
 
 
+def _read_idx(path: str, what: str, magic: int, ndim: int) -> tuple[tuple[int, ...], bytes]:
+    """The ndim header sizes and the payload of one IDX file, checked against each other."""
+    try:
+        with _open_maybe_gzip(path) as f:
+            (got,) = struct.unpack(">i", _read_exact(f, 4, f"{what} magic in {path}"))
+            if got != magic:
+                raise IdxParseError(
+                    f"{what} magic: expected {magic:#010x}, got {got:#010x} in {path}"
+                )
+            dims = struct.unpack(f">{ndim}i", _read_exact(f, 4 * ndim, f"{what} header in {path}"))
+            if dims[0] < 0 or any(d <= 0 for d in dims[1:]):
+                raise IdxParseError(
+                    f"{what} header: bad dimensions {'x'.join(map(str, dims))} in {path}"
+                )
+            payload = f.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        # A truncated or corrupted gzip stream, found while decompressing.
+        raise IdxParseError(f"{what}: damaged compressed file {path}: {e}") from e
+    expected = math.prod(dims)
+    if len(payload) != expected:
+        raise IdxParseError(
+            f"{what} payload: header promises {expected} bytes, {path} has {len(payload)}"
+        )
+    return dims, payload
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
     Big-endian headers. Images come back as a read-only (count, rows * cols)
     uint8 view of the bytes read, not a copy. Files ending in .gz
-    are decompressed transparently. Any header or size violation raises
-    IdxParseError naming the offending file and field.
+    are decompressed transparently. Any header or size violation, and any
+    damage to a compressed file, raises IdxParseError naming the offending
+    file and field.
     """
-    with _open_maybe_gzip(images_path) as f:
-        (magic,) = struct.unpack(">i", _read_exact(f, 4, "images magic"))
-        if magic != IMAGE_MAGIC:
-            raise IdxParseError(
-                f"images magic: expected {IMAGE_MAGIC:#010x}, got {magic:#010x} in {images_path}"
-            )
-        count, rows, cols = struct.unpack(">iii", _read_exact(f, 12, "images header"))
-        if count < 0 or rows <= 0 or cols <= 0:
-            raise IdxParseError(f"images header: bad dimensions {count}x{rows}x{cols}")
-        payload = f.read()
-        expected = count * rows * cols
-        if len(payload) != expected:
-            raise IdxParseError(
-                f"images payload: header promises {expected} bytes, file has {len(payload)}"
-            )
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-
-    with _open_maybe_gzip(labels_path) as f:
-        (magic,) = struct.unpack(">i", _read_exact(f, 4, "labels magic"))
-        if magic != LABEL_MAGIC:
-            raise IdxParseError(
-                f"labels magic: expected {LABEL_MAGIC:#010x}, got {magic:#010x} in {labels_path}"
-            )
-        (lcount,) = struct.unpack(">i", _read_exact(f, 4, "labels header"))
-        payload = f.read()
-        if len(payload) != lcount:
-            raise IdxParseError(
-                f"labels payload: header promises {lcount} bytes, file has {len(payload)}"
-            )
-        labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-
+    (count, rows, cols), payload = _read_idx(images_path, "images", IMAGE_MAGIC, 3)
+    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
+    (lcount,), payload = _read_idx(labels_path, "labels", LABEL_MAGIC, 1)
+    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
     if count != lcount:
         raise IdxParseError(f"count mismatch: {count} images but {lcount} labels")
     return Dataset(images, labels)
@@ -276,41 +278,29 @@ def split_clean_validation(
     return ds.subset(np.flatnonzero(~mask)), ds.subset(val_idx)
 
 
-def corrupt_uniform_flip(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:
-    """Flip each label with probability ratio to a uniform choice among the others."""
-    if spec.kind != "uniform_flip":
-        raise ConfigError(f"expected uniform_flip spec, got {spec.kind!r}")
-    if len(ds) and ds.labels.max() >= spec.num_classes:
-        raise ConfigError("dataset contains labels outside the declared class count")
-    labels = ds.labels.copy()
-    flip = rng.random(len(ds)) < spec.ratio
-    count = int(flip.sum())
-    if count:
-        # Uniform over the other num_classes - 1 labels: draw in [0, K-1) and
-        # shift draws at or above the old label up by one.
-        draw = rng.integers(0, spec.num_classes - 1, size=count)
-        old = labels[flip]
-        labels[flip] = draw + (draw >= old)
-    return Dataset(ds.images, labels, ds.original_labels.copy(), ds.label_map)
-
-
-def corrupt_background_flip(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:
-    """Flip non-background labels to the background class with probability ratio."""
-    if spec.kind != "background_flip":
-        raise ConfigError(f"expected background_flip spec, got {spec.kind!r}")
-    if len(ds) and ds.labels.max() >= spec.num_classes:
-        raise ConfigError("dataset contains labels outside the declared class count")
-    labels = ds.labels.copy()
-    eligible = labels != spec.background_class
-    flip = eligible & (rng.random(len(ds)) < spec.ratio)
-    labels[flip] = spec.background_class
-    return Dataset(ds.images, labels, ds.original_labels.copy(), ds.label_map)
-
-
 def corrupt(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:
+    """Corrupt labels as spec.kind says, each with probability spec.ratio.
+
+    uniform_flip moves a label to a uniform choice among the other classes;
+    background_flip moves a non-background label to the background class.
+    Images and original_labels pass through, so the flips show in flipped_mask.
+    """
+    if len(ds) and ds.labels.max() >= spec.num_classes:
+        raise ConfigError("dataset contains labels outside the declared class count")
+    labels = ds.labels.copy()
     if spec.kind == "uniform_flip":
-        return corrupt_uniform_flip(ds, spec, rng)
-    return corrupt_background_flip(ds, spec, rng)
+        flip = rng.random(len(ds)) < spec.ratio
+        count = int(flip.sum())
+        if count:
+            # Uniform over the other num_classes - 1 labels: draw in [0, K-1) and
+            # shift draws at or above the old label up by one.
+            draw = rng.integers(0, spec.num_classes - 1, size=count)
+            old = labels[flip]
+            labels[flip] = draw + (draw >= old)
+    else:
+        flip = (labels != spec.background_class) & (rng.random(len(ds)) < spec.ratio)
+        labels[flip] = spec.background_class
+    return Dataset(ds.images, labels, ds.original_labels.copy(), ds.label_map)
 
 
 def locate_mnist(root: str | None = None) -> dict | None:

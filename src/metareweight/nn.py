@@ -158,11 +158,6 @@ class MLPModel:
         """The parameters as a new flat vector, never memory of the layers."""
         return np.concatenate([w.ravel() for w in self.layers])
 
-    def with_params(self, flat: np.ndarray) -> "MLPModel":
-        """Rebuild a model of the same shape from a copy of a flat parameter vector."""
-        flat = np.array(flat, dtype=np.float64)
-        return MLPModel(layer_views(flat, [w.shape for w in self.layers]), self.activation)
-
 
 @dataclass
 class ForwardCache:
@@ -200,19 +195,6 @@ class PerExampleGrads:
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         return [(z.shape[1], g.shape[1]) for z, g in zip(self.inputs, self.signals)]
-
-    def flat(self) -> np.ndarray:
-        """Materialize all gradients as rows: shape (n, param_count)."""
-        parts = [
-            np.einsum("np,nq->npq", z, g).reshape(self.count, -1)
-            for z, g in zip(self.inputs, self.signals)
-        ]
-        return np.concatenate(parts, axis=1)
-
-    def flat_one(self, i: int) -> np.ndarray:
-        """Gradient of a single example as a flat vector."""
-        parts = [np.outer(z[i], g[i]).ravel() for z, g in zip(self.inputs, self.signals)]
-        return np.concatenate(parts)
 
     def norms_squared(self) -> np.ndarray:
         """Squared L2 norm of each example's gradient, via the rank-1 structure."""
@@ -349,21 +331,3 @@ def sgd_step(model: MLPModel, grad: np.ndarray, alpha: float) -> MLPModel:
     for g, w in zip(layers, model.layers):
         g += w
     return MLPModel(layers, model.activation)
-
-
-def finite_diff_grad(model: MLPModel, evaluator, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of evaluator(model) over all parameters,
-    with step h on every coordinate. Meant for tests and verification; cost
-    is 2 * param_count evaluations.
-    """
-    theta = model.flatten()
-    grad = np.empty_like(theta)
-    for k in range(theta.size):
-        plus = theta.copy()
-        plus[k] += h
-        minus = theta.copy()
-        minus[k] -= h
-        grad[k] = (evaluator(model.with_params(plus)) - evaluator(model.with_params(minus))) / (
-            2.0 * h
-        )
-    return grad

@@ -15,7 +15,7 @@ gradients, but Cauchy-Schwarz gives only ||D||^2 <= n sigma^2 sum_i c_i^2, so
 the bound does not guarantee descent. `safe_step_size` still follows the
 paper's form. Neither L nor sigma is available in closed form for an MLP, so
 both are estimated by sampling; the estimates are lower bounds, which is why
-callers apply a safety factor.
+`safe_step_size` divides the bound by a safety factor of SAFETY = 2.
 
 The check therefore measures rather than proves: `run_descent_verification`
 picks the step size from the estimates, refines them along its own trials,
@@ -47,6 +47,15 @@ from .nn import (
 )
 from .trainer import validation_loss_and_grad
 
+# The descent check's fixed settings.
+ALPHA_CAP = 0.1  # largest step size safe_step_size returns
+SAFETY = 2.0  # divides the paper's bound, since L-hat and sigma-hat are lower bounds
+ACTIVATION = "relu"
+PROBE_RADIUS = 1e-3  # distance of each smoothness probe from the model
+RESTARTS = 4  # random directions the smoothness probes power-iterate from
+MAX_ATTEMPTS = 10  # trials before the last one is returned unconfirmed
+CHECKPOINTS = 20  # horizons in a rate report
+
 
 def validation_objective(images: np.ndarray, labels: np.ndarray):
     """Objective G(model) = mean loss on a fixed clean set.
@@ -58,23 +67,11 @@ def validation_objective(images: np.ndarray, labels: np.ndarray):
     return lambda model: validation_loss_and_grad(model, batch)
 
 
-def quadratic_surrogate(curvature: float):
-    """G(model) = curvature/2 * ||theta||^2; handy because L = curvature exactly."""
-
-    def objective(model: MLPModel) -> tuple[float, np.ndarray]:
-        theta = model.flatten()
-        return 0.5 * curvature * float(theta @ theta), curvature * theta
-
-    return objective
-
-
 def estimate_smoothness(
     model: MLPModel,
     objective,
     probes: int = 40,
-    radius: float = 1e-3,
     rng: np.random.Generator | None = None,
-    restarts: int = 4,
 ) -> float:
     """Largest observed ||grad G(a) - grad G(b)|| / ||a - b|| near the model.
 
@@ -89,34 +86,30 @@ def estimate_smoothness(
     """
     if probes < 1:
         raise ValueError("need at least one probe")
-    if radius <= 0:
-        raise ValueError("probe radius must be positive")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     rng = _rng_or_default(rng)
     theta = model.flatten()
     _, g0 = objective(model)
-    # Every probe point theta + radius * d goes into one buffer, which the
-    # probe model's layers view; the difference and the next direction are
-    # computed in the gradient the objective has just handed over.
+    # Every probe point theta + PROBE_RADIUS * d goes into one buffer, which
+    # the probe model's layers view; the difference and the next direction
+    # are computed in the gradient the objective has just handed over.
     probe = np.empty_like(theta)
     probe_model = MLPModel(layer_views(probe, [w.shape for w in model.layers]), model.activation)
     best = 0.0
-    per_restart = max(1, -(-probes // restarts))
+    per_restart = max(1, -(-probes // RESTARTS))
     spent = 0
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         d = rng.standard_normal(theta.size)
         d /= np.linalg.norm(d)
         for _ in range(per_restart):
             if spent >= probes:
                 break
-            np.multiply(d, radius, out=probe)
+            np.multiply(d, PROBE_RADIUS, out=probe)
             probe += theta
             _, diff = objective(probe_model)
             spent += 1
             diff -= g0
             norm = np.linalg.norm(diff)
-            ratio = float(norm) / radius
+            ratio = float(norm) / PROBE_RADIUS
             best = max(best, ratio)
             if ratio == 0.0 or not np.isfinite(ratio):
                 break
@@ -165,12 +158,11 @@ def estimate_regularity(
     train_ds: Dataset,
     objective,
     probes: int = 40,
-    radius: float = 1e-3,
     sample_count: int | None = 256,
     rng: np.random.Generator | None = None,
 ) -> RegularityEstimate:
     rng = _rng_or_default(rng)
-    smooth = estimate_smoothness(model, objective, probes=probes, radius=radius, rng=rng)
+    smooth = estimate_smoothness(model, objective, probes=probes, rng=rng)
     bound = estimate_grad_bound(model, train_ds, sample_count=sample_count, rng=rng)
     return RegularityEstimate(
         smoothness=smooth,
@@ -180,20 +172,16 @@ def estimate_regularity(
     )
 
 
-def safe_step_size(
-    batch_size: int, estimate: RegularityEstimate, cap: float = 0.1, safety: float = 2.0
-) -> float:
+def safe_step_size(batch_size: int, estimate: RegularityEstimate) -> float:
     """Step size meeting alpha <= 2 n / (L sigma^2) with a safety factor, capped.
 
-    With the default safety of 2 this evaluates to n / (L_hat sigma_hat^2),
-    compensating for the estimates being lower bounds.
+    With SAFETY = 2 this evaluates to n / (L_hat sigma_hat^2), compensating
+    for the estimates being lower bounds; it never exceeds ALPHA_CAP.
     """
-    if safety < 1.0:
-        raise ValueError("safety factor must be at least 1")
     denom = estimate.smoothness * estimate.grad_bound**2
     if denom <= 0:
-        return cap
-    return min(2.0 * batch_size / (safety * denom), cap)
+        return ALPHA_CAP
+    return min(2.0 * batch_size / (SAFETY * denom), ALPHA_CAP)
 
 
 @dataclass
@@ -277,14 +265,9 @@ def run_descent_verification(
     steps: int = 1000,
     batch_size: int = 100,
     seed: int = 0,
-    alpha_cap: float = 0.1,
-    safety: float = 2.0,
     hidden_sizes: tuple[int, ...] = (256,),
-    activation: str = "relu",
     probes: int = 60,
-    radius: float = 1e-3,
     sample_count: int | None = None,
-    max_attempts: int = 10,
 ) -> DescentRun:
     """Pick a step size the estimated constants justify, then verify that G is
     monotonically nonincreasing along the whole trajectory.
@@ -297,24 +280,19 @@ def run_descent_verification(
     and sigma-hat, and the run is accepted only when a full-length trial adds
     nothing to either estimate, meaning the constants that chose the step size
     held everywhere the run actually went. Estimates only grow, so the step
-    size shrinks monotonically and the loop terminates.
+    size shrinks monotonically; after MAX_ATTEMPTS trials the last one is
+    returned as it is.
     """
     if len(val_ds) == 0:
         raise ConfigError("descent verification needs a validation set")
     rng = np.random.default_rng(seed)
     num_classes = int(max(train_ds.labels.max(), val_ds.labels.max())) + 1
     model0 = MLPModel.init(
-        [train_ds.images.shape[1], *hidden_sizes, num_classes], activation=activation, rng=rng
+        [train_ds.images.shape[1], *hidden_sizes, num_classes], activation=ACTIVATION, rng=rng
     )
     objective = validation_objective(val_ds.images, val_ds.labels)
     estimate = estimate_regularity(
-        model0,
-        train_ds,
-        objective,
-        probes=probes,
-        radius=radius,
-        sample_count=sample_count,
-        rng=rng,
+        model0, train_ds, objective, probes=probes, sample_count=sample_count, rng=rng
     )
 
     n_pool = len(train_ds)
@@ -325,7 +303,7 @@ def run_descent_verification(
 
     smooth = estimate.smoothness
     bound = estimate.grad_bound
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         current = RegularityEstimate(
             smoothness=smooth,
             grad_bound=bound,
@@ -336,10 +314,10 @@ def run_descent_verification(
                 f"trial {attempt}"
             ),
         )
-        alpha = safe_step_size(batch_size, current, cap=alpha_cap, safety=safety)
+        alpha = safe_step_size(batch_size, current)
         model, trace, seg_ratio, grad_norm = _descent_trial(model0, batches, objective, alpha)
         confirmed = seg_ratio <= smooth and grad_norm <= bound and len(trace) == steps
-        if confirmed or attempt == max_attempts:
+        if confirmed or attempt == MAX_ATTEMPTS:
             return DescentRun(trace=trace, model=model, alpha=alpha, estimate=current)
         smooth = max(smooth, seg_ratio)
         bound = max(bound, grad_norm)
@@ -353,8 +331,8 @@ class RateRow:
     envelope: float
 
 
-def rate_report(trace: list[DescentEntry], checkpoints: int = 20) -> list[RateRow]:
-    """Running minimum of ||grad G||^2 at log-spaced horizons.
+def rate_report(trace: list[DescentEntry]) -> list[RateRow]:
+    """Running minimum of ||grad G||^2 at up to CHECKPOINTS log-spaced horizons.
 
     The envelope column is C / sqrt(T) with C calibrated at the first
     checkpoint; it is descriptive, giving the reader the reference slope for
@@ -364,7 +342,7 @@ def rate_report(trace: list[DescentEntry], checkpoints: int = 20) -> list[RateRo
         raise ValueError("empty trace")
     total = len(trace)
     marks = np.unique(
-        np.geomspace(1, total, num=min(checkpoints, total)).round().astype(int)
+        np.geomspace(1, total, num=min(CHECKPOINTS, total)).round().astype(int)
     )
     norms = np.array([e.grad_norm_sq for e in trace])
     running = np.minimum.accumulate(norms)
@@ -388,37 +366,3 @@ def write_descent_csv(trace: list[DescentEntry], path: str) -> None:
 def write_rate_csv(rows: list[RateRow], path: str) -> None:
     cells = ((r.horizon, r.min_grad_norm_sq, r.envelope) for r in rows)
     write_csv(path, ["T", "min_grad_norm_sq", "envelope"], cells)
-
-
-def fd_meta_gradient(
-    model: MLPModel,
-    train_batch: Batch,
-    val_batch: Batch,
-    alpha: float,
-    eps0: np.ndarray | None = None,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Finite-difference oracle for the lookahead scores.
-
-    Perturbs each example's epsilon by +-h, takes the actual SGD step, and
-    differences the validation loss. Slow by design; used to cross-check the
-    analytic routes.
-    """
-    n = len(train_batch)
-    if eps0 is None:
-        eps0 = np.zeros(n)
-    eps0 = np.asarray(eps0, dtype=np.float64)
-    grads = backward_per_example(model, forward(model, train_batch), train_batch)
-
-    def val_loss_after(eps: np.ndarray) -> float:
-        stepped = sgd_step(model, weighted_gradient(grads, eps), alpha)
-        return float(forward(stepped, val_batch).losses.mean())
-
-    u = np.empty(n)
-    for i in range(n):
-        plus = eps0.copy()
-        plus[i] += h
-        minus = eps0.copy()
-        minus[i] -= h
-        u[i] = -(val_loss_after(plus) - val_loss_after(minus)) / (2.0 * h)
-    return u

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ConfigError("batch_size_val: must be at least 1")
         if self.total_steps < 1:
             raise ConfigError("total_steps: must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
         if self.eval_every < 1:
             raise ConfigError("eval_every: must be at least 1")
         prev = -1

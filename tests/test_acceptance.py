@@ -89,9 +89,7 @@ def descent_runs(mnist_train):
         train_ds, val_ds = split_clean_validation(pair, 5, rng)
         assert len(train_ds) == 500 and len(val_ds) == 10
         runs.append(
-            run_descent_verification(
-                train_ds, val_ds, steps=1000, batch_size=100, seed=seed, alpha_cap=0.1, safety=2.0
-            )
+            run_descent_verification(train_ds, val_ds, steps=1000, batch_size=100, seed=seed)
         )
     return runs, time.perf_counter() - started
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests on small synthetic IDX datasets."""
 
 import csv
+import gzip
 import json
 import warnings
 
@@ -129,6 +130,22 @@ class TestTrainCommand:
         assert main(["train", "--config", text, "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"strategy = uniform\noutput_dir = caf\xe9\n")
+        assert main(["train", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {bad}")
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        paths = synth_mnist_like(tmp_path)
+        cfg = write_train_config(tmp_path, paths)
+        out = str(tmp_path / "runs")
+        assert main(["train", "--config", cfg, "--out", out, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
+        cfg = write_train_config(tmp_path, paths, extra="seed = -1\n", name="neg.cfg")
+        assert main(["train", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("strtegy = uniform\n")
@@ -237,6 +254,45 @@ class TestCorruptCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+    def test_damaged_gzip_exits_2(self, tmp_path, capsys):
+        paths = synth_mnist_like(tmp_path)
+        with open(paths["train_images"], "rb") as f:
+            packed = gzip.compress(f.read())
+        flipped = bytearray(packed)
+        flipped[len(packed) // 2] ^= 0xFF
+        for name, data in (("half.idx.gz", packed[: len(packed) // 2]), ("flipped.idx.gz", flipped)):
+            images = tmp_path / name
+            images.write_bytes(data)
+            code = main(
+                [
+                    "corrupt",
+                    "--images", str(images),
+                    "--labels", paths["train_labels"],
+                    "--out", str(tmp_path / "x"),
+                    "--kind", "uniform_flip",
+                    "--ratio", "0.5",
+                ]
+            )
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: images: damaged compressed file {images}: ")
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        paths = synth_mnist_like(tmp_path)
+        code = main(
+            [
+                "corrupt",
+                "--images", paths["train_images"],
+                "--labels", paths["train_labels"],
+                "--out", str(tmp_path / "x"),
+                "--kind", "uniform_flip",
+                "--ratio", "0.5",
+                "--seed", "-1",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --seed: must be nonnegative\n"
+        assert not (tmp_path / "x").exists()
 
     def test_empty_dataset_writes_empty_label_file(self, tmp_path):
         images = tmp_path / "images-idx3-ubyte"

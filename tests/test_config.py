@@ -1,5 +1,6 @@
 """Config file parsing, validation, and identity hashing."""
 
+import numpy as np
 import pytest
 
 from metareweight.config import (
@@ -146,3 +147,29 @@ class TestBuildExperiment:
         text = self._paths(tmp_path).replace("meta_reweight", "mystery")
         with pytest.raises(ConfigError, match="strategy"):
             build_experiment(parse_config_file(write_config(tmp_path, text)))
+
+    def test_fuzzed_config_builds_or_raises_config_error(self, tmp_path):
+        # Seeded truncations and single bit flips of a valid config: each one
+        # builds an experiment or raises ConfigError, nothing else.
+        good = (self._paths(tmp_path) + (
+            "seed = 3\nimbalance_ratio = 100\nimbalance_total = 500\n"
+            "noise_kind = uniform_flip\nnoise_ratio = 0.4\nnum_classes = 2\n"
+        )).encode()
+        build_experiment(parse_config_file(write_config(tmp_path, good.decode())))
+        rng = np.random.default_rng(91)
+        path = tmp_path / "fuzzed.cfg"
+        outcomes = {"built": 0, "rejected": 0}
+        for trial in range(400):
+            data = bytearray(good)
+            if trial % 2:
+                del data[rng.integers(len(good)):]
+            else:
+                bit = int(rng.integers(8 * len(good)))
+                data[bit // 8] ^= 1 << bit % 8
+            path.write_bytes(data)
+            try:
+                build_experiment(parse_config_file(str(path)))
+                outcomes["built"] += 1
+            except ConfigError:
+                outcomes["rejected"] += 1
+        assert outcomes["built"] and outcomes["rejected"]

@@ -12,8 +12,7 @@ from metareweight.data import (
     Dataset,
     ImbalanceSpec,
     NoiseSpec,
-    corrupt_background_flip,
-    corrupt_uniform_flip,
+    corrupt,
     filter_remap,
     load_idx,
     locate_mnist,
@@ -151,6 +150,38 @@ class TestIdxParsing:
         raw = gzip.decompress(out.read_bytes())
         assert raw == idx_labels_bytes([5, 0])
 
+    def test_fuzzed_files_load_or_raise_idx_parse_error(self, tmp_path):
+        # Seeded truncations and single bit flips of each file of a valid
+        # pair, plain and gzipped. Every truncation is rejected, naming the
+        # file; a flip may load (a pixel or a gzip header field) or be rejected.
+        rng = np.random.default_rng(90)
+        images = rng.integers(0, 256, size=(6, 3, 3), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=6)
+        loaded = 0
+        for gz in (False, True):
+            pair = write_pair(tmp_path, images, labels, gz=gz)
+            bad = tmp_path / ("bad.gz" if gz else "bad")
+            for which in (0, 1):
+                with open(pair[which], "rb") as f:
+                    good = f.read()
+                for trial in range(100):
+                    data = bytearray(good)
+                    if trial % 2:
+                        del data[rng.integers(len(good)):]
+                    else:
+                        bit = int(rng.integers(8 * len(good)))
+                        data[bit // 8] ^= 1 << bit % 8
+                    bad.write_bytes(data)
+                    args = [str(bad), pair[1]] if which == 0 else [pair[0], str(bad)]
+                    try:
+                        load_idx(*args)
+                    except IdxParseError as e:
+                        assert str(bad) in str(e)
+                    else:
+                        assert not trial % 2, "a truncated file loaded"
+                        loaded += 1
+        assert loaded
+
 
 class TestCsvRows:
     def test_floats_read_back_bitwise(self, tmp_path):
@@ -240,7 +271,7 @@ class TestValidationSplit:
     def test_balanced_and_clean(self):
         rng = np.random.default_rng(55)
         ds = labeled_dataset(rng, {0: 50, 1: 50})
-        noisy = corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
+        noisy = corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
         train, val = split_clean_validation(noisy, 5, rng)
         assert len(val) == 10
         assert int((val.labels == 0).sum()) == 5
@@ -273,14 +304,14 @@ class TestUniformFlip:
     def test_ratio_zero_is_identity(self):
         rng = np.random.default_rng(60)
         ds = labeled_dataset(rng, {0: 20, 1: 20})
-        out = corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 0.0, num_classes=2), rng)
+        out = corrupt(ds, NoiseSpec("uniform_flip", 0.0, num_classes=2), rng)
         assert np.array_equal(out.labels, ds.labels)
         assert not out.flipped_mask.any()
 
     def test_ratio_one_flips_everything(self):
         rng = np.random.default_rng(61)
         ds = labeled_dataset(rng, {0: 50, 1: 50, 2: 50})
-        out = corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 1.0, num_classes=3), rng)
+        out = corrupt(ds, NoiseSpec("uniform_flip", 1.0, num_classes=3), rng)
         assert (out.labels != ds.labels).all()
         assert np.array_equal(out.original_labels, ds.labels)
         assert np.shares_memory(out.images, ds.images)  # labels change, images pass through
@@ -288,7 +319,7 @@ class TestUniformFlip:
     def test_flip_rate_and_uniform_target(self):
         rng = np.random.default_rng(62)
         ds = labeled_dataset(rng, {0: 30000})
-        out = corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 0.4, num_classes=10), rng)
+        out = corrupt(ds, NoiseSpec("uniform_flip", 0.4, num_classes=10), rng)
         frac = float(out.flipped_mask.mean())
         assert abs(frac - 0.4) <= 0.02
         flipped_to = out.labels[out.flipped_mask]
@@ -300,21 +331,21 @@ class TestUniformFlip:
     def test_deterministic(self):
         ds = labeled_dataset(np.random.default_rng(63), {0: 100, 1: 100})
         spec = NoiseSpec("uniform_flip", 0.3, num_classes=2)
-        a = corrupt_uniform_flip(ds, spec, np.random.default_rng(5))
-        b = corrupt_uniform_flip(ds, spec, np.random.default_rng(5))
+        a = corrupt(ds, spec, np.random.default_rng(5))
+        b = corrupt(ds, spec, np.random.default_rng(5))
         assert np.array_equal(a.labels, b.labels)
 
     def test_label_outside_classes_raises(self):
         ds = labeled_dataset(np.random.default_rng(64), {0: 5, 7: 5})
         with pytest.raises(ConfigError):
-            corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 0.2, num_classes=3), np.random.default_rng(0))
+            corrupt(ds, NoiseSpec("uniform_flip", 0.2, num_classes=3), np.random.default_rng(0))
 
 
 class TestBackgroundFlip:
     def test_background_untouched_others_flip_to_it(self):
         rng = np.random.default_rng(65)
         ds = labeled_dataset(rng, {0: 500, 1: 500, 2: 500})
-        out = corrupt_background_flip(ds, NoiseSpec("background_flip", 1.0, num_classes=3), rng)
+        out = corrupt(ds, NoiseSpec("background_flip", 1.0, num_classes=3), rng)
         was_background = ds.labels == 0
         assert np.array_equal(out.labels[was_background], ds.labels[was_background])
         assert (out.labels[~was_background] == 0).all()
@@ -323,7 +354,7 @@ class TestBackgroundFlip:
     def test_flip_rate(self):
         rng = np.random.default_rng(66)
         ds = labeled_dataset(rng, {1: 20000})
-        out = corrupt_background_flip(ds, NoiseSpec("background_flip", 0.3, num_classes=2, background_class=0), rng)
+        out = corrupt(ds, NoiseSpec("background_flip", 0.3, num_classes=2, background_class=0), rng)
         assert abs(float(out.flipped_mask.mean()) - 0.3) <= 0.02
 
     def test_spec_validation(self):
@@ -353,7 +384,7 @@ class TestSplitsAndSubsets:
     def test_subset_carries_provenance(self):
         rng = np.random.default_rng(69)
         ds = labeled_dataset(rng, {0: 30, 1: 30})
-        noisy = corrupt_uniform_flip(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
+        noisy = corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
         sub = noisy.subset(np.arange(10))
         assert np.array_equal(sub.flipped_mask, noisy.flipped_mask[:10])
 

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import assert_check
-from metareweight.checks import random_batch, random_model
+from metareweight.checks import (
+    flat_grad,
+    flat_grads,
+    random_batch,
+    random_model,
+    with_params,
+)
 from metareweight.errors import DimensionError, NonFiniteError
 from metareweight.nn import (
     ACTIVATIONS,
@@ -116,7 +122,7 @@ class TestBackward:
         model = random_model(rng, [5, 4, 3], "sigmoid", bias_scale=0.2)
         batch = random_batch(rng, 6, 5, 3)
         grads = backward_per_example(model, forward(model, batch), batch)
-        want = (grads.flat() ** 2).sum(axis=1)
+        want = (flat_grads(grads) ** 2).sum(axis=1)
         assert np.abs(grads.norms_squared() - want).max() <= 1e-12 * max(1.0, want.max())
 
 
@@ -128,7 +134,7 @@ class TestWeightedGradient:
         grads = backward_per_example(model, forward(model, batch), batch)
         w = rng.random(5)
         got = weighted_gradient(grads, w)
-        want = sum(w[i] * grads.flat_one(i) for i in range(5))
+        want = sum(w[i] * flat_grad(grads, i) for i in range(5))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_matches_finite_differences_of_weighted_loss(self):
@@ -207,7 +213,7 @@ class TestWeightedGradient:
         w = rng.random(6)
         flat = weighted_gradient(grads, w)
         assert flat.shape == (model.param_count,)
-        want = w @ grads.flat()
+        want = w @ flat_grads(grads)
         assert np.abs(flat - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_weight_shape_mismatch_raises(self):
@@ -224,7 +230,7 @@ class TestWeightedGradient:
         batch = random_batch(rng, 6, 5, 3)
         grads = backward_per_example(model, forward(model, batch), batch)
         v = rng.standard_normal(model.param_count)
-        want = grads.flat() @ v
+        want = flat_grads(grads) @ v
         got = dot_with_each(grads, v)
         assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
 
@@ -283,7 +289,7 @@ class TestFlatLayout:
     def test_with_params_does_not_alias_its_input(self):
         model = random_model(np.random.default_rng(34), [4, 3, 2], "tanh")
         flat = np.arange(float(model.param_count))
-        rebuilt = model.with_params(flat)
+        rebuilt = with_params(model, flat)
         assert not any(np.shares_memory(flat, w) for w in rebuilt.layers)
         assert np.array_equal(rebuilt.flatten(), flat)
 
@@ -301,7 +307,7 @@ class TestModelAndStep:
     def test_flatten_roundtrip_bitwise(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, [6, 5, 3], "tanh", bias_scale=0.5)
-        rebuilt = model.with_params(model.flatten())
+        rebuilt = with_params(model, model.flatten())
         for a, b in zip(model.layers, rebuilt.layers):
             assert np.array_equal(a, b)
 
@@ -366,7 +372,7 @@ class TestModelAndStep:
         w1 = w0.copy()
         w1[i] += h
         moved = sgd_step(model, weighted_gradient(grads, w1), alpha).flatten()
-        want = -alpha * h * grads.flat_one(i)
+        want = -alpha * h * flat_grad(grads, i)
         assert np.abs((moved - base) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 

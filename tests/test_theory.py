@@ -10,7 +10,14 @@ import pytest
 
 from conftest import assert_check, make_blobs
 from test_trainer import byte_backed, pre_scaled
-from metareweight.checks import random_batch, random_model
+from metareweight import theory
+from metareweight.checks import (
+    fd_meta_gradient,
+    quadratic_surrogate,
+    random_batch,
+    random_model,
+    with_params,
+)
 from metareweight.data import Dataset
 from metareweight.errors import ConfigError, DimensionError
 from metareweight.nn import MLPModel
@@ -19,8 +26,6 @@ from metareweight.theory import (
     estimate_grad_bound,
     estimate_regularity,
     estimate_smoothness,
-    fd_meta_gradient,
-    quadratic_surrogate,
     rate_report,
     run_descent_verification,
     safe_step_size,
@@ -38,8 +43,6 @@ class TestEstimators:
         model = MLPModel.init([3, 2])
         with pytest.raises(ValueError):
             estimate_smoothness(model, quadratic_surrogate(1.0), probes=0)
-        with pytest.raises(ValueError):
-            estimate_smoothness(model, quadratic_surrogate(1.0), radius=0.0)
 
     def test_grad_bound_zero_model_closed_form(self):
         assert_check("descent_step_properties")
@@ -61,14 +64,12 @@ class TestEstimators:
             estimate_grad_bound(model, ds, sample_count=0)
 
     def test_safe_step_size_formula(self):
-        # With the default safety factor 2 the bound collapses to n/(L s^2).
+        # With the safety factor 2 the bound collapses to n/(L s^2), capped at 0.1.
         from metareweight.theory import RegularityEstimate
 
         est = RegularityEstimate(smoothness=4.0, grad_bound=3.0, probe_count=1, sample_count=1)
-        assert safe_step_size(100, est, cap=10.0) == pytest.approx(100 / (4.0 * 9.0), rel=1e-12)
-        assert safe_step_size(100, est, cap=1e-3) == 1e-3
-        with pytest.raises(ValueError):
-            safe_step_size(100, est, safety=0.5)
+        assert safe_step_size(1, est) == pytest.approx(1 / (4.0 * 9.0), rel=1e-12)
+        assert safe_step_size(100, est) == theory.ALPHA_CAP == 0.1
 
 
 class TestDescentStep:
@@ -192,7 +193,7 @@ class TestObjectiveContract:
 
     def test_smoothness_matches_copying_loop_bitwise(self):
         model, objective = self._setup(81)
-        probes, radius, restarts = 9, 1e-3, 4
+        probes, radius, restarts = 9, theory.PROBE_RADIUS, theory.RESTARTS
 
         def reference(rng):
             # The estimator written with a new model and new arrays per probe.
@@ -205,7 +206,7 @@ class TestObjectiveContract:
                 for _ in range(-(-probes // restarts)):
                     if spent >= probes:
                         break
-                    _, g1 = objective(model.with_params(theta + radius * d))
+                    _, g1 = objective(with_params(model, theta + radius * d))
                     spent += 1
                     diff = g1 - g0
                     ratio = float(np.linalg.norm(diff)) / radius
@@ -216,8 +217,7 @@ class TestObjectiveContract:
             return best
 
         before = [w.tobytes() for w in model.layers]
-        got = estimate_smoothness(model, objective, probes=probes, radius=radius,
-                                  rng=np.random.default_rng(5), restarts=restarts)
+        got = estimate_smoothness(model, objective, probes=probes, rng=np.random.default_rng(5))
         want = reference(np.random.default_rng(5))
         assert got > 0 and repr(got) == repr(want)
         assert [w.tobytes() for w in model.layers] == before

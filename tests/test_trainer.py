@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metareweight.data import Dataset, NoiseSpec, corrupt_uniform_flip
+from metareweight.data import Dataset, NoiseSpec, corrupt
 from metareweight.errors import ConfigError
 from metareweight.nn import (
     Batch,
@@ -81,6 +81,7 @@ class TestConfigValidation:
             {"hidden_sizes": ()},
             {"hidden_sizes": (0,)},
             {"activation": "softplus"},
+            {"seed": -1},
         ],
     )
     def test_bad_configs_raise(self, kw):
@@ -131,7 +132,7 @@ class TestTrainBasics:
     def test_corrupted_val_rejected(self):
         train_ds, val_ds, test_ds = blob_sets()
         rng = np.random.default_rng(3)
-        bad_val = corrupt_uniform_flip(val_ds, NoiseSpec("uniform_flip", 1.0, num_classes=2), rng)
+        bad_val = corrupt(val_ds, NoiseSpec("uniform_flip", 1.0, num_classes=2), rng)
         with pytest.raises(ConfigError):
             train(small_config(), train_ds, bad_val, test_ds)
 
@@ -206,7 +207,7 @@ class TestReplayOracle:
     def test_meta_reweight_steps_match_reference(self):
         train_ds, val_ds, test_ds = blob_sets()
         spec = NoiseSpec("uniform_flip", 0.3, num_classes=2)
-        noisy = corrupt_uniform_flip(train_ds, spec, np.random.default_rng(4))
+        noisy = corrupt(train_ds, spec, np.random.default_rng(4))
         # 23 steps at eval_every 10: the last window holds 3 steps.
         cfg = small_config(strategy="meta_reweight", total_steps=23, eval_every=10)
         result = train(cfg, noisy, val_ds, test_ds)
@@ -253,7 +254,7 @@ class TestByteBackedImages:
         # A flipped pool and the validation fold exercise every weight
         # column and the joined pool; the bytes are scaled only in Batch.
         train_ds, val_ds, test_ds = blob_sets()
-        noisy = corrupt_uniform_flip(
+        noisy = corrupt(
             train_ds, NoiseSpec("uniform_flip", 0.3, num_classes=2), np.random.default_rng(4)
         )
         as_bytes = [byte_backed(ds) for ds in (noisy, val_ds, test_ds)]
