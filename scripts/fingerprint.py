@@ -9,8 +9,9 @@ with two or more trees, whether their combined hashes agree (exit 1 if not).
 Each tree runs in its own process with BLAS on one thread. The items:
 
 - train/<strategy>: the final layer bytes, every `csv_row()` and
-  `hyperval_error`, the weight log, both work counters and the final test
-  error of `train()` for each of the six strategies on
+  `hyperval_error`, the weight log, the work counter `examples` (twice, as
+  when it had a forward and a backward name) and the final test error of
+  `train()` for each of the six strategies on
   `tests/test_trainer.py::blob_sets()` with `small_config()` (relu);
 - train/<activation>/<strategy>: the same for uniform and meta_reweight
   with tanh and with sigmoid hidden units;
@@ -22,9 +23,10 @@ Each tree runs in its own process with BLAS on one thread. The items:
   100 examples for fixed weight patterns: dense, rectified normal, a
   hard-mining mask, one nonzero weight and all zero, so that skipping
   zero-weight rows is checked whichever fixtures happen to draw zeros;
-- descent: the final layer bytes, the trace, the step size and the
-  regularity estimate of one `run_descent_verification` on the 4-vs-9 pair
-  of the benchmark's descent workload.
+- descent: the final layer bytes, the trace, the step size and the two
+  constants of the regularity estimate (smoothness, grad_bound) of one
+  `run_descent_verification` on the 4-vs-9 pair of the benchmark's descent
+  workload.
 
 The experiments and the descent run read the IDX files `perfbench/gen.py`
 writes for seed 5. Tests, benchmark files and data come from this checkout,
@@ -76,7 +78,7 @@ def train_items() -> dict:
             *(_array(w) for w in r.model.layers),
             *((rec.csv_row(), rec.hyperval_error) for rec in r.records),
             *((key, _array(a)) for key, a in sorted(r.weight_log.items())),
-            r.forward_examples, r.backward_examples, r.final_test_error,
+            r.examples, r.examples, r.final_test_error,
         ])
     return items
 
@@ -153,7 +155,8 @@ def descent_items() -> dict:
         train_ds, val_ds, steps=DESCENT_STEPS, batch_size=DESCENT_BATCH, seed=DATA_SEED
     )
     return {"descent": _sha([
-        *(_array(w) for w in run.model.layers), run.trace, run.alpha, run.estimate,
+        *(_array(w) for w in run.model.layers), run.trace, run.alpha,
+        run.estimate.smoothness, run.estimate.grad_bound,
     ])}
 
 

@@ -428,7 +428,7 @@ def check_step_work_budget():
                     include_val_in_train=False),
     ):
         meta, uni = (
-            train(replace(config, strategy=s), *sets).work_units / config.total_steps
+            2 * train(replace(config, strategy=s), *sets).examples / config.total_steps
             for s in ("meta_reweight", "uniform")
         )
         worst = max(worst, meta / uni)
@@ -483,7 +483,7 @@ def check_descent_step_properties():
 
     # Real objective: descent should hold at a compliant step size.
     objective = theory.validation_objective(val.inputs, val.labels)
-    est = theory.estimate_regularity(model, ds, objective, probes=10, rng=rng)
+    est = theory.estimate_regularity(model, ds, objective, probes=10, sample_count=None, rng=rng)
     alpha = theory.safe_step_size(len(batch), est)
     _, trace, _, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
     if len(trace) != 50:

@@ -83,8 +83,8 @@ class ImbalanceSpec:
     def __post_init__(self):
         if self.minority_class == self.majority_class:
             raise ConfigError("minority and majority class must differ")
-        if self.ratio < 1:
-            raise ConfigError("imbalance ratio must be >= 1")
+        if not math.isfinite(self.ratio) or self.ratio < 1:
+            raise ConfigError(f"imbalance ratio must be a finite number >= 1, got {self.ratio}")
         if self.total < self.ratio + 1:
             raise ConfigError(
                 f"total {self.total} too small for ratio {self.ratio}: "

@@ -69,7 +69,7 @@ def write_metrics_csv(records: list[MetricsRecord], path: str) -> None:
 
 
 def write_weights_csv(weight_log: dict, path: str) -> None:
-    """Per-example weights from the last evaluation window, with provenance."""
+    """Per-example weights of the last eval_every steps, with provenance."""
     rows = zip(weight_log["step"], weight_log["weight"], weight_log["flipped"].astype(np.int64))
     write_csv(path, ["step", "weight", "flipped"], rows)
 
@@ -118,8 +118,9 @@ def run_experiment(exp: ExperimentConfig, progress=None) -> dict:
                 "seed": seed,
                 "final_test_error": result.final_test_error,
                 "wall_time": result.wall_time,
-                "forward_examples": result.forward_examples,
-                "backward_examples": result.backward_examples,
+                # One counter: every stepping-path example goes forward and backward once.
+                "forward_examples": result.examples,
+                "backward_examples": result.examples,
             }
         )
         if progress is not None:

@@ -43,11 +43,6 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteError(f"{name} contains non-finite values")
 
 
-def _rng_or_default(rng: np.random.Generator | None) -> np.random.Generator:
-    """The generator to draw from: rng, or a fresh one seeded 0 when rng is None."""
-    return np.random.default_rng(0) if rng is None else rng
-
-
 def layer_views(flat: np.ndarray, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
     """Consecutive row-major views of a flat vector, one per shape; no copy."""
     total = sum(p * q for p, q in shapes)
@@ -127,10 +122,12 @@ class MLPModel:
 
     @classmethod
     def init(cls, sizes: list[int], activation: str = "relu", rng=None) -> "MLPModel":
-        """Glorot-uniform weights, zero biases. sizes = [d_in, hidden..., classes]."""
+        """Glorot-uniform weights, zero biases. sizes = [d_in, hidden..., classes].
+
+        rng=None draws from a fresh generator seeded 0."""
         if len(sizes) < 2:
             raise DimensionError("need at least input and output sizes")
-        rng = _rng_or_default(rng)
+        rng = np.random.default_rng(0) if rng is None else rng
         layers = []
         for d_in, d_out in zip(sizes[:-1], sizes[1:]):
             limit = math.sqrt(6.0 / (d_in + d_out))

@@ -20,6 +20,7 @@ from .nn import (
     MLPModel,
     PerExampleGrads,
     backward_per_example,
+    dot_with_each,
     forward,
     sgd_step,
     weighted_gradient,
@@ -81,17 +82,9 @@ def meta_grad_lookahead(
     else:
         stepped = model
 
-    val_cache = forward(stepped, val_batch)
-    val_grads = backward_per_example(stepped, val_cache, val_batch)
+    val_grads = backward_per_example(stepped, forward(stepped, val_batch), val_batch)
     m = len(val_batch)
-
-    u = np.zeros(n)
-    for zt, gt, zv, gv in zip(
-        train_grads.inputs, train_grads.signals, val_grads.inputs, val_grads.signals
-    ):
-        mean_val = (zv.T @ gv) / m
-        u += ((zt @ mean_val) * gt).sum(axis=1)
-    return alpha * u
+    return alpha * dot_with_each(train_grads, weighted_gradient(val_grads, np.full(m, 1.0 / m)))
 
 
 def rectify_normalize(u: np.ndarray) -> np.ndarray:

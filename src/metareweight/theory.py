@@ -14,14 +14,17 @@ example gradient norm, makes the right side at most G(theta) only if
 gradients, but Cauchy-Schwarz gives only ||D||^2 <= n sigma^2 sum_i c_i^2, so
 the bound does not guarantee descent. `safe_step_size` still follows the
 paper's form. Neither L nor sigma is available in closed form for an MLP, so
-both are estimated by sampling; the estimates are lower bounds, which is why
-`safe_step_size` divides the bound by a safety factor of SAFETY = 2.
+both are estimated by sampling, and a `RegularityEstimate` holds just the
+two (`smoothness`, `grad_bound`). The estimates are lower bounds, which is
+why `safe_step_size` divides the bound by a safety factor of SAFETY = 2.
 
 The check therefore measures rather than proves: `run_descent_verification`
 picks the step size from the estimates, refines them along its own trials,
-and records G before and after every step of the accepted trajectory.
+and records G before and after every step of the accepted trajectory. Its
+`DescentRun.estimate` is the estimate that chose `alpha`, and
 `DescentRun.violations` counts the steps on which G rose by more than the
-tolerance; on MNIST-shaped two-class pairs that is a few percent of steps.
+class constant `DescentRun.tolerance` (1e-9); on MNIST-shaped two-class
+pairs that is a few percent of steps.
 
 An objective is a callable model -> (G, flat gradient of G). The gradient
 is a new array that the caller may overwrite, and the objective keeps
@@ -37,7 +40,6 @@ from .errors import ConfigError, NonFiniteError
 from .nn import (
     Batch,
     MLPModel,
-    _rng_or_default,
     backward_per_example,
     dot_with_each,
     forward,
@@ -45,7 +47,7 @@ from .nn import (
     sgd_step,
     weighted_gradient,
 )
-from .trainer import validation_loss_and_grad
+from .trainer import TrainConfig, validation_loss_and_grad
 
 # The descent check's fixed settings.
 ALPHA_CAP = 0.1  # largest step size safe_step_size returns
@@ -67,12 +69,7 @@ def validation_objective(images: np.ndarray, labels: np.ndarray):
     return lambda model: validation_loss_and_grad(model, batch)
 
 
-def estimate_smoothness(
-    model: MLPModel,
-    objective,
-    probes: int = 40,
-    rng: np.random.Generator | None = None,
-) -> float:
+def estimate_smoothness(model: MLPModel, objective, probes: int, rng: np.random.Generator) -> float:
     """Largest observed ||grad G(a) - grad G(b)|| / ||a - b|| near the model.
 
     Every probe measures a secant ratio, which lower-bounds any true Lipschitz
@@ -86,7 +83,6 @@ def estimate_smoothness(
     """
     if probes < 1:
         raise ValueError("need at least one probe")
-    rng = _rng_or_default(rng)
     theta = model.flatten()
     _, g0 = objective(model)
     # Every probe point theta + PROBE_RADIUS * d goes into one buffer, which
@@ -119,10 +115,7 @@ def estimate_smoothness(
 
 
 def estimate_grad_bound(
-    model: MLPModel,
-    ds: Dataset,
-    sample_count: int | None = 256,
-    rng: np.random.Generator | None = None,
+    model: MLPModel, ds: Dataset, sample_count: int | None, rng: np.random.Generator
 ) -> float:
     """Largest per-example gradient norm over a sample of the dataset.
 
@@ -132,7 +125,6 @@ def estimate_grad_bound(
         raise ConfigError("cannot estimate gradient bound on an empty dataset")
     if sample_count is not None and sample_count < 1:
         raise ValueError("need at least one sampled example")
-    rng = _rng_or_default(rng)
     if sample_count is None or sample_count >= len(ds):
         idx = np.arange(len(ds))
     else:
@@ -144,31 +136,25 @@ def estimate_grad_bound(
 
 @dataclass
 class RegularityEstimate:
-    """Sampled stand-ins for the smoothness and gradient-norm constants."""
+    """Sampled stand-ins for the smoothness L and the gradient bound sigma.
+
+    Both are lower bounds: the true constants may be larger."""
 
     smoothness: float
     grad_bound: float
-    probe_count: int
-    sample_count: int
-    note: str = "sampled lower bounds; true constants may be larger"
 
 
 def estimate_regularity(
     model: MLPModel,
     train_ds: Dataset,
     objective,
-    probes: int = 40,
-    sample_count: int | None = 256,
-    rng: np.random.Generator | None = None,
+    probes: int,
+    sample_count: int | None,
+    rng: np.random.Generator,
 ) -> RegularityEstimate:
-    rng = _rng_or_default(rng)
-    smooth = estimate_smoothness(model, objective, probes=probes, rng=rng)
-    bound = estimate_grad_bound(model, train_ds, sample_count=sample_count, rng=rng)
     return RegularityEstimate(
-        smoothness=smooth,
-        grad_bound=bound,
-        probe_count=probes,
-        sample_count=len(train_ds) if sample_count is None else sample_count,
+        estimate_smoothness(model, objective, probes, rng),
+        estimate_grad_bound(model, train_ds, sample_count, rng),
     )
 
 
@@ -198,8 +184,8 @@ class DescentRun:
     trace: list[DescentEntry]
     model: MLPModel
     alpha: float
-    estimate: RegularityEstimate
-    tolerance: float = 1e-9
+    estimate: RegularityEstimate  # the one that chose alpha
+    tolerance = 1e-9  # a class constant, not a field: the rise G may take on a step
 
     @property
     def violations(self) -> int:
@@ -208,28 +194,28 @@ class DescentRun:
 
 def _descent_trial(
     model: MLPModel,
-    batches: list[Batch],
+    batches,
     objective,
     alpha: float,
 ) -> tuple[MLPModel, list[DescentEntry], float, float]:
     """Run one fixed-step trial, harvesting regularity probes as it goes.
 
-    Each step is the rectified unnormalized update of the module docstring,
-    so a batch with no example aligned with grad G leaves the parameters
-    unchanged. Every executed segment (theta_t, theta_{t+1}) doubles as a
-    Lipschitz probe pair for grad G, and every batch contributes per-example
-    gradient norms. Returns (final model, trace, max segment ratio, max
-    gradient norm). The trial stops early if G blows up or the numbers leave
-    float range; the probes gathered up to that point are what force a
-    smaller step next time.
+    batches is any iterable of Batch, read once in order. Each step is the
+    rectified unnormalized update of the module docstring, so a batch with
+    no example aligned with grad G leaves the parameters unchanged. Every
+    executed segment (theta_t, theta_{t+1}) doubles as a Lipschitz probe
+    pair for grad G, and every batch contributes per-example gradient norms.
+    Returns (final model, trace, max segment ratio, max gradient norm). The
+    trial stops early if G blows up or the numbers leave float range; the
+    probes gathered up to that point are what force a smaller step next time.
     """
     g_val, grad_g = objective(model)
     ceiling = 10.0 * max(g_val, 1.0)
-    n = len(batches[0]) if batches else 1
     trace: list[DescentEntry] = []
     seg_ratio = 0.0
     grad_norm = 0.0
     for t, batch in enumerate(batches):
+        n = len(batch)
         try:
             grads = backward_per_example(model, forward(model, batch), batch)
             grad_norm = max(grad_norm, float(np.sqrt(grads.norms_squared().max())))
@@ -265,7 +251,7 @@ def run_descent_verification(
     steps: int = 1000,
     batch_size: int = 100,
     seed: int = 0,
-    hidden_sizes: tuple[int, ...] = (256,),
+    hidden_sizes: tuple[int, ...] = TrainConfig.hidden_sizes,
     probes: int = 60,
     sample_count: int | None = None,
 ) -> DescentRun:
@@ -281,7 +267,11 @@ def run_descent_verification(
     nothing to either estimate, meaning the constants that chose the step size
     held everywhere the run actually went. Estimates only grow, so the step
     size shrinks monotonically; after MAX_ATTEMPTS trials the last one is
-    returned as it is.
+    returned as it is. probes smoothness probes and sample_count sampled
+    examples (None: the whole training set) make the starting estimate.
+
+    Only the index draws are kept; each trial builds its batches as it
+    reaches them, so memory does not grow with steps.
     """
     if len(val_ds) == 0:
         raise ConfigError("descent verification needs a validation set")
@@ -291,36 +281,21 @@ def run_descent_verification(
         [train_ds.images.shape[1], *hidden_sizes, num_classes], activation=ACTIVATION, rng=rng
     )
     objective = validation_objective(val_ds.images, val_ds.labels)
-    estimate = estimate_regularity(
-        model0, train_ds, objective, probes=probes, sample_count=sample_count, rng=rng
-    )
+    estimate = estimate_regularity(model0, train_ds, objective, probes, sample_count, rng)
 
     n_pool = len(train_ds)
-    batches = []
-    for _ in range(steps):
-        idx = rng.choice(n_pool, size=batch_size, replace=n_pool < batch_size)
-        batches.append(Batch(train_ds.images[idx], train_ds.labels[idx]))
-
-    smooth = estimate.smoothness
-    bound = estimate.grad_bound
+    draws = [rng.choice(n_pool, size=batch_size, replace=n_pool < batch_size) for _ in range(steps)]
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        current = RegularityEstimate(
-            smoothness=smooth,
-            grad_bound=bound,
-            probe_count=estimate.probe_count,
-            sample_count=estimate.sample_count,
-            note=(
-                "sampled lower bounds refined with descent-path probes; "
-                f"trial {attempt}"
-            ),
-        )
-        alpha = safe_step_size(batch_size, current)
+        alpha = safe_step_size(batch_size, estimate)
+        batches = (Batch(train_ds.images[idx], train_ds.labels[idx]) for idx in draws)
         model, trace, seg_ratio, grad_norm = _descent_trial(model0, batches, objective, alpha)
-        confirmed = seg_ratio <= smooth and grad_norm <= bound and len(trace) == steps
-        if confirmed or attempt == MAX_ATTEMPTS:
-            return DescentRun(trace=trace, model=model, alpha=alpha, estimate=current)
-        smooth = max(smooth, seg_ratio)
-        bound = max(bound, grad_norm)
+        held = seg_ratio <= estimate.smoothness and grad_norm <= estimate.grad_bound
+        if (held and len(trace) == steps) or attempt == MAX_ATTEMPTS:
+            return DescentRun(trace=trace, model=model, alpha=alpha, estimate=estimate)
+        if not held:
+            estimate = RegularityEstimate(
+                max(estimate.smoothness, seg_ratio), max(estimate.grad_bound, grad_norm)
+            )
     raise AssertionError("unreachable")
 
 

@@ -3,7 +3,7 @@
 One parameter update per step regardless of strategy. The meta_reweight
 strategy computes its weights with the closed-form validation alignment
 scores, which costs one extra forward/backward pass over the validation
-mini-batch per step; that extra work is tracked in the result's counters.
+mini-batch per step; that extra work is counted in the result's `examples`.
 """
 
 import collections
@@ -116,23 +116,9 @@ class TrainResult:
     records: list[MetricsRecord]
     model: MLPModel
     final_test_error: float
-    steps: int
     examples: int  # examples through the stepping path, each once forward and once backward
     wall_time: float
-    weight_log: dict  # arrays: step, weight, flipped (last eval window)
-
-    @property
-    def forward_examples(self) -> int:
-        return self.examples
-
-    @property
-    def backward_examples(self) -> int:
-        return self.examples
-
-    @property
-    def work_units(self) -> int:
-        """Example passes spent inside the stepping path."""
-        return 2 * self.examples
+    weight_log: dict  # arrays: step, weight, flipped, for the last eval_every steps
 
 
 def evaluate(model: MLPModel, ds: Dataset, chunk: int = 256) -> tuple[float, float]:
@@ -341,7 +327,6 @@ def train(
         records=records,
         model=model,
         final_test_error=final_test_error,
-        steps=config.total_steps,
         examples=examples,
         wall_time=time.perf_counter() - t0,
         weight_log={

@@ -251,7 +251,7 @@ class TestCriterion7:
         clean_means = []
         flipped_means = []
         for r in results["meta_reweight"]:
-            tail = [rec for rec in r.records if rec.step > r.steps - 1000]
+            tail = [rec for rec in r.records if rec.step > r.records[-1].step - 1000]
             assert tail, "no records inside the last 1000 steps"
             clean_means.append(float(np.mean([rec.mean_w_clean for rec in tail])))
             flipped_means.append(float(np.mean([rec.mean_w_flipped for rec in tail])))

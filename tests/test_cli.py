@@ -146,6 +146,13 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
 
+    def test_nan_imbalance_ratio_exits_2(self, tmp_path, capsys):
+        paths = synth_mnist_like(tmp_path)
+        cfg = write_train_config(tmp_path, paths, extra="imbalance_ratio = nan\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: imbalance ratio must be a finite number >= 1, got nan\n"
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("strtegy = uniform\n")

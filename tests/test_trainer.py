@@ -94,7 +94,7 @@ class TestTrainBasics:
         train_ds, val_ds, test_ds = blob_sets()
         result = train(small_config(total_steps=300), train_ds, val_ds, test_ds)
         assert result.final_test_error <= 0.2
-        assert result.steps == 300
+        assert result.records[-1].step == 300
 
     def test_deterministic_bitwise(self):
         train_ds, val_ds, test_ds = blob_sets()
@@ -112,14 +112,18 @@ class TestTrainBasics:
         result = train(small_config(total_steps=120, eval_every=50), train_ds, val_ds, test_ds)
         assert [r.step for r in result.records] == [50, 100, 120]
 
+    def test_weight_log_holds_last_eval_every_steps(self):
+        # The last eval_every steps (10-29), not the final evaluation window (20-29).
+        train_ds, val_ds, test_ds = blob_sets()
+        result = train(small_config(total_steps=30, eval_every=20), train_ds, val_ds, test_ds)
+        assert np.array_equal(result.weight_log["step"], np.repeat(np.arange(10, 30), 16))
+
     def test_work_counters_exact(self):
         train_ds, val_ds, test_ds = blob_sets()
         uni = train(small_config(), train_ds, val_ds, test_ds)
-        assert uni.forward_examples == 60 * 16
-        assert uni.backward_examples == 60 * 16
+        assert uni.examples == 60 * 16
         meta = train(small_config(strategy="meta_reweight"), train_ds, val_ds, test_ds)
-        assert meta.forward_examples == 60 * (16 + 4)
-        assert meta.work_units == 2 * 60 * 20
+        assert meta.examples == 60 * (16 + 4)
 
     def test_uniform_weight_stats(self):
         train_ds, val_ds, test_ds = blob_sets()
@@ -236,7 +240,7 @@ class TestReplayOracle:
         result = train(cfg, train_ds, val_ds, test_ds)
         want, _ = self._replay(cfg, train_ds, val_ds)
         assert np.array_equal(result.model.flatten(), want.flatten())
-        assert result.forward_examples == 15 * (16 + 12)
+        assert result.examples == 15 * (16 + 12)
 
     def test_lr_schedule_applied(self):
         train_ds, val_ds, test_ds = blob_sets()
@@ -287,7 +291,7 @@ class TestValidationFolding:
             include_val_in_train=True,
         )
         result = train(cfg, train_ds, val_ds, test_ds)
-        assert result.forward_examples == 2 * (len(train_ds) + len(val_ds))
+        assert result.examples == 2 * (len(train_ds) + len(val_ds))
 
     def test_meta_sees_identical_pool(self):
         # meta_reweight gets no extra examples: pool goes from train+val for
@@ -297,7 +301,7 @@ class TestValidationFolding:
         cfg_meta = small_config(strategy="meta_reweight", include_val_in_train=True)
         uni = train(cfg_uni, train_ds, val_ds, test_ds)
         meta = train(cfg_meta, train_ds, val_ds, test_ds)
-        assert meta.forward_examples - uni.forward_examples == 60 * 4
+        assert meta.examples - uni.examples == 60 * 4
 
 
 class TestHardMiningDefaults:
