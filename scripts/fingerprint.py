@@ -15,6 +15,10 @@ Each tree runs in its own process with BLAS on one thread. The items:
   `tests/test_trainer.py::blob_sets()` with `small_config()` (relu);
 - train/<activation>/<strategy>: the same for uniform and meta_reweight
   with tanh and with sigmoid hidden units;
+- train/early_stop/<strategy>: the same for uniform and meta_reweight with
+  the first 20 test examples as the hyperval set, `early_stop_on_hyperval`
+  and `eval_every` 7 of 60 steps, so that the model and test error returned
+  are those of the chosen evaluation point;
 - experiment/<workload>/<strategy>: every file `run_experiment` writes, with
   the wall times taken out of `summary.json`, for the imbalance config (six
   strategies) and the noise config (meta_reweight, uniform) of
@@ -67,13 +71,18 @@ def train_items() -> dict:
     from test_trainer import blob_sets, small_config
 
     sets = blob_sets()
-    runs = {f"train/{s}": small_config(strategy=s) for s in STRATEGIES}
-    for activation in ("tanh", "sigmoid"):
-        for s in ("uniform", "meta_reweight"):
-            runs[f"train/{activation}/{s}"] = small_config(strategy=s, activation=activation)
+    hyperval = sets[2].subset(range(20))
+    # name -> (config, hyperval set or None)
+    runs = {f"train/{s}": (small_config(strategy=s), None) for s in STRATEGIES}
+    for s in ("uniform", "meta_reweight"):
+        for activation in ("tanh", "sigmoid"):
+            config = small_config(strategy=s, activation=activation)
+            runs[f"train/{activation}/{s}"] = (config, None)
+        config = small_config(strategy=s, early_stop_on_hyperval=True, eval_every=7)
+        runs[f"train/early_stop/{s}"] = (config, hyperval)
     items = {}
-    for name, config in runs.items():
-        r = train(config, *sets)
+    for name, (config, hyperval_ds) in runs.items():
+        r = train(config, *sets, hyperval_ds)
         items[name] = _sha([
             *(_array(w) for w in r.model.layers),
             *((rec.csv_row(), rec.hyperval_error) for rec in r.records),

@@ -1,13 +1,17 @@
 """Training loop tests. The replay oracle reproduces the loop's RNG
 consumption step by step and checks the committed parameters exactly."""
 
+import threading
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from metareweight import trainer
 from metareweight.data import Dataset, NoiseSpec, corrupt
-from metareweight.errors import ConfigError
+from metareweight.errors import ConfigError, NonFiniteError
 from metareweight.nn import (
     Batch,
     MLPModel,
@@ -349,6 +353,99 @@ class TestEarlyStopping:
         best_recorded = min(r.hyperval_error for r in result.records)
         final_err, _ = evaluate(result.model, hyper)
         assert final_err == pytest.approx(best_recorded, abs=0)
+
+    def test_one_test_pass_per_point(self, monkeypatch):
+        # The chosen point's recorded test error is reused, not recomputed.
+        train_ds, val_ds, test_ds = blob_sets()
+        hyper = make_blobs(np.random.default_rng(8), 30, 6, 2)
+        passes = []
+        monkeypatch.setattr(
+            trainer, "evaluate", lambda model, ds: passes.append(ds) or evaluate(model, ds)
+        )
+        cfg = small_config(early_stop_on_hyperval=True, total_steps=100, eval_every=10)
+        result = train(cfg, train_ds, val_ds, test_ds, hyper)
+        assert len(result.records) == 10
+        assert sum(ds is test_ds for ds in passes) == 10
+        assert sum(ds is hyper for ds in passes) == 10
+        assert len(passes) == 20
+
+
+class TestEvaluationWorker:
+    @pytest.mark.parametrize("strategy", ["uniform", "meta_reweight"])
+    def test_records_match_snapshots_evaluated_here(self, monkeypatch, strategy):
+        train_ds, val_ds, test_ds = blob_sets()
+        # 20 examples: uniform's lowest hyperval error comes twice, at steps
+        # 56 and 60, and the earlier point must win.
+        hyper = test_ds.subset(np.arange(20))
+        passes = []  # (model, ds) of every evaluate call
+        monkeypatch.setattr(
+            trainer, "evaluate", lambda model, ds: passes.append((model, ds)) or evaluate(model, ds)
+        )
+        cfg = small_config(strategy=strategy, early_stop_on_hyperval=True, eval_every=7)
+        result = train(cfg, train_ds, val_ds, test_ds, hyper)
+        assert [r.step for r in result.records] == [7, 14, 21, 28, 35, 42, 49, 56, 60]
+        snapshots = [m for m, ds in passes if ds is test_ds]
+        assert [id(m) for m, ds in passes if ds is hyper] == [id(m) for m in snapshots]
+        assert len(passes) == 2 * len(snapshots) == 2 * len(result.records)
+        for r, snapshot in zip(result.records, snapshots):
+            assert r.test_error == evaluate(snapshot, test_ds)[0]
+            assert r.hyperval_error == evaluate(snapshot, hyper)[0]
+        hyper_errors = [r.hyperval_error for r in result.records]
+        chosen = hyper_errors.index(min(hyper_errors))
+        assert result.model is snapshots[chosen]
+        assert result.final_test_error == evaluate(snapshots[chosen], test_ds)[0]
+
+    def test_waiting_thread_runs_the_pass_not_started(self, monkeypatch):
+        # The test pass keeps the worker busy past each next point, so every
+        # hyperval pass is still queued when the training thread files it.
+        train_ds, val_ds, test_ds = blob_sets()
+        hyper = test_ds.subset(np.arange(20))
+        hyper_threads = []
+
+        def slow_test_pass(model, ds):
+            if ds is hyper:
+                hyper_threads.append(threading.current_thread())
+            else:
+                time.sleep(0.2)
+            return evaluate(model, ds)
+
+        monkeypatch.setattr(trainer, "evaluate", slow_test_pass)
+        result = train(small_config(), train_ds, val_ds, test_ds, hyper)
+        assert len(result.records) == 3
+        assert hyper_threads == [threading.main_thread()] * 3
+        reference = train(small_config(), train_ds, val_ds, test_ds, hyper)
+        assert [repr(r) for r in result.records] == [repr(r) for r in reference.records]
+
+    def test_non_finite_step_while_evaluating(self, monkeypatch):
+        train_ds, val_ds, test_ds = blob_sets()
+
+        def slow_evaluate(model, ds):
+            time.sleep(0.05)  # still running when the next step raises
+            return evaluate(model, ds)
+
+        monkeypatch.setattr(trainer, "evaluate", slow_evaluate)
+        threads = threading.active_count()
+        cfg = small_config(learning_rate=1e300, eval_every=1, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowed model's evaluation
+            with pytest.raises(NonFiniteError, match=r"^seed 0 step 1: gradient contains"):
+                train(cfg, train_ds, val_ds, test_ds)
+        assert threading.active_count() == threads
+
+    def test_evaluation_error_keeps_its_type(self, monkeypatch):
+        train_ds, val_ds, test_ds = blob_sets()
+
+        class Failed(Exception):
+            pass
+
+        def failing_evaluate(model, ds):
+            raise Failed("evaluation failed")
+
+        monkeypatch.setattr(trainer, "evaluate", failing_evaluate)
+        threads = threading.active_count()
+        with pytest.raises(Failed, match="evaluation failed"):
+            train(small_config(), train_ds, val_ds, test_ds)
+        assert threading.active_count() == threads
 
 
 class TestEvaluate:
