@@ -1,0 +1,218 @@
+"""Run the test suite against each mutant of the package's catalogue.
+
+    python3 scripts/mutants.py
+
+MUTANTS holds one row per mutant: a name, a file under src/metareweight/,
+an exact old text and the new text that replaces it. Each row is a fault
+that a past change was shown to catch, so a later refactor or a deleted
+test cannot let it pass unseen.
+
+The script copies src/ to a temporary directory and runs the suite once on
+the unmutated copy; if that run fails, no mutant is run. Then, one row at a
+time, it replaces the row's old text in the copy, runs
+
+    python -m pytest -q -x -p no:cacheprovider tests
+
+from the repository root with PYTHONPATH set to the copy's src/ and
+PYTHONDONTWRITEBYTECODE=1, restores the file, and prints `caught <id of the
+first failing test>` or `SURVIVED`. pytest's exit code 1 means caught and 0
+survived; any other code (a mutant that breaks collection, say) marks the
+row BROKEN, as does an old text that does not occur exactly once in its
+file. The exit status is 1 if any row survived or is broken. The script
+writes nothing inside the repository. A full run takes about 7 minutes on a
+2-core machine.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+RUN_TIMEOUT_S = 600
+
+# (name, file under src/metareweight/, old text, new text)
+MUTANTS = [
+    ("nn/bias-input-zero", "nn.py", "    out[:, d] = 1.0\n", "    out[:, d] = 0.0\n"),
+    ("nn/bytes-unscaled", "nn.py",
+     "np.divide(raw, 255.0, out=self.inputs, dtype=np.float64)", "self.inputs[...] = raw"),
+    ("nn/float-batch-unchecked", "nn.py",
+     '            self.inputs[...] = raw\n            _check_finite("batch inputs", self.inputs)\n',
+     "            self.inputs[...] = raw\n"),
+    ("nn/first-post-copied", "nn.py", "    post = [batch.augmented]\n",
+     "    post = [batch.augmented.copy()]\n"),
+    ("nn/label-signal-sign", "nn.py", "    g[np.arange(n), batch.labels] -= 1.0\n",
+     "    g[np.arange(n), batch.labels] += 1.0\n"),
+    ("nn/relu-subgradient-one-at-zero", "nn.py", '"relu": lambda a: (a > 0.0)',
+     '"relu": lambda a: (a >= 0.0)'),
+    ("nn/kept-rows-positive-only", "nn.py", "        kept = np.flatnonzero(w)\n",
+     "        kept = np.flatnonzero(w > 0)\n"),
+    ("nn/zero-rows-skipped-without-finite-guard", "nn.py",
+     "    if dropped.size and all(np.isfinite(a[dropped]).all() for a in (*inputs, *signals)):\n",
+     "    if dropped.size:\n"),
+    ("nn/sgd-step-copies-gradient", "nn.py",
+     "    grad = np.ascontiguousarray(grad, dtype=np.float64)\n",
+     "    grad = np.array(grad, dtype=np.float64)\n"),
+    ("nn/sgd-step-checks-first-layer-only", "nn.py", '    _check_finite("gradient", grad)\n',
+     '    _check_finite("gradient", layers[0])\n'),
+    ("nn/sgd-step-scales-before-check", "nn.py",
+     '    _check_finite("gradient", grad)\n    grad *= -alpha\n',
+     '    grad *= -alpha\n    _check_finite("gradient", grad)\n'),
+    ("nn/sgd-step-in-place", "nn.py",
+     "        g += w\n    return MLPModel(layers, model.activation)\n",
+     "        w += g\n    return MLPModel(model.layers, model.activation)\n"),
+    ("reweight/closed-form-without-bias", "reweight.py",
+     "        scores += (zt @ zv.T) * (gt @ gv.T)\n",
+     "        scores += (zt[:, :-1] @ zv[:, :-1].T) * (gt @ gv.T)\n"),
+    ("reweight/closed-form-sum-not-mean", "reweight.py", "    return scores.sum(axis=1) / m\n",
+     "    return scores.sum(axis=1)\n"),
+    ("reweight/normalize-with-epsilon", "reweight.py", "    return clipped / total\n",
+     "    return clipped / (total + 1e-12)\n"),
+    ("reweight/random-weights-unclipped", "reweight.py", "    w = np.maximum(z, 0.0)\n",
+     "    w = np.abs(z)\n"),
+    ("reweight/proportion-not-inverse", "reweight.py", "    w = 1.0 / c\n", "    w = c.copy()\n"),
+    ("reweight/hard-mining-easiest", "reweight.py", "np.argsort(-losses[maj], kind=\"stable\")",
+     "np.argsort(losses[maj], kind=\"stable\")"),
+    ("reweight/resample-by-example", "reweight.py",
+     "    picks = rng.integers(0, classes.size, size=n)\n",
+     "    picks = labels[rng.integers(0, labels.size, size=n)]\n"),
+    ("trainer/validation-not-in-pool", "trainer.py", "        pool = _concat(train_ds, val_ds)\n",
+     "        pool = train_ds\n"),
+    ("trainer/bytes-joined-with-floats", "trainer.py",
+     "    if a.images.dtype != b.images.dtype:\n", "    if False:\n"),
+    ("trainer/validation-draw-with-replacement", "trainer.py",
+     "size=config.batch_size_val, replace=False)", "size=config.batch_size_val, replace=True)"),
+    ("trainer/validation-batch-not-counted", "trainer.py", "        examples += len(vbatch)\n",
+     "        examples += 0\n"),
+    ("trainer/errstate-default", "trainer.py",
+     'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():"),
+    ("trainer/window-slice-whole-deque", "trainer.py",
+     "list(log)[-(t % config.eval_every + 1) :]", "list(log)[-config.eval_every :]"),
+    ("trainer/mean-w-clean-from-flipped", "trainer.py",
+     "        mean_w_clean=w_clean / n_clean", "        mean_w_clean=w_flipped / n_clean"),
+    ("trainer/early-stop-later-tie", "trainer.py",
+     "record.hyperval_error < best[0].hyperval_error", "record.hyperval_error <= best[0].hyperval_error"),
+    ("trainer/early-stop-returns-last-model", "trainer.py",
+     "    final, model = best if config.early_stop_on_hyperval else (records[-1], model)\n",
+     "    final = best[0] if config.early_stop_on_hyperval else records[-1]\n"),
+    ("trainer/waits-instead-of-running-queued-pass", "trainer.py",
+     "(evaluate(snapshot, ds) if future.cancel() else future.result())[0]",
+     "future.result()[0]"),
+    ("trainer/last-point-not-filed", "trainer.py", "            file(pending)\n        except",
+     "            pass\n        except"),
+    ("theory/descent-step-times-n", "theory.py",
+     "stepped = sgd_step(model, direction, alpha / n)", "stepped = sgd_step(model, direction, alpha * n)"),
+    ("theory/probe-difference-into-g0", "theory.py", "            diff -= g0\n",
+     "            diff = np.subtract(diff, g0, out=g0)\n"),
+    ("theory/segment-difference-into-grad-next", "theory.py",
+     "np.subtract(grad_next, grad_g, out=grad_g)", "np.subtract(grad_next, grad_g, out=grad_next)"),
+    ("theory/step-size-without-safety", "theory.py", "2.0 * batch_size / (SAFETY * denom)",
+     "2.0 * batch_size / denom"),
+    ("theory/rate-running-max", "theory.py", "np.minimum.accumulate(norms)",
+     "np.maximum.accumulate(norms)"),
+    ("data/idx-images-scaled-floats", "data.py",
+     "    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)\n",
+     "    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols) / 255.0\n"),
+    ("data/idx-trailing-bytes-accepted", "data.py", "    if len(payload) != expected:\n",
+     "    if len(payload) < expected:\n"),
+    ("data/gzip-damage-unwrapped", "data.py",
+     "    except (EOFError, zlib.error, gzip.BadGzipFile) as e:\n", "    except EOFError as e:\n"),
+    ("data/empty-labels-not-writable", "data.py",
+     "    if labels.size and (labels.min() < 0 or labels.max() > 255):\n",
+     "    if labels.min() < 0 or labels.max() > 255:\n"),
+    ("data/csv-floats-12-digits", "data.py", "        writer.writerows(rows)\n",
+     '        writer.writerows([f"{c:.12g}" if isinstance(c, float) else c for c in r] for r in rows)\n'),
+    ("data/uniform-flip-may-keep-label", "data.py", "labels[flip] = draw + (draw >= old)",
+     "labels[flip] = draw"),
+    ("data/validation-may-be-corrupted", "data.py",
+     "pool = np.flatnonzero((ds.labels == c) & clean)", "pool = np.flatnonzero(ds.labels == c)"),
+    ("data/minority-count-off", "data.py", "int(round(spec.total / (spec.ratio + 1)))",
+     "int(round(spec.total / spec.ratio))"),
+    ("data/minority-count-truncated", "data.py", "int(round(spec.total / (spec.ratio + 1)))",
+     "int(spec.total / (spec.ratio + 1))"),
+    ("experiment/flipped-column-bool", "experiment.py",
+     'weight_log["flipped"].astype(np.int64)', 'weight_log["flipped"]'),
+    ("experiment/repeats-share-a-seed", "experiment.py", "        seed = exp.train.seed + r\n",
+     "        seed = exp.train.seed\n"),
+    ("config/comments-kept", "config.py", '        line = raw.split("#", 1)[0].strip()\n',
+     "        line = raw.strip()\n"),
+    ("config/duplicate-after-blank-accepted", "config.py", "        if key in seen:\n",
+     "        if key in values:\n"),
+    ("config/seed-in-hash", "config.py", "        if key in HASH_EXCLUDED:\n            continue\n",
+     ""),
+    ("config/meta-without-validation-accepted", "config.py",
+     'if values["strategy"] == "meta_reweight" and values["val_per_class"] == 0:', "if False:"),
+    ("cli/seed-override-ignored", "cli.py", '        values["seed"] = args.seed\n', "        pass\n"),
+    ("cli/oserror-not-exit-2", "cli.py",
+     "except (ConfigError, DimensionError, IdxParseError, NonFiniteError, OSError) as e:",
+     "except (ConfigError, DimensionError, IdxParseError, NonFiniteError) as e:"),
+    ("cli/malformed-run-file-traceback", "cli.py", "    except (ValueError, KeyError, TypeError, AttributeError) as e:\n",
+     "    except () as e:\n"),
+    ("cli/curve-means-whole-array", "cli.py", "[cols[:, k].mean() for k in range(3)]",
+     "list(cols.mean(axis=0))"),
+]
+
+
+def anchor_problem(text: str, old: str, new: str) -> str:
+    """Why a row cannot be applied to a file's text, or '' if it can: its old
+    text must occur exactly once and differ from its new text."""
+    if text.count(old) != 1:
+        return f"old text occurs {text.count(old)} times"
+    return "old and new text are the same" if old == new else ""
+
+
+def run_suite(src: str) -> tuple[int, str]:
+    """pytest's exit code on the tests against the package in src, and the
+    id of its first failing test ('' if none)."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(PYTEST, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {RUN_TIMEOUT_S} s"
+    failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, failed[0] if failed else ""
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        started = time.perf_counter()
+        code, first = run_suite(src)
+        if code != 0:
+            print(f"the unmutated suite exits {code} {first}; no mutant was run")
+            return 1
+        print(f"unmutated suite passes ({time.perf_counter() - started:.1f} s)")
+        width = max(len(name) for name, *_ in MUTANTS)
+        bad = 0
+        for name, file, old, new in MUTANTS:
+            path = os.path.join(src, "metareweight", file)
+            with open(path) as f:
+                text = f.read()
+            started = time.perf_counter()
+            problem = anchor_problem(text, old, new)
+            if problem:
+                code, first = None, f"{problem} in {file}"
+            else:
+                with open(path, "w") as f:
+                    f.write(text.replace(old, new))
+                try:
+                    code, first = run_suite(src)
+                finally:
+                    with open(path, "w") as f:
+                        f.write(text)
+            verdict = {0: "SURVIVED", 1: f"caught {first}"}.get(code, f"BROKEN: {first or code}")
+            bad += code != 1
+            print(f"{name:<{width}}  {verdict}  ({time.perf_counter() - started:.1f} s)", flush=True)
+        print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
+        return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

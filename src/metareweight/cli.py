@@ -5,6 +5,7 @@ config or file, data that does not fit the model, or a non-finite run.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -108,55 +109,60 @@ def cmd_corrupt(args) -> int:
 _CONFIG_COLUMNS = ("imbalance_ratio", "noise_kind", "noise_ratio")
 
 
-def _seed_rows(root: str, summary: dict, prefix: str):
-    """The rows, as dicts, of every {prefix}_seed{S}.csv under root for the
-    summary's seeds, seed after seed; a missing file is skipped."""
-    for seed in summary["seeds"]:
+def _seed_rows(root: str, seeds, prefix: str, parse):
+    """parse(row) for every row, as a dict, of every {prefix}_seed{S}.csv under
+    root for the given seeds, seed after seed; a missing file is skipped."""
+    for seed in seeds:
         path = os.path.join(root, f"{prefix}_seed{seed}.csv")
         if os.path.isfile(path):
-            with open(path, newline="") as f:
-                yield from csv.DictReader(f)
+            with _reading(path), open(path, newline="") as f:
+                for row in csv.DictReader(f):
+                    yield parse(row)
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Raise what malformed content raises in the block again as a ConfigError naming path."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ConfigError(f"malformed run file {path}: {e!r}") from e
 
 
 def cmd_report(args) -> int:
-    summaries = []
+    runs = []  # (root, seeds, report_final.csv row) per run directory
     for root, _dirs, files in os.walk(args.dir):
         if "summary.json" in files:
-            with open(os.path.join(root, "summary.json")) as f:
-                summaries.append((root, json.load(f)))
-    if not summaries:
+            path = os.path.join(root, "summary.json")
+            with _reading(path), open(path) as f:
+                s = json.load(f)
+                cfg = s.get("config", {})
+                final = [s["config_hash"], s["strategy"], *(cfg.get(c, "") for c in _CONFIG_COLUMNS),
+                         len(s["seeds"]), s["mean_test_error"], s["ci_half_width"]]
+            runs.append((root, s["seeds"], final))
+    if not runs:
         raise ConfigError(f"no summary.json found under {args.dir}")
-    summaries.sort(key=lambda item: (item[1]["strategy"], item[1]["config_hash"], item[0]))
+    runs.sort(key=lambda run: (run[2][1], run[2][0], run[0]))  # strategy, config hash, root
 
     bins = 50
-    final, curves, hist = [], [], []
-    for root, s in summaries:
-        key = [s["config_hash"], s["strategy"]]
-        cfg = s.get("config", {})
-        final.append(
-            key
-            + [cfg.get(c, "") for c in _CONFIG_COLUMNS]
-            + [len(s["seeds"]), s["mean_test_error"], s["ci_half_width"]]
-        )
-
-        by_step: dict[int, list[tuple[float, float, float]]] = {}
-        for row in _seed_rows(root, s, "metrics"):
-            by_step.setdefault(int(row["step"]), []).append(
-                (float(row["test_error"]), float(row["train_loss"]), float(row["val_loss_G"]))
-            )
+    curves, hist = [], []
+    for root, seeds, final in runs:
+        key = final[:2]
+        by_step: dict[int, list[list[float]]] = {}
+        for step, *means in _seed_rows(root, seeds, "metrics", lambda r: (
+            int(r["step"]), float(r["test_error"]), float(r["train_loss"]), float(r["val_loss_G"])
+        )):
+            by_step.setdefault(step, []).append(means)
         for step in sorted(by_step):
             cols = np.array(by_step[step])
             curves.append(key + [step] + [cols[:, k].mean() for k in range(3)])
 
-        weights = []
-        flipped = []
-        for row in _seed_rows(root, s, "weights"):
-            weights.append(float(row["weight"]))
-            flipped.append(row["flipped"] == "1")
-        if not weights:
+        logged = list(_seed_rows(
+            root, seeds, "weights", lambda r: (float(r["weight"]), r["flipped"] == "1")
+        ))
+        if not logged:
             continue
-        w = np.array(weights)
-        fl = np.array(flipped)
+        w, fl = (np.array(column) for column in zip(*logged))
         hi = max(float(w.max()), 1e-12)
         edges = np.linspace(0.0, hi, bins + 1)
         clean_hist, _ = np.histogram(w[~fl], bins=edges)
@@ -166,7 +172,8 @@ def cmd_report(args) -> int:
 
     paths = []
     for name, columns, rows in (
-        ("final", [*_CONFIG_COLUMNS, "num_seeds", "mean_test_error", "ci_half_width"], final),
+        ("final", [*_CONFIG_COLUMNS, "num_seeds", "mean_test_error", "ci_half_width"],
+         [final for _, _, final in runs]),
         ("curves", ["step", "mean_test_error", "mean_train_loss", "mean_val_loss_G"], curves),
         ("weight_hist", ["bin_lo", "bin_hi", "clean_count", "flipped_count"], hist),
     ):

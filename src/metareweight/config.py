@@ -2,9 +2,9 @@
 
 Format: one `key = value` per line, `#` starts a comment, blank lines and
 blank values are ignored (the default applies). Unknown keys are errors, as
-are values that fail their field's parser. The config hash covers every
-field except seed, repeat, and output_dir, so repeats of one experiment
-land under one identity.
+are values that fail their field's parser and a key given twice, even once
+blank. The config hash covers every field except seed, repeat, and
+output_dir, so repeats of one experiment land under one identity.
 """
 
 import hashlib
@@ -86,6 +86,7 @@ def parse_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
 
     values = {}
+    seen = set()  # every key met, a blank value's included
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -97,8 +98,9 @@ def parse_config_file(path: str) -> dict:
         value = value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config field {key!r}")
-        if key in values:
+        if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate config field {key!r}")
+        seen.add(key)
         if value == "":
             continue
         parser, _ = SCHEMA[key]

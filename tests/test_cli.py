@@ -386,6 +386,21 @@ class TestReportCommand:
         assert main(["report", "--dir", str(tmp_path)]) == 2
         assert "summary.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("files", [
+        {"summary.json": '{"strategy": "unif'},
+        {"summary.json": "{}"},
+        {"summary.json": json.dumps({"strategy": "uniform", "config_hash": "c0ffee", "seeds": [0],
+                                     "mean_test_error": 0.25, "ci_half_width": 0.0}),
+         "metrics_seed0.csv": "step,train_loss,val_loss_G,test_error\n10,abc,0.5,0.25\n"},
+        {"summary.json": "[]"},
+    ], ids=["truncated_summary", "empty_summary", "bad_metrics_cell", "summary_not_an_object"])
+    def test_malformed_run_file_exits_2(self, tmp_path, capsys, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        # The error names the malformed file: the last one written.
+        assert list(files)[-1] in capsys.readouterr().err
+
 
 @pytest.fixture
 def cached_checks(monkeypatch):

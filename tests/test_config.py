@@ -55,8 +55,9 @@ class TestParsing:
             parse_config_file(write_config(tmp_path, "learning_rte = 0.1\n"))
 
     def test_duplicate_key(self, tmp_path):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_file(write_config(tmp_path, "seed = 1\nseed = 2\n"))
+        for text in ("seed = 1\nseed = 2\n", "seed =\nseed = 3\n"):
+            with pytest.raises(ConfigError, match="duplicate"):
+                parse_config_file(write_config(tmp_path, text))
 
     def test_bad_value_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="total_steps"):

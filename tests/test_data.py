@@ -217,16 +217,17 @@ class TestImbalance:
     def test_exact_counts_and_remap(self):
         rng = np.random.default_rng(50)
         ds = labeled_dataset(rng, {4: 3000, 9: 6000, 1: 50})
-        spec = ImbalanceSpec(ratio=100, total=5000)
-        out = make_imbalanced_pair(ds, spec, rng)
-        # Independent oracle for the split sizes.
-        want_min = round(5000 / 101)
-        assert len(out) == 5000
-        assert int((out.labels == 0).sum()) == want_min
-        assert int((out.labels == 1).sum()) == 5000 - want_min
-        assert set(np.unique(out.labels)) == {0, 1}
-        assert not out.flipped_mask.any()
-        assert out.label_map == {4: 0, 9: 1}
+        # Independent oracle for the split sizes. 5000 / 101 = 49.5 needs the
+        # rounding; at ratio 50, 5000 / 50 = 100 tells the wrong divisor apart.
+        for ratio in (100, 50):
+            out = make_imbalanced_pair(ds, ImbalanceSpec(ratio=ratio, total=5000), rng)
+            want_min = round(5000 / (ratio + 1))
+            assert len(out) == 5000
+            assert int((out.labels == 0).sum()) == want_min
+            assert int((out.labels == 1).sum()) == 5000 - want_min
+            assert set(np.unique(out.labels)) == {0, 1}
+            assert not out.flipped_mask.any()
+            assert out.label_map == {4: 0, 9: 1}
 
     def test_minimum_one_minority(self):
         rng = np.random.default_rng(51)
