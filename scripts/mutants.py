@@ -79,6 +79,8 @@ MUTANTS = [
     ("reweight/resample-by-example", "reweight.py",
      "    picks = rng.integers(0, classes.size, size=n)\n",
      "    picks = labels[rng.integers(0, labels.size, size=n)]\n"),
+    ("trainer/nan-learning-rate-accepted", "trainer.py",
+     "        if not 0 < self.learning_rate < np.inf:\n", "        if self.learning_rate <= 0:\n"),
     ("trainer/validation-not-in-pool", "trainer.py", "        pool = _concat(train_ds, val_ds)\n",
      "        pool = train_ds\n"),
     ("trainer/bytes-joined-with-floats", "trainer.py",

@@ -489,7 +489,7 @@ def check_descent_step_properties():
     if len(trace) != 50:
         return False, f"trial stopped after {len(trace)} of 50 steps"
     for entry in trace:
-        if entry.g_after > entry.g_before + 1e-9:
+        if entry.g_after > entry.g_before + theory.DescentRun.tolerance:
             return False, f"objective rose at step {entry.step}: {entry.g_before} -> {entry.g_after}"
         if entry.align_sq < 0:
             return False, "negative alignment statistic"

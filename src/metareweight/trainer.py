@@ -67,8 +67,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate: must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate: must be positive and finite")
         if self.batch_size_train < 1:
             raise ConfigError("batch_size_train: must be at least 1")
         if self.batch_size_val < 1:
@@ -83,8 +83,8 @@ class TrainConfig:
         for step, mult in self.lr_schedule:
             if step <= prev:
                 raise ConfigError("lr_schedule: steps must be strictly increasing")
-            if mult <= 0:
-                raise ConfigError("lr_schedule: multipliers must be positive")
+            if not 0 < mult < np.inf:
+                raise ConfigError("lr_schedule: multipliers must be positive and finite")
             prev = step
         if self.hard_mining_k is not None and self.hard_mining_k < 1:
             raise ConfigError("hard_mining_k: must be at least 1 when set")

@@ -27,14 +27,6 @@ def run_check(name: str) -> tuple[bool, str, float]:
     return ok, detail, time.perf_counter() - started
 
 
-def assert_check(name: str, *covered: str) -> None:
-    """Assert that check `name` passes and that its detail names each of `covered`."""
-    ok, detail, _ = run_check(name)
-    assert ok, f"{name}: {detail}"
-    for word in covered:
-        assert word in detail, f"{name} does not cover {word}: {detail}"
-
-
 def make_blobs(rng, n_per_class=60, d=6, k=2, spread=0.35) -> Dataset:
     """Linearly separable-ish gaussian blobs for smoke training."""
     centers = rng.random((k, d))

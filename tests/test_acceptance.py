@@ -26,7 +26,7 @@ from metareweight.data import (
     random_split,
     split_clean_validation,
 )
-from metareweight.theory import run_descent_verification
+from metareweight.theory import DescentRun, run_descent_verification
 from metareweight.trainer import TrainConfig, train
 
 IMBALANCE_RATIOS = (100, 200)
@@ -105,7 +105,7 @@ class TestCriterion4:
             4,
             "monotone validation descent",
             ok,
-            f"{violations} violations of G(t+1) <= G(t) + 1e-9 over 3 seeds x 1000 steps, "
+            f"{violations} violations of G(t+1) <= G(t) + {DescentRun.tolerance:g} over 3 seeds x 1000 steps, "
             f"alpha in [{min(alphas):.2e}, {max(alphas):.2e}], {elapsed:.1f}s (<300s)",
         )
         assert violations == 0

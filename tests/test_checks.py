@@ -3,10 +3,11 @@
 
 import pytest
 
-from conftest import assert_check
+from conftest import run_check
 from metareweight.checks import QUICK_CHECKS
 
 
 @pytest.mark.parametrize("name", [name for name, _ in QUICK_CHECKS])
 def test_quick_check(name):
-    assert_check(name)
+    ok, detail, _ = run_check(name)
+    assert ok, f"{name}: {detail}"

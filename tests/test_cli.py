@@ -377,11 +377,6 @@ class TestReportCommand:
             b"c0ffee,uniform,20,0.30000000000000004,0.8999999999999999,0.04043490449370843\r\n"
         )
 
-    def test_duplicate_strategy_in_config_rejected(self, tmp_path):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(tmp_path, paths, extra="strategy = uniform\n")
-        assert main(["train", "--config", cfg]) == 2
-
     def test_empty_dir_exits_2(self, tmp_path, capsys):
         assert main(["report", "--dir", str(tmp_path)]) == 2
         assert "summary.json" in capsys.readouterr().err

@@ -85,6 +85,9 @@ class TestConfigValidation:
             {"hidden_sizes": (0,)},
             {"activation": "softplus"},
             {"seed": -1},
+            {"learning_rate": np.nan},
+            {"learning_rate": np.inf},
+            {"lr_schedule": [(5, np.nan)]},
         ],
     )
     def test_bad_configs_raise(self, kw):
@@ -98,17 +101,6 @@ class TestTrainBasics:
         result = train(small_config(total_steps=300), train_ds, val_ds, test_ds)
         assert result.final_test_error <= 0.2
         assert result.records[-1].step == 300
-
-    def test_deterministic_bitwise(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        cfg = small_config(strategy="meta_reweight")
-        a = train(cfg, train_ds, val_ds, test_ds)
-        b = train(cfg, train_ds, val_ds, test_ds)
-        assert np.array_equal(a.model.flatten(), b.model.flatten())
-        assert len(a.records) == len(b.records)
-        for ra, rb in zip(a.records, b.records):
-            for x, y in zip(ra.csv_row(), rb.csv_row()):
-                assert x == y or (np.isnan(x) and np.isnan(y))
 
     def test_metrics_cadence(self):
         train_ds, val_ds, test_ds = blob_sets()
@@ -124,11 +116,15 @@ class TestTrainBasics:
         assert result.weight_log["weight"].min() >= 0
 
     def test_work_counters_exact(self):
+        # Folding the validation set into the pool gives meta_reweight no
+        # extra examples: both strategies draw from the same pool.
         train_ds, val_ds, test_ds = blob_sets()
-        uni = train(small_config(), train_ds, val_ds, test_ds)
-        assert uni.examples == 60 * 16
-        meta = train(small_config(strategy="meta_reweight"), train_ds, val_ds, test_ds)
-        assert meta.examples == 60 * (16 + 4)
+        for fold in (False, True):
+            uni = train(small_config(include_val_in_train=fold), train_ds, val_ds, test_ds)
+            assert uni.examples == 60 * 16
+            meta = train(small_config(strategy="meta_reweight", include_val_in_train=fold),
+                         train_ds, val_ds, test_ds)
+            assert meta.examples == 60 * (16 + 4)
 
     def test_uniform_weight_stats(self):
         train_ds, val_ds, test_ds = blob_sets()
@@ -163,13 +159,6 @@ class TestTrainBasics:
         empty = train_ds.subset(np.empty(0, dtype=np.int64))
         with pytest.raises(ConfigError):
             train(small_config(), empty, val_ds, test_ds)
-
-    def test_all_strategies_run(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        for strategy in STRATEGIES:
-            result = train(small_config(strategy=strategy, total_steps=10), train_ds, val_ds, test_ds)
-            assert len(result.records) >= 1
-            assert np.isfinite(result.model.flatten()).all()
 
 
 class TestReplayOracle:
@@ -272,6 +261,7 @@ class TestByteBackedImages:
         for strategy in STRATEGIES:
             cfg = small_config(strategy=strategy, include_val_in_train=True, eval_every=25)
             a, b = train(cfg, *as_bytes), train(cfg, *as_floats)
+            assert np.isfinite(a.model.flatten()).all()
             assert [w.tobytes() for w in a.model.layers] == [w.tobytes() for w in b.model.layers]
             assert [repr(r.csv_row()) for r in a.records] == [repr(r.csv_row()) for r in b.records]
             for key in ("step", "weight", "flipped"):
@@ -297,16 +287,6 @@ class TestValidationFolding:
         )
         result = train(cfg, train_ds, val_ds, test_ds)
         assert result.examples == 2 * (len(train_ds) + len(val_ds))
-
-    def test_meta_sees_identical_pool(self):
-        # meta_reweight gets no extra examples: pool goes from train+val for
-        # both strategies; only the weighting differs.
-        train_ds, val_ds, test_ds = blob_sets()
-        cfg_uni = small_config(include_val_in_train=True)
-        cfg_meta = small_config(strategy="meta_reweight", include_val_in_train=True)
-        uni = train(cfg_uni, train_ds, val_ds, test_ds)
-        meta = train(cfg_meta, train_ds, val_ds, test_ds)
-        assert meta.examples - uni.examples == 60 * 4
 
 
 class TestHardMiningDefaults:
