@@ -172,6 +172,10 @@ def build_experiment(values: dict) -> ExperimentConfig:
         raise ConfigError("field 'subset_total': must be at least 1")
     if values["strategy"] == "meta_reweight" and values["val_per_class"] == 0:
         raise ConfigError("field 'val_per_class': meta_reweight needs a validation split")
+    if values["early_stop_on_hyperval"] and values["hyperval_total"] == 0:
+        raise ConfigError("field 'early_stop_on_hyperval': needs hyperval_total > 0")
+    if noise is None and values["noise_ratio"] != 0:
+        raise ConfigError("field 'noise_ratio': needs a noise_kind")
 
     return ExperimentConfig(
         train=train,

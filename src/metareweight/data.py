@@ -37,7 +37,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     original_labels: np.ndarray = field(default=None)  # type: ignore[assignment]
-    label_map: dict | None = None
 
     def __post_init__(self):
         images = np.asarray(self.images)
@@ -63,12 +62,7 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return Dataset(
-            self.images[idx],
-            self.labels[idx],
-            self.original_labels[idx],
-            self.label_map,
-        )
+        return Dataset(self.images[idx], self.labels[idx], self.original_labels[idx])
 
 
 @dataclass
@@ -90,6 +84,11 @@ class ImbalanceSpec:
                 f"total {self.total} too small for ratio {self.ratio}: "
                 "needs at least ratio + 1 examples"
             )
+
+    @property
+    def label_map(self) -> dict:
+        """The relabelling of the pair, minority -> 0 and majority -> 1."""
+        return {self.minority_class: 0, self.majority_class: 1}
 
 
 @dataclass
@@ -200,8 +199,7 @@ def make_imbalanced_pair(ds: Dataset, spec: ImbalanceSpec, rng: np.random.Genera
     """Subsample two classes at the requested ratio and relabel them 0/1.
 
     The minority count is round(total / (ratio + 1)), clamped to at least 1.
-    Labels are remapped minority -> 0, majority -> 1 and the map is recorded
-    so the test set can be filtered the same way.
+    Labels are remapped minority -> 0, majority -> 1.
     """
     n_min = max(1, int(round(spec.total / (spec.ratio + 1))))
     n_maj = spec.total - n_min
@@ -219,9 +217,8 @@ def make_imbalanced_pair(ds: Dataset, spec: ImbalanceSpec, rng: np.random.Genera
     take_maj = rng.choice(maj_pool, size=n_maj, replace=False)
     idx = np.concatenate([take_min, take_maj])
     rng.shuffle(idx)
-    label_map = {spec.minority_class: 0, spec.majority_class: 1}
     new_labels = np.where(ds.labels[idx] == spec.minority_class, 0, 1).astype(np.int64)
-    return Dataset(ds.images[idx], new_labels, new_labels.copy(), label_map)
+    return Dataset(ds.images[idx], new_labels)
 
 
 def filter_remap(ds: Dataset, label_map: dict) -> Dataset:
@@ -231,7 +228,7 @@ def filter_remap(ds: Dataset, label_map: dict) -> Dataset:
     keep = np.isin(ds.labels, list(label_map))
     labels = ds.labels[keep]
     new_labels = np.array([label_map[int(y)] for y in labels], dtype=np.int64)
-    return Dataset(ds.images[keep], new_labels, new_labels.copy(), dict(label_map))
+    return Dataset(ds.images[keep], new_labels)
 
 
 def split_indices(size: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +297,7 @@ def corrupt(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:
     else:
         flip = (labels != spec.background_class) & (rng.random(len(ds)) < spec.ratio)
         labels[flip] = spec.background_class
-    return Dataset(ds.images, labels, ds.original_labels.copy(), ds.label_map)
+    return Dataset(ds.images, labels, ds.original_labels.copy())
 
 
 def locate_mnist(root: str | None = None) -> dict | None:

@@ -43,7 +43,7 @@ def prepare_datasets(
         ds = ds.subset(keep)
     if exp.imbalance is not None:
         ds = make_imbalanced_pair(ds, exp.imbalance, rng)
-        test = filter_remap(base_test, ds.label_map)
+        test = filter_remap(base_test, exp.imbalance.label_map)
 
     hyper = None
     if exp.hyperval_total > 0:

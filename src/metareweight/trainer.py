@@ -177,7 +177,6 @@ def _concat(a: Dataset, b: Dataset) -> Dataset:
         np.concatenate([a.images, b.images]),
         np.concatenate([a.labels, b.labels]),
         np.concatenate([a.original_labels, b.original_labels]),
-        a.label_map or b.label_map,
     )
 
 

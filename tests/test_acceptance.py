@@ -125,12 +125,9 @@ def imbalance_results(mnist_train, mnist_test):
     for ratio in IMBALANCE_RATIOS:
         for seed in range(IMBALANCE_SEEDS):
             rng = np.random.default_rng([ratio, seed])
-            pair = make_imbalanced_pair(
-                mnist_train,
-                ImbalanceSpec(ratio=ratio, total=5000, minority_class=4, majority_class=9),
-                rng,
-            )
-            test_ds = filter_remap(mnist_test, pair.label_map)
+            spec = ImbalanceSpec(ratio=ratio, total=5000, minority_class=4, majority_class=9)
+            pair = make_imbalanced_pair(mnist_train, spec, rng)
+            test_ds = filter_remap(mnist_test, spec.label_map)
             train_ds, val_ds = split_clean_validation(pair, 5, rng)
             for strategy in ("meta_reweight", *IMBALANCE_BASELINES):
                 config = TrainConfig(

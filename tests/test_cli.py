@@ -203,22 +203,18 @@ class TestTrainCommand:
         assert rows[-1]["mean_w_flipped"] != "nan"
 
 
+def corrupt_argv(images, labels, out, *extra, ratio="0.5"):
+    """argv of a uniform_flip `corrupt` run; extra flags go last."""
+    return ["corrupt", "--images", str(images), "--labels", str(labels), "--out", str(out),
+            "--kind", "uniform_flip", "--ratio", ratio, *extra]
+
+
 class TestCorruptCommand:
     def test_roundtrip_with_sidecar(self, tmp_path):
         paths = synth_mnist_like(tmp_path, n_train=200)
         out = tmp_path / "corrupted-labels-idx1-ubyte"
-        code = main(
-            [
-                "corrupt",
-                "--images", paths["train_images"],
-                "--labels", paths["train_labels"],
-                "--out", str(out),
-                "--kind", "uniform_flip",
-                "--ratio", "0.5",
-                "--num-classes", "2",
-                "--seed", "3",
-            ]
-        )
+        code = main(corrupt_argv(paths["train_images"], paths["train_labels"], out,
+                                 "--num-classes", "2", "--seed", "3"))
         assert code == 0
         original = load_idx(paths["train_images"], paths["train_labels"])
         corrupted = load_idx(paths["train_images"], str(out))
@@ -236,29 +232,11 @@ class TestCorruptCommand:
 
     def test_bad_ratio_exits_2(self, tmp_path, capsys):
         paths = synth_mnist_like(tmp_path)
-        code = main(
-            [
-                "corrupt",
-                "--images", paths["train_images"],
-                "--labels", paths["train_labels"],
-                "--out", str(tmp_path / "x"),
-                "--kind", "uniform_flip",
-                "--ratio", "1.5",
-            ]
-        )
+        code = main(corrupt_argv(paths["train_images"], paths["train_labels"], tmp_path / "x", ratio="1.5"))
         assert code == 2
         assert "ratio" in capsys.readouterr().err
         # An images path that is a directory (IsADirectoryError) is bad input too.
-        code = main(
-            [
-                "corrupt",
-                "--images", str(tmp_path),
-                "--labels", paths["train_labels"],
-                "--out", str(tmp_path / "x"),
-                "--kind", "uniform_flip",
-                "--ratio", "0.5",
-            ]
-        )
+        code = main(corrupt_argv(tmp_path, paths["train_labels"], tmp_path / "x"))
         assert code == 2
         assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
@@ -271,32 +249,13 @@ class TestCorruptCommand:
         for name, data in (("half.idx.gz", packed[: len(packed) // 2]), ("flipped.idx.gz", flipped)):
             images = tmp_path / name
             images.write_bytes(data)
-            code = main(
-                [
-                    "corrupt",
-                    "--images", str(images),
-                    "--labels", paths["train_labels"],
-                    "--out", str(tmp_path / "x"),
-                    "--kind", "uniform_flip",
-                    "--ratio", "0.5",
-                ]
-            )
+            code = main(corrupt_argv(images, paths["train_labels"], tmp_path / "x"))
             assert code == 2
             assert capsys.readouterr().err.startswith(f"error: images: damaged compressed file {images}: ")
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         paths = synth_mnist_like(tmp_path)
-        code = main(
-            [
-                "corrupt",
-                "--images", paths["train_images"],
-                "--labels", paths["train_labels"],
-                "--out", str(tmp_path / "x"),
-                "--kind", "uniform_flip",
-                "--ratio", "0.5",
-                "--seed", "-1",
-            ]
-        )
+        code = main(corrupt_argv(paths["train_images"], paths["train_labels"], tmp_path / "x", "--seed", "-1"))
         assert code == 2
         assert capsys.readouterr().err == "error: --seed: must be nonnegative\n"
         assert not (tmp_path / "x").exists()
@@ -307,16 +266,7 @@ class TestCorruptCommand:
         images.write_bytes(idx_images_bytes(np.zeros((0, 6, 6))))
         labels.write_bytes(idx_labels_bytes([]))
         out = tmp_path / "corrupted-labels-idx1-ubyte"
-        code = main(
-            [
-                "corrupt",
-                "--images", str(images),
-                "--labels", str(labels),
-                "--out", str(out),
-                "--kind", "uniform_flip",
-                "--ratio", "0.5",
-            ]
-        )
+        code = main(corrupt_argv(images, labels, out))
         assert code == 0
         assert out.read_bytes() == idx_labels_bytes([])
         assert len(load_idx(str(images), str(out))) == 0

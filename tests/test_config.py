@@ -9,7 +9,11 @@ from metareweight.config import (
     config_hash,
     parse_config_file,
 )
+from metareweight.data import load_idx
 from metareweight.errors import ConfigError
+from metareweight.experiment import prepare_datasets
+
+from test_cli import synth_mnist_like, write_train_config
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -139,9 +143,26 @@ class TestBuildExperiment:
         assert exp.imbalance.ratio == 100 and exp.imbalance.total == 500
         assert exp.noise.kind == "uniform_flip" and exp.noise.ratio == 0.4
 
-    def test_meta_without_validation_rejected(self, tmp_path):
-        text = self._paths(tmp_path) + "val_per_class = 0\n"
-        with pytest.raises(ConfigError, match="val_per_class"):
+    def test_imbalance_test_set_filtered_and_remapped(self, tmp_path):
+        paths = synth_mnist_like(tmp_path, k=3)
+        pair = "imbalance_ratio = 2\nimbalance_total = 30\nminority_class = 1\nmajority_class = 0\n"
+        exp = build_experiment(parse_config_file(write_train_config(tmp_path, paths, extra=pair)))
+        base_test = load_idx(paths["test_images"], paths["test_labels"])
+        base_train = load_idx(paths["train_images"], paths["train_labels"])
+        _, _, test, _ = prepare_datasets(exp, 0, base_train, base_test)
+        keep = np.flatnonzero(base_test.labels != 2)
+        assert 0 < keep.size < len(base_test)
+        np.testing.assert_array_equal(test.images, base_test.images[keep])
+        np.testing.assert_array_equal(test.labels, 1 - base_test.labels[keep])
+
+    @pytest.mark.parametrize(
+        "field, value", [("val_per_class", 0), ("early_stop_on_hyperval", "true"), ("noise_ratio", 0.4)]
+    )
+    def test_incomplete_setting_rejected(self, tmp_path, field, value):
+        # meta_reweight without validation, early stopping without a hyperval
+        # set, a noise ratio without a noise kind.
+        text = self._paths(tmp_path) + f"{field} = {value}\n"
+        with pytest.raises(ConfigError, match=field):
             build_experiment(parse_config_file(write_config(tmp_path, text)))
 
     def test_bad_strategy_rejected(self, tmp_path):

@@ -38,19 +38,18 @@ def idx_labels_bytes(labels):
     return struct.pack(">ii", 0x00000801, labels.size) + labels.tobytes()
 
 
+def write_raw_pair(tmp_path, image_bytes, label_bytes, gz=False):
+    """An image and a label file holding exactly these bytes (gzipped if gz)."""
+    paths = []
+    for name, data in (("images-idx3-ubyte", image_bytes), ("labels-idx1-ubyte", label_bytes)):
+        path = tmp_path / (name + (".gz" if gz else ""))
+        path.write_bytes(gzip.compress(data) if gz else data)
+        paths.append(str(path))
+    return tuple(paths)
+
+
 def write_pair(tmp_path, images, labels, gz=False):
-    suffix = ".gz" if gz else ""
-    ip = tmp_path / f"images-idx3-ubyte{suffix}"
-    lp = tmp_path / f"labels-idx1-ubyte{suffix}"
-    iout = idx_images_bytes(images)
-    lout = idx_labels_bytes(labels)
-    if gz:
-        ip.write_bytes(gzip.compress(iout))
-        lp.write_bytes(gzip.compress(lout))
-    else:
-        ip.write_bytes(iout)
-        lp.write_bytes(lout)
-    return str(ip), str(lp)
+    return write_raw_pair(tmp_path, idx_images_bytes(images), idx_labels_bytes(labels), gz)
 
 
 class TestIdxParsing:
@@ -83,65 +82,43 @@ class TestIdxParsing:
         assert np.array_equal(inputs, images.reshape(2, 4).astype(np.float64) / 255.0)
 
     def test_mnist_sized_file_holds_one_byte_per_pixel(self, tmp_path):
-        ip = tmp_path / "img"
-        ip.write_bytes(struct.pack(">iiii", 0x00000803, 60000, 28, 28) + bytes(60000 * 784))
-        lp = tmp_path / "lab"
-        lp.write_bytes(idx_labels_bytes(np.zeros(60000)))
-        ds = load_idx(str(ip), str(lp))
+        header = struct.pack(">iiii", 0x00000803, 60000, 28, 28)
+        ds = load_idx(*write_raw_pair(tmp_path, header + bytes(60000 * 784), idx_labels_bytes(np.zeros(60000))))
         assert ds.images.shape == (60000, 784)
         assert ds.images.nbytes == 60000 * 784
 
     def test_wrong_image_magic(self, tmp_path):
-        ip = tmp_path / "img"
-        ip.write_bytes(idx_labels_bytes([1]))  # labels magic where images expected
-        lp = tmp_path / "lab"
-        lp.write_bytes(idx_labels_bytes([1]))
+        # Labels magic where images are expected.
+        pair = write_raw_pair(tmp_path, idx_labels_bytes([1]), idx_labels_bytes([1]))
         with pytest.raises(IdxParseError, match="images magic"):
-            load_idx(str(ip), str(lp))
+            load_idx(*pair)
 
     def test_wrong_label_magic(self, tmp_path):
-        images = np.zeros((1, 2, 2), dtype=np.uint8)
-        ip = tmp_path / "img"
-        ip.write_bytes(idx_images_bytes(images))
-        lp = tmp_path / "lab"
-        lp.write_bytes(idx_images_bytes(images))  # images magic where labels expected
+        # Images magic where labels are expected.
+        images = idx_images_bytes(np.zeros((1, 2, 2)))
         with pytest.raises(IdxParseError, match="labels magic"):
-            load_idx(str(ip), str(lp))
+            load_idx(*write_raw_pair(tmp_path, images, images))
 
     def test_truncated_payload(self, tmp_path):
         # Header claims one 2x2 image but carries no payload bytes.
-        ip = tmp_path / "img"
-        ip.write_bytes(struct.pack(">iiii", 0x00000803, 1, 2, 2))
-        lp = tmp_path / "lab"
-        lp.write_bytes(idx_labels_bytes([0]))
+        pair = write_raw_pair(tmp_path, struct.pack(">iiii", 0x00000803, 1, 2, 2), idx_labels_bytes([0]))
         with pytest.raises(IdxParseError, match="images payload"):
-            load_idx(str(ip), str(lp))
+            load_idx(*pair)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        images = np.zeros((1, 2, 2), dtype=np.uint8)
-        ip = tmp_path / "img"
-        ip.write_bytes(idx_images_bytes(images) + b"\x00")
-        lp = tmp_path / "lab"
-        lp.write_bytes(idx_labels_bytes([0]))
+        pair = write_raw_pair(tmp_path, idx_images_bytes(np.zeros((1, 2, 2))) + b"\x00", idx_labels_bytes([0]))
         with pytest.raises(IdxParseError, match="images payload"):
-            load_idx(str(ip), str(lp))
+            load_idx(*pair)
 
     def test_count_mismatch(self, tmp_path):
-        images = np.zeros((2, 2, 2), dtype=np.uint8)
-        ip = tmp_path / "img"
-        ip.write_bytes(idx_images_bytes(images))
-        lp = tmp_path / "lab"
-        lp.write_bytes(idx_labels_bytes([0, 1, 2]))
         with pytest.raises(IdxParseError, match="count mismatch"):
-            load_idx(str(ip), str(lp))
+            load_idx(*write_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1, 2]))
 
     def test_write_labels_roundtrip(self, tmp_path):
-        images = np.zeros((3, 2, 2), dtype=np.uint8)
-        ip = tmp_path / "img"
-        ip.write_bytes(idx_images_bytes(images))
+        images, _ = write_pair(tmp_path, np.zeros((3, 2, 2)), [0, 0, 0])
         out = tmp_path / "out-labels"
         write_idx_labels(np.array([3, 1, 9]), str(out))
-        ds = load_idx(str(ip), str(out))
+        ds = load_idx(images, str(out))
         assert list(ds.labels) == [3, 1, 9]
 
     def test_write_labels_gz(self, tmp_path):
@@ -220,14 +197,15 @@ class TestImbalance:
         # Independent oracle for the split sizes. 5000 / 101 = 49.5 needs the
         # rounding; at ratio 50, 5000 / 50 = 100 tells the wrong divisor apart.
         for ratio in (100, 50):
-            out = make_imbalanced_pair(ds, ImbalanceSpec(ratio=ratio, total=5000), rng)
+            spec = ImbalanceSpec(ratio=ratio, total=5000)
+            out = make_imbalanced_pair(ds, spec, rng)
             want_min = round(5000 / (ratio + 1))
             assert len(out) == 5000
             assert int((out.labels == 0).sum()) == want_min
             assert int((out.labels == 1).sum()) == 5000 - want_min
             assert set(np.unique(out.labels)) == {0, 1}
             assert not out.flipped_mask.any()
-            assert out.label_map == {4: 0, 9: 1}
+            assert spec.label_map == {4: 0, 9: 1}
 
     def test_minimum_one_minority(self):
         rng = np.random.default_rng(51)

@@ -41,12 +41,12 @@ def blob_sets(seed=0, n_per=80, d=6, k=2):
 def byte_backed(ds):
     """ds with its pixels quantized to uint8 bytes, as `load_idx` returns them."""
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)
-    return Dataset(pixels, ds.labels, ds.original_labels, ds.label_map)
+    return Dataset(pixels, ds.labels, ds.original_labels)
 
 
 def pre_scaled(ds):
     """A byte-backed ds with its pixels already scaled to float64 in [0, 1]."""
-    return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels, ds.original_labels, ds.label_map)
+    return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels, ds.original_labels)
 
 
 def small_config(**kw):
