@@ -24,9 +24,18 @@ not every change run beats every parent run, else `ok`.
 
 A run that fails drops its pair from the medians; it, a change run that is
 not correct or fails more operations than its paired parent run, or any
-`worse` verdict makes the exit status 1. The script only reads
-`perfbench/`; the runs write what any benchmark run writes, `.perfbench/` in
-each root.
+`worse` verdict makes the exit status 1.
+
+When any pair completed, the script appends one entry to the JSON list in
+`BENCH_<workload>.json` at the change root, so the repository keeps its
+performance history: each side's commit (`unknown` for a root that is not a
+git checkout, suffixed `-dirty` when its `src/`, `perfbench/` or
+`BENCHMARK.json` differ from that commit), the seeds, the run seconds, the
+completed pairs, whether the change's runs were sound, and for every
+end-to-end metric both sides' q1/median/q3, the pairs each side won, the
+claimable flag, the regression verdict and the change/parent median ratio.
+Besides that file, the runs write what any benchmark run writes,
+`.perfbench/` in each root.
 """
 
 import argparse
@@ -78,15 +87,44 @@ def regression(m: dict, parent: list[float], change: list[float]) -> str:
     return "unresolved" if p3 - p1 > allowed and not beats_all else "ok"
 
 
-def compare(metrics: list[dict], pairs: list[tuple[dict, dict]], pairs_run: int,
-            sound: bool) -> tuple[list[str], bool]:
-    """One table row per metric: medians, quartiles, wins, whether a gain is
-    claimable and the regression verdict; and whether any verdict is `worse`.
-    `pairs` holds the completed pairs' metrics; the nine-tenths test counts
-    against all `pairs_run`, and no gain is claimable unless `sound`."""
+def table(summary: dict[str, dict]) -> list[str]:
+    """The printed comparison: one row per metric of an entry's `metrics`."""
     rows = [f"{'metric':<28} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} "
             f"{'wins p/c':>9}  gain  regression"]
-    worse = False
+    for name, s in summary.items():
+        sides = " ".join(f"{s[side]['q1']:>10.4g} {s[side]['median']:>9.4g} {s[side]['q3']:>9.4g}"
+                         for side in ("parent", "change"))
+        rows.append(f"{name:<28} {sides} {s['wins']['parent']:>4}/{s['wins']['change']:<4}  "
+                    f"{'yes' if s['claimable'] else 'no':<4}  {s['regression']}")
+    return rows
+
+
+def commit(root: str) -> str:
+    """The commit checked out in root, suffixed `-dirty` when its `src/`,
+    `perfbench/` or `BENCHMARK.json` differ from it; `unknown` when root is
+    not a git checkout (a `git archive`, say)."""
+    if not os.path.exists(os.path.join(root, ".git")):
+        return "unknown"
+    def git(*args):
+        return subprocess.run(["git", "-C", root, *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+    try:
+        head = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + "-dirty" if dirty else head
+
+
+def bench_entry(commits: tuple[str, str], seeds: list[int], seconds: float, metrics: list[dict],
+                pairs: list[tuple[dict, dict]], sound: bool) -> dict:
+    """One entry of `BENCH_<workload>.json`: the commits compared, the seeds
+    of all pairs run, the run seconds, and for every metric each side's
+    q1/median/q3, the pairs each side won, whether a gain is claimable, the
+    regression verdict and the change/parent median ratio. `pairs` holds the
+    completed pairs' metrics; the nine-tenths test counts against all pairs
+    run, and no gain is claimable unless `sound`."""
+    summary = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p[name] for p, _ in pairs]
@@ -95,14 +133,30 @@ def compare(metrics: list[dict], pairs: list[tuple[dict, dict]], pairs_run: int,
         parent_wins = sum((p > c) if higher else (p < c) for p, c in zip(parent, change))
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         improved = cm > pm if higher else cm < pm
-        claim = (sound and improved and change_wins >= 0.9 * pairs_run
-                 and abs(cm - pm) > p3 - p1)
-        verdict = regression(m, parent, change)
-        worse = worse or verdict == "worse"
-        rows.append(f"{name:<28} {p1:>10.4g} {pm:>9.4g} {p3:>9.4g} {c1:>10.4g} {cm:>9.4g} "
-                    f"{c3:>9.4g} {parent_wins:>4}/{change_wins:<4}  {'yes' if claim else 'no':<4}  "
-                    f"{verdict}")
-    return rows, worse
+        summary[name] = {
+            "parent": {"q1": p1, "median": pm, "q3": p3},
+            "change": {"q1": c1, "median": cm, "q3": c3},
+            "wins": {"parent": parent_wins, "change": change_wins},
+            "claimable": (sound and improved and change_wins >= 0.9 * len(seeds)
+                          and abs(cm - pm) > p3 - p1),
+            "regression": regression(m, parent, change),
+            "ratio": cm / pm if pm else None,
+        }
+    return {"parent_commit": commits[0], "change_commit": commits[1], "seeds": seeds,
+            "run_seconds": seconds, "pairs_completed": len(pairs), "sound": sound,
+            "metrics": summary}
+
+
+def append_entry(path: str, entry: dict) -> None:
+    """Append entry to the JSON list in path, which is created if missing."""
+    entries = []
+    if os.path.exists(path):
+        with open(path) as f:
+            entries = json.load(f)
+    entries.append(entry)
+    with open(path, "w") as f:
+        json.dump(entries, f, indent=1)
+        f.write("\n")
 
 
 def main() -> int:
@@ -148,8 +202,14 @@ def main() -> int:
               "or failed more operations than its paired parent run")
     worse = False
     if pairs:
-        rows, worse = compare(spec["end_to_end"], pairs, args.pairs, sound)
-        print("\n".join(rows))
+        seeds = list(range(args.seed, args.seed + args.pairs))
+        entry = bench_entry(tuple(commit(r) for r in roots), seeds, seconds, spec["end_to_end"],
+                            pairs, sound)
+        worse = any(s["regression"] == "worse" for s in entry["metrics"].values())
+        print("\n".join(table(entry["metrics"])))
+        path = os.path.join(roots[1], f"BENCH_{args.workload}.json")
+        append_entry(path, entry)
+        print(f"appended this comparison to {path}")
     return 1 if failed or not sound or worse else 0
 
 

@@ -120,13 +120,17 @@ MUTANTS = [
      "2.0 * batch_size / denom"),
     ("theory/rate-running-max", "theory.py", "np.minimum.accumulate(norms)",
      "np.maximum.accumulate(norms)"),
-    ("data/idx-images-scaled-floats", "data.py",
-     "    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)\n",
-     "    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols) / 255.0\n"),
-    ("data/idx-trailing-bytes-accepted", "data.py", "    if len(payload) != expected:\n",
-     "    if len(payload) < expected:\n"),
+    ("data/idx-images-scaled-floats", "data.py", "    images = pixels.reshape(count, rows * cols)\n",
+     "    images = pixels.reshape(count, rows * cols) / 255.0\n"),
+    ("data/idx-trailing-bytes-accepted", "data.py", "    if len(buffer) - header != expected:\n",
+     "    if len(buffer) - header < expected:\n"),
     ("data/gzip-damage-unwrapped", "data.py",
-     "    except (EOFError, zlib.error, gzip.BadGzipFile) as e:\n", "    except EOFError as e:\n"),
+     "        except (EOFError, zlib.error, gzip.BadGzipFile) as e:\n", "        except EOFError as e:\n"),
+    ("data/idx-map-writable", "data.py", "access=mmap.ACCESS_READ", "access=mmap.ACCESS_COPY"),
+    ("data/idx-empty-file-mapped", "data.py", "        if os.fstat(f.fileno()).st_size == 0:\n",
+     "        if False:\n"),
+    ("data/remap-looks-up-keys", "data.py", "values[np.searchsorted(keys, ds.labels[keep])]",
+     "keys[np.searchsorted(keys, ds.labels[keep])]"),
     ("data/empty-labels-not-writable", "data.py",
      "    if labels.size and (labels.min() < 0 or labels.max() > 255):\n",
      "    if labels.min() < 0 or labels.max() > 255:\n"),

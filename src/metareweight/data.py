@@ -7,6 +7,7 @@ stages can tell clean examples from corrupted ones without re-deriving it.
 import csv
 import gzip
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -113,60 +114,67 @@ class NoiseSpec:
             )
 
 
-def _open_maybe_gzip(path: str):
+def _file_buffer(path: str, what: str):
+    """The whole of one file, which the caller's arrays may view in place."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    # Unbuffered, so that read() returns the payload in one allocation: a
-    # buffered reader joins its buffer with the rest, a second full copy.
-    return open(path, "rb", buffering=0)
+        # A compressed file cannot be mapped: decompressed into one bytes object.
+        try:
+            with gzip.open(path, "rb") as f:
+                return f.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+            # A truncated or corrupted gzip stream, found while decompressing.
+            raise IdxParseError(f"{what}: damaged compressed file {path}: {e}") from e
+    with open(path, "rb") as f:
+        # Mapped read-only, so that a run pays only for the pages it reads. mmap
+        # refuses an empty file; its empty buffer fails the magic check instead.
+        if os.fstat(f.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise IdxParseError(f"{what}: expected {count} bytes, file ends after {len(data)}")
-    return data
-
-
-def _read_idx(path: str, what: str, magic: int, ndim: int) -> tuple[tuple[int, ...], bytes]:
-    """The ndim header sizes and the payload of one IDX file, checked against each other."""
-    try:
-        with _open_maybe_gzip(path) as f:
-            (got,) = struct.unpack(">i", _read_exact(f, 4, f"{what} magic in {path}"))
-            if got != magic:
-                raise IdxParseError(
-                    f"{what} magic: expected {magic:#010x}, got {got:#010x} in {path}"
-                )
-            dims = struct.unpack(f">{ndim}i", _read_exact(f, 4 * ndim, f"{what} header in {path}"))
-            if dims[0] < 0 or any(d <= 0 for d in dims[1:]):
-                raise IdxParseError(
-                    f"{what} header: bad dimensions {'x'.join(map(str, dims))} in {path}"
-                )
-            payload = f.read()
-    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
-        # A truncated or corrupted gzip stream, found while decompressing.
-        raise IdxParseError(f"{what}: damaged compressed file {path}: {e}") from e
-    expected = math.prod(dims)
-    if len(payload) != expected:
+def _unpack(fmt: str, buffer, offset: int, what: str) -> tuple[int, ...]:
+    count = struct.calcsize(fmt)
+    if len(buffer) < offset + count:
         raise IdxParseError(
-            f"{what} payload: header promises {expected} bytes, {path} has {len(payload)}"
+            f"{what}: expected {count} bytes, file ends after {len(buffer) - offset}"
         )
-    return dims, payload
+    return struct.unpack_from(fmt, buffer, offset)
+
+
+def _read_idx(path: str, what: str, magic: int, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The ndim header sizes and the uint8 payload of one IDX file, checked against each other."""
+    buffer = _file_buffer(path, what)
+    (got,) = _unpack(">i", buffer, 0, f"{what} magic in {path}")
+    if got != magic:
+        raise IdxParseError(f"{what} magic: expected {magic:#010x}, got {got:#010x} in {path}")
+    dims = _unpack(f">{ndim}i", buffer, 4, f"{what} header in {path}")
+    if dims[0] < 0 or any(d <= 0 for d in dims[1:]):
+        raise IdxParseError(f"{what} header: bad dimensions {'x'.join(map(str, dims))} in {path}")
+    header = 4 * (ndim + 1)
+    expected = math.prod(dims)
+    if len(buffer) - header != expected:
+        raise IdxParseError(
+            f"{what} payload: header promises {expected} bytes, {path} has {len(buffer) - header}"
+        )
+    return dims, np.frombuffer(buffer, dtype=np.uint8, offset=header)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
     Big-endian headers. Images come back as a read-only (count, rows * cols)
-    uint8 view of the bytes read, not a copy. Files ending in .gz
-    are decompressed transparently. Any header or size violation, and any
-    damage to a compressed file, raises IdxParseError naming the offending
-    file and field.
+    uint8 view, not a copy: of a read-only mapping of a plain file, whose
+    pages are read only when an image is, or of the decompressed bytes of a
+    file ending in .gz. Labels are copied out as int64. Do not truncate or
+    rewrite an images file while its images are in use: reading a mapped page
+    past the end of a truncated file kills the process with SIGBUS. Any header
+    or size violation, and any damage to a compressed file, raises
+    IdxParseError naming the offending file and field.
     """
-    (count, rows, cols), payload = _read_idx(images_path, "images", IMAGE_MAGIC, 3)
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
+    (count, rows, cols), pixels = _read_idx(images_path, "images", IMAGE_MAGIC, 3)
+    images = pixels.reshape(count, rows * cols)
     (lcount,), payload = _read_idx(labels_path, "labels", LABEL_MAGIC, 1)
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    labels = payload.astype(np.int64)
     if count != lcount:
         raise IdxParseError(f"count mismatch: {count} images but {lcount} labels")
     return Dataset(images, labels)
@@ -225,10 +233,9 @@ def filter_remap(ds: Dataset, label_map: dict) -> Dataset:
     """Keep only examples whose label is in the map, relabeled through it."""
     if not label_map:
         raise ConfigError("label map is empty")
-    keep = np.isin(ds.labels, list(label_map))
-    labels = ds.labels[keep]
-    new_labels = np.array([label_map[int(y)] for y in labels], dtype=np.int64)
-    return Dataset(ds.images[keep], new_labels)
+    keys, values = (np.array(v, dtype=np.int64) for v in zip(*sorted(label_map.items())))
+    keep = np.isin(ds.labels, keys)
+    return Dataset(ds.images[keep], values[np.searchsorted(keys, ds.labels[keep])])
 
 
 def split_indices(size: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

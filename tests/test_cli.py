@@ -4,6 +4,7 @@ import csv
 import gzip
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +230,15 @@ class TestCorruptCommand:
             i = int(r["index"])
             assert int(r["original_label"]) == original.labels[i]
             assert int(r["new_label"]) == corrupted.labels[i]
+
+    def test_out_may_name_its_own_labels(self, tmp_path):
+        paths = synth_mnist_like(tmp_path, n_train=200)
+        images, labels = paths["train_images"], Path(paths["train_labels"])
+        ref = tmp_path / "ref-labels-idx1-ubyte"
+        assert main(corrupt_argv(images, labels, ref, "--num-classes", "2", "--seed", "3")) == 0
+        assert ref.read_bytes() != labels.read_bytes()
+        assert main(corrupt_argv(images, labels, labels, "--num-classes", "2", "--seed", "3")) == 0
+        assert labels.read_bytes() == ref.read_bytes()
 
     def test_bad_ratio_exits_2(self, tmp_path, capsys):
         paths = synth_mnist_like(tmp_path)

@@ -87,6 +87,21 @@ class TestIdxParsing:
         assert ds.images.shape == (60000, 784)
         assert ds.images.nbytes == 60000 * 784
 
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_zero_count_pair_loads_empty(self, tmp_path, gz):
+        # The payload offset equals the file's length.
+        ds = load_idx(*write_pair(tmp_path, np.zeros((0, 3, 5)), [], gz=gz))
+        assert ds.images.shape == (0, 15) and ds.images.dtype == np.uint8
+        assert ds.labels.shape == (0,)
+
+    def test_labels_survive_rewrite_in_place(self, tmp_path):
+        # As `corrupt --out` does when it names its own --labels.
+        images, labels = write_pair(tmp_path, np.zeros((3, 2, 2)), [4, 1, 7])
+        ds = load_idx(images, labels)
+        write_idx_labels(np.array([0, 0]), labels)
+        assert list(ds.labels) == [4, 1, 7]
+        assert list(ds.original_labels) == [4, 1, 7]
+
     def test_wrong_image_magic(self, tmp_path):
         # Labels magic where images are expected.
         pair = write_raw_pair(tmp_path, idx_labels_bytes([1]), idx_labels_bytes([1]))
@@ -234,6 +249,13 @@ class TestImbalance:
         assert len(out) == 50
         assert set(np.unique(out.labels)) == {0, 1}
         assert int((out.labels == 0).sum()) == 20
+        # The per-label loop is the reference, keys given out of order.
+        label_map = {9: 0, 7: 5, 4: 1}
+        out = filter_remap(ds, label_map)
+        keep = [i for i, y in enumerate(ds.labels) if int(y) in label_map]
+        np.testing.assert_array_equal(out.images, ds.images[keep])
+        np.testing.assert_array_equal(out.labels, [label_map[int(ds.labels[i])] for i in keep])
+        assert out.labels.dtype == np.int64
 
     def test_images_travel_with_labels(self):
         rng = np.random.default_rng(54)
