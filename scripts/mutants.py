@@ -84,6 +84,10 @@ MUTANTS = [
     ("reweight/resample-by-example", "reweight.py",
      "    picks = rng.integers(0, classes.size, size=n)\n",
      "    picks = labels[rng.integers(0, labels.size, size=n)]\n"),
+    ("trainer/config-not-frozen", "trainer.py", "@dataclass(frozen=True)\nclass TrainConfig:",
+     "@dataclass\nclass TrainConfig:"),
+    ("trainer/schedule-kept-as-list", "trainer.py",
+     '        object.__setattr__(self, "lr_schedule", tuple(self.lr_schedule))\n', ""),
     ("trainer/nan-learning-rate-accepted", "trainer.py",
      "        if not 0 < self.learning_rate < np.inf:\n", "        if self.learning_rate <= 0:\n"),
     ("trainer/validation-not-in-pool", "trainer.py", "        pool = _concat(train_ds, val_ds)\n",
@@ -148,6 +152,10 @@ MUTANTS = [
      'weight_log["flipped"].astype(np.int64)', 'weight_log["flipped"]'),
     ("experiment/repeats-share-a-seed", "experiment.py", "        seed = exp.train.seed + r\n",
      "        seed = exp.train.seed\n"),
+    ("experiment/each-seed-result-kept", "experiment.py",
+     "        result = train(cfg, train_ds, val_ds, test_ds, hyper)\n",
+     "        result = train(cfg, train_ds, val_ds, test_ds, hyper)\n"
+     '        run_experiment.__dict__.setdefault("results", []).append(result)\n'),
     ("experiment/imbalance-test-set-unfiltered", "experiment.py",
      "        test = filter_remap(base_test, exp.imbalance.label_map)\n", "        test = base_test\n"),
     ("config/comments-kept", "config.py", '        line = raw.split("#", 1)[0].strip()\n',

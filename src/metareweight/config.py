@@ -144,7 +144,6 @@ def build_experiment(values: dict) -> ExperimentConfig:
             raise ConfigError(f"field {key!r}: file not found: {values[key]}")
 
     train = TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
-    train.validate()
 
     imbalance = None
     if values["imbalance_ratio"] is not None:

@@ -26,7 +26,7 @@ from .data import (
     split_indices,
     write_csv,
 )
-from .trainer import MetricsRecord, TrainResult, train
+from .trainer import MetricsRecord, train
 
 
 def prepare_datasets(
@@ -99,14 +99,12 @@ def run_experiment(exp: ExperimentConfig, progress=None) -> dict:
     base_test = load_idx(exp.test_images, exp.test_labels)
 
     per_seed = []
-    results: list[TrainResult] = []
     t0 = time.perf_counter()
     for r in range(exp.repeat):
         seed = exp.train.seed + r
         train_ds, val_ds, test_ds, hyper = prepare_datasets(exp, seed, base_train, base_test)
         cfg = replace(exp.train, seed=seed)
         result = train(cfg, train_ds, val_ds, test_ds, hyper)
-        results.append(result)
         write_metrics_csv(result.records, os.path.join(exp.output_dir, f"metrics_seed{seed}.csv"))
         write_weights_csv(result.weight_log, os.path.join(exp.output_dir, f"weights_seed{seed}.csv"))
         if hyper is not None:

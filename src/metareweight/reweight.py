@@ -77,11 +77,7 @@ def meta_grad_lookahead(
         raise DimensionError(f"eps0 shape {eps0.shape} does not match batch size {n}")
 
     train_grads = backward_per_example(model, forward(model, train_batch), train_batch)
-    if np.any(eps0 != 0.0):
-        stepped = sgd_step(model, weighted_gradient(train_grads, eps0), alpha)
-    else:
-        stepped = model
-
+    stepped = sgd_step(model, weighted_gradient(train_grads, eps0), alpha)
     val_grads = backward_per_example(stepped, forward(stepped, val_batch), val_batch)
     m = len(val_batch)
     return alpha * dot_with_each(train_grads, weighted_gradient(val_grads, np.full(m, 1.0 / m)))

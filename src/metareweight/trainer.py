@@ -21,7 +21,7 @@ import concurrent.futures
 import functools
 import operator
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,11 +48,11 @@ from .reweight import (
 STRATEGIES = ("uniform", "meta_reweight", "proportion", "resample", "hard_mining", "random")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     strategy: str = "uniform"
     learning_rate: float = 1e-3
-    lr_schedule: list[tuple[int, float]] = field(default_factory=list)
+    lr_schedule: tuple[tuple[int, float], ...] = ()
     batch_size_train: int = 100
     batch_size_val: int = 10
     total_steps: int = 8000
@@ -64,7 +64,9 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (256,)
     activation: str = "relu"
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # Checked here only, so the schedule becomes a tuple that cannot change after the check.
+        object.__setattr__(self, "lr_schedule", tuple(self.lr_schedule))
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}")
         if not 0 < self.learning_rate < np.inf:
@@ -216,7 +218,6 @@ def train(
     meta_reweight gets no extra data, only the identity of the clean ones.
     A NonFiniteError is raised again with the seed and the step it hit.
     """
-    config.validate()
     if len(train_ds) == 0:
         raise ConfigError("training set is empty")
     if len(test_ds) == 0:

@@ -120,7 +120,7 @@ class TestTrainCommand:
     def test_missing_dataset_field_exits_2(self, tmp_path, capsys):
         paths = synth_mnist_like(tmp_path)
         text = write_train_config(tmp_path, paths)
-        content = open(text).read().replace(f"test_labels = {paths['test_labels']}\n", "")
+        content = Path(text).read_text().replace(f"test_labels = {paths['test_labels']}\n", "")
         bad = tmp_path / "bad.cfg"
         bad.write_text(content)
         assert main(["train", "--config", str(bad)]) == 2
@@ -146,6 +146,7 @@ class TestTrainCommand:
         cfg = write_train_config(tmp_path, paths, extra="seed = -1\n", name="neg.cfg")
         assert main(["train", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
+        assert not Path(out).exists()
 
     def test_nan_imbalance_ratio_exits_2(self, tmp_path, capsys):
         paths = synth_mnist_like(tmp_path)
@@ -153,6 +154,25 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
         assert err == "error: imbalance ratio must be a finite number >= 1, got nan\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        pytest.param("learning_rate = 0.05", "learning_rate = nan",
+                     "learning_rate: must be positive and finite", id="nan_learning_rate"),
+        pytest.param("eval_every = 20", "eval_every = 20\nlr_schedule = 20:inf",
+                     "lr_schedule: multipliers must be positive and finite", id="inf_schedule_multiplier"),
+        pytest.param("eval_every = 20", "eval_every = 20\nearly_stop_on_hyperval = true",
+                     "field 'early_stop_on_hyperval': needs hyperval_total > 0", id="early_stop_no_hyperval"),
+        pytest.param("eval_every = 20", "eval_every = 20\nnoise_ratio = 0.3",
+                     "field 'noise_ratio': needs a noise_kind", id="noise_ratio_no_kind"),
+    ])
+    def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, old, new, message):
+        # The README's exit-2 cases that no other test runs through the CLI.
+        cfg = Path(write_train_config(tmp_path, synth_mnist_like(tmp_path)))
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -177,7 +197,7 @@ class TestTrainCommand:
         ):
             cfg = tmp_path / f"{strategy}.cfg"
             cfg.write_text(
-                open(write_train_config(tmp_path, paths, strategy=strategy)).read().replace(
+                Path(write_train_config(tmp_path, paths, strategy=strategy)).read_text().replace(
                     "learning_rate = 0.05", "learning_rate = 1e300"
                 )
             )

@@ -1,4 +1,8 @@
-"""Config file parsing, validation, and identity hashing."""
+"""Config file parsing, validation, identity hashing, and the experiment a
+config builds."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from metareweight.config import (
 )
 from metareweight.data import load_idx
 from metareweight.errors import ConfigError
-from metareweight.experiment import prepare_datasets
+from metareweight.experiment import prepare_datasets, run_experiment
 
 from test_cli import synth_mnist_like, write_train_config
 
@@ -195,3 +199,20 @@ class TestBuildExperiment:
             except ConfigError:
                 outcomes["rejected"] += 1
         assert outcomes["built"] and outcomes["rejected"]
+
+
+class TestRunExperiment:
+    def test_each_seed_result_released_before_the_next(self, tmp_path):
+        # Memory must not grow with repeat: when a seed reports, no earlier
+        # seed's final model is still alive.
+        cfg = write_train_config(tmp_path, synth_mnist_like(tmp_path),
+                                 extra=f"repeat = 3\noutput_dir = {tmp_path / 'runs'}\n")
+        earlier, alive = [], []
+
+        def progress(seed, result):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in earlier))
+            earlier.append(weakref.ref(result.model.layers[0]))
+
+        run_experiment(build_experiment(parse_config_file(cfg)), progress)
+        assert alive == [0, 0, 0]

@@ -48,28 +48,11 @@ class TestForward:
         assert np.isfinite(cache.losses).all()
         assert float(cache.losses[0]) <= 1e-12
 
-    def test_feature_mismatch_raises(self):
-        model = MLPModel.init([4, 3, 2])
-        with pytest.raises(DimensionError):
-            forward(model, Batch(np.zeros((2, 5)), np.zeros(2, dtype=int)))
-
     def test_input_is_batch_augmented(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, [6, 5, 3], "tanh")
         batch = random_batch(rng, 4, 6, 3)
         assert forward(model, batch).post[0] is batch.augmented
-
-    def test_nan_input_raises(self):
-        model = MLPModel.init([3, 2])
-        bad = np.zeros((2, 3))
-        bad[1, 1] = np.nan
-        with pytest.raises(NonFiniteError):
-            forward(model, Batch(bad, np.zeros(2, dtype=int)))
-
-    def test_label_out_of_range_raises(self):
-        model = MLPModel.init([3, 4, 2])
-        with pytest.raises(DimensionError):
-            forward(model, Batch(np.zeros((1, 3)), np.array([2])))
 
 
 class TestBackward:
@@ -169,14 +152,6 @@ class TestWeightedGradient:
         with pytest.raises(NonFiniteError):
             sgd_step(model, grad, 0.1)
 
-    def test_weight_shape_mismatch_raises(self):
-        rng = np.random.default_rng(17)
-        model = random_model(rng, [4, 3, 2], "relu")
-        batch = random_batch(rng, 3, 4, 2)
-        grads = backward_per_example(model, forward(model, batch), batch)
-        with pytest.raises(DimensionError):
-            weighted_gradient(grads, np.zeros(4))
-
     def test_dot_with_each_matches_flat(self):
         rng = np.random.default_rng(18)
         model = random_model(rng, [5, 4, 3], "sigmoid", bias_scale=0.3)
@@ -226,10 +201,6 @@ class TestFlatLayout:
         flat[:] = 0.0
         assert [w.tobytes() for w in stepped.layers] == before
 
-    def test_layer_views_size_checked(self):
-        with pytest.raises(DimensionError):
-            layer_views(np.zeros(11), [(2, 3), (3, 2)])
-
     def test_with_params_does_not_alias_its_input(self):
         model = random_model(np.random.default_rng(34), [4, 3, 2], "tanh", bias_scale=0.5)
         flat = np.arange(float(model.param_count))
@@ -250,10 +221,6 @@ class TestModelAndStep:
             assert np.array_equal(w[-1], np.zeros(d_out))
         assert model.param_count == 21 * 10 + 11 * 4
 
-    def test_layer_shape_chain_validated(self):
-        with pytest.raises(DimensionError):
-            MLPModel([np.zeros((4, 3)), np.zeros((3, 2))])  # needs (3+1, 2)
-
     def test_sgd_step_moves_exactly(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
@@ -261,17 +228,6 @@ class TestModelAndStep:
         for alpha in (0.05, 0.0):
             stepped = sgd_step(model, g.copy(), alpha)
             assert np.array_equal(stepped.flatten(), model.flatten() - alpha * g)
-
-    def test_sgd_step_rejects_bad_inputs(self):
-        model = MLPModel.init([3, 2])
-        with pytest.raises(DimensionError):
-            sgd_step(model, np.zeros(5), 0.1)
-        with pytest.raises(DimensionError):
-            sgd_step(model, np.zeros((4, 2)), 0.1)
-        with pytest.raises(NonFiniteError):
-            sgd_step(model, np.full(8, np.nan), 0.1)
-        with pytest.raises(ValueError):
-            sgd_step(model, np.zeros(8), -0.1)
 
     def test_sgd_step_leaves_input_model_unchanged(self):
         rng = np.random.default_rng(24)
@@ -311,20 +267,6 @@ class TestModelAndStep:
 
 
 class TestBatchValidation:
-    def test_label_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            Batch(np.zeros((3, 2)), np.zeros(2, dtype=int))
-
-    def test_empty_batch(self):
-        with pytest.raises(DimensionError):
-            Batch(np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-    def test_nan_float_batch_raises_when_built(self):
-        bad = np.zeros((2, 3))
-        bad[0, 2] = np.nan
-        with pytest.raises(NonFiniteError, match="^batch inputs contains non-finite values$"):
-            Batch(bad, np.zeros(2, dtype=int))
-
     def test_augmented_bytes_scaled_with_ones_column(self):
         images = np.arange(256, dtype=np.uint8).reshape(32, 8)
         batch = Batch(images, np.zeros(32, dtype=int))
@@ -335,6 +277,52 @@ class TestBatchValidation:
         assert np.shares_memory(batch.inputs, batch.augmented)
         assert batch.inputs.tobytes() == want.tobytes()
 
-    def test_non_2d_inputs(self):
-        with pytest.raises(DimensionError):
-            Batch(np.zeros(4), np.zeros(4, dtype=int))
+
+def relu_grads(seed, sizes, n):
+    """Per-example gradients of a random relu model on a random batch of n."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, sizes, "relu")
+    batch = random_batch(rng, n, sizes[0], sizes[-1])
+    return backward_per_example(model, forward(model, batch), batch)
+
+
+def nan_at(shape, index):
+    bad = np.zeros(shape)
+    bad[index] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: forward(MLPModel.init([4, 3, 2]), Batch(np.zeros((2, 5)), np.zeros(2, dtype=int))),
+                 DimensionError, None, id="forward_feature_mismatch"),
+    pytest.param(lambda: forward(MLPModel.init([3, 2]),
+                                 Batch(nan_at((2, 3), (1, 1)), np.zeros(2, dtype=int))),
+                 NonFiniteError, None, id="forward_nan_input"),
+    pytest.param(lambda: forward(MLPModel.init([3, 4, 2]), Batch(np.zeros((1, 3)), np.array([2]))),
+                 DimensionError, None, id="forward_label_out_of_range"),
+    pytest.param(lambda: weighted_gradient(relu_grads(17, [4, 3, 2], 3), np.zeros(4)),
+                 DimensionError, None, id="weighted_gradient_weight_count"),
+    pytest.param(lambda: layer_views(np.zeros(11), [(2, 3), (3, 2)]),
+                 DimensionError, None, id="layer_views_size"),
+    pytest.param(lambda: MLPModel([np.zeros((4, 3)), np.zeros((3, 2))]),  # needs (3+1, 2)
+                 DimensionError, None, id="model_shape_chain"),
+    pytest.param(lambda: sgd_step(MLPModel.init([3, 2]), np.zeros(5), 0.1),
+                 DimensionError, None, id="sgd_step_gradient_size"),
+    pytest.param(lambda: sgd_step(MLPModel.init([3, 2]), np.zeros((4, 2)), 0.1),
+                 DimensionError, None, id="sgd_step_gradient_2d"),
+    pytest.param(lambda: sgd_step(MLPModel.init([3, 2]), np.full(8, np.nan), 0.1),
+                 NonFiniteError, None, id="sgd_step_nan_gradient"),
+    pytest.param(lambda: sgd_step(MLPModel.init([3, 2]), np.zeros(8), -0.1),
+                 ValueError, None, id="sgd_step_negative_alpha"),
+    pytest.param(lambda: Batch(np.zeros((3, 2)), np.zeros(2, dtype=int)),
+                 DimensionError, None, id="batch_label_count"),
+    pytest.param(lambda: Batch(np.zeros((0, 2)), np.zeros(0, dtype=int)),
+                 DimensionError, None, id="batch_empty"),
+    pytest.param(lambda: Batch(nan_at((2, 3), (0, 2)), np.zeros(2, dtype=int)),
+                 NonFiniteError, "^batch inputs contains non-finite values$", id="batch_nan_inputs"),
+    pytest.param(lambda: Batch(np.zeros(4), np.zeros(4, dtype=int)),
+                 DimensionError, None, id="batch_not_2d"),
+])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -20,46 +20,19 @@ from metareweight.reweight import (
 )
 
 
-def grads_for(model, batch):
-    return backward_per_example(model, forward(model, batch), batch)
+def mismatched_grads(seed):
+    """Gradients of two models with different hidden widths on one batch."""
+    rng = np.random.default_rng(seed)
+    m1 = random_model(rng, [5, 4, 2], "relu")
+    m2 = random_model(rng, [5, 3, 2], "relu")
+    b = random_batch(rng, 3, 5, 2)
+    return [backward_per_example(m, forward(m, b), b) for m in (m1, m2)]
 
 
-class TestClosedForm:
-    def test_layer_shape_mismatch_raises(self):
-        rng = np.random.default_rng(32)
-        m1 = random_model(rng, [5, 4, 2], "relu")
-        m2 = random_model(rng, [5, 3, 2], "relu")
-        b = random_batch(rng, 3, 5, 2)
-        with pytest.raises(DimensionError):
-            meta_grad_closed_form(grads_for(m1, b), grads_for(m2, b))
-
-
-class TestLookahead:
-    def test_bad_eps_shape_raises(self):
-        rng = np.random.default_rng(37)
-        model = random_model(rng, [4, 3, 2], "relu")
-        tb = random_batch(rng, 4, 4, 2)
-        vb = random_batch(rng, 2, 4, 2)
-        with pytest.raises(DimensionError):
-            meta_grad_lookahead(model, tb, vb, 0.1, eps0=np.zeros(3))
-
-    def test_negative_alpha_raises(self):
-        rng = np.random.default_rng(38)
-        model = random_model(rng, [4, 3, 2], "relu")
-        with pytest.raises(ValueError):
-            meta_grad_lookahead(model, random_batch(rng, 4, 4, 2), random_batch(rng, 2, 4, 2), -0.1)
-
-
-class TestRectifyNormalize:
-    def test_non_finite_raises(self):
-        with pytest.raises(NonFiniteError):
-            rectify_normalize(np.array([1.0, np.nan]))
-
-
-class TestRandomWeights:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            random_weights(0, np.random.default_rng(0))
+def lookahead_problem(seed):
+    """A model, a training batch of 4 and a validation batch of 2."""
+    rng = np.random.default_rng(seed)
+    return random_model(rng, [4, 3, 2], "relu"), random_batch(rng, 4, 4, 2), random_batch(rng, 2, 4, 2)
 
 
 class TestProportionWeights:
@@ -70,24 +43,12 @@ class TestProportionWeights:
         assert np.abs(w - raw / raw.sum()).max() <= 1e-15
         assert abs(w.sum() - 1.0) <= 1e-12
 
-    def test_zero_count_raises(self):
-        with pytest.raises(ConfigError):
-            proportion_weights(np.array([0, 1]), np.array([5.0, 0.0]))
-
-    def test_label_outside_table_raises(self):
-        with pytest.raises(ConfigError):
-            proportion_weights(np.array([2]), np.array([5.0, 5.0]))
-
 
 class TestHardMining:
     def test_k_zero_keeps_only_minority(self):
         losses = np.array([5.0, 1.0, 3.0])
         labels = np.array([1, 0, 1])
         assert list(hard_mining_select(losses, labels, 1, 0)) == [1]
-
-    def test_k_too_large_raises(self):
-        with pytest.raises(ValueError):
-            hard_mining_select(np.array([1.0, 2.0]), np.array([1, 0]), 1, 2)
 
 
 class TestResample:
@@ -97,6 +58,26 @@ class TestResample:
         b = resample_indices(labels, 50, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
-    def test_empty_raises(self):
-        with pytest.raises(ConfigError):
-            resample_indices(np.array([], dtype=int), 4, np.random.default_rng(0))
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: meta_grad_closed_form(*mismatched_grads(32)), DimensionError,
+                 id="closed_form_layer_shapes"),
+    pytest.param(lambda: meta_grad_lookahead(*lookahead_problem(37), 0.1, eps0=np.zeros(3)), DimensionError,
+                 id="lookahead_eps0_shape"),
+    pytest.param(lambda: meta_grad_lookahead(*lookahead_problem(38), -0.1), ValueError,
+                 id="lookahead_negative_alpha"),
+    pytest.param(lambda: rectify_normalize(np.array([1.0, np.nan])), NonFiniteError,
+                 id="rectify_non_finite"),
+    pytest.param(lambda: random_weights(0, np.random.default_rng(0)), ValueError, id="random_weights_empty"),
+    pytest.param(lambda: proportion_weights(np.array([0, 1]), np.array([5.0, 0.0])), ConfigError,
+                 id="proportion_zero_count"),
+    pytest.param(lambda: proportion_weights(np.array([2]), np.array([5.0, 5.0])), ConfigError,
+                 id="proportion_label_outside_table"),
+    pytest.param(lambda: hard_mining_select(np.array([1.0, 2.0]), np.array([1, 0]), 1, 2), ValueError,
+                 id="hard_mining_k_too_large"),
+    pytest.param(lambda: resample_indices(np.array([], dtype=int), 4, np.random.default_rng(0)), ConfigError,
+                 id="resample_empty"),
+])
+def test_bad_input_raises(call, error):
+    with pytest.raises(error):
+        call()

@@ -37,11 +37,6 @@ from metareweight.theory import (
 
 
 class TestEstimators:
-    def test_probe_validation(self):
-        model = MLPModel.init([3, 2])
-        with pytest.raises(ValueError):
-            estimate_smoothness(model, quadratic_surrogate(1.0), probes=0, rng=np.random.default_rng(0))
-
     def test_grad_bound_subsample_is_lower_bound(self):
         rng = np.random.default_rng(72)
         ds = make_blobs(rng, 50, 5, 2)
@@ -49,16 +44,6 @@ class TestEstimators:
         full = estimate_grad_bound(model, ds, sample_count=len(ds), rng=np.random.default_rng(0))
         sub = estimate_grad_bound(model, ds, sample_count=10, rng=np.random.default_rng(0))
         assert sub <= full + 1e-15
-
-    def test_grad_bound_validation(self):
-        model = MLPModel.init([3, 2])
-        with pytest.raises(ConfigError):
-            estimate_grad_bound(
-                model, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)), None, np.random.default_rng(0)
-            )
-        ds = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError):
-            estimate_grad_bound(model, ds, sample_count=0, rng=np.random.default_rng(0))
 
     def test_safe_step_size_formula(self):
         # With the safety factor 2 the bound collapses to n/(L s^2), capped at 0.1.
@@ -139,22 +124,11 @@ class TestDescentStep:
         assert run.trace
         assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_requires_validation_set(self):
-        rng = np.random.default_rng(76)
-        ds = make_blobs(rng, 20, 4, 2)
-        empty = ds.subset(np.empty(0, dtype=np.int64))
-        with pytest.raises(ConfigError):
-            run_descent_verification(ds, empty, steps=2, batch_size=4)
-
 
 class TestRateReport:
     def test_short_trace(self):
         rows = rate_report([DescentEntry(0, 0.0, 0.0, 2.0, 0.0)])
         assert len(rows) == 1 and rows[0].horizon == 1
-
-    def test_empty_trace_raises(self):
-        with pytest.raises(ValueError):
-            rate_report([])
 
 
 class TestCsvEmission:
@@ -210,10 +184,6 @@ class TestObjectiveContract:
         assert ga.flags.writeable and gb.flags.writeable
         assert not any(np.shares_memory(ga, w) for w in model.layers)
 
-    def test_empty_validation_set_rejected(self):
-        with pytest.raises(DimensionError):
-            validation_objective(np.zeros((0, 5)), np.zeros(0, dtype=int))
-
     def test_smoothness_matches_copying_loop_bitwise(self):
         model, objective = self._setup(81)
         probes, radius, restarts = 9, theory.PROBE_RADIUS, theory.RESTARTS
@@ -244,3 +214,28 @@ class TestObjectiveContract:
         want = reference(np.random.default_rng(5))
         assert got > 0 and repr(got) == repr(want)
         assert [w.tobytes() for w in model.layers] == before
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: estimate_smoothness(
+        MLPModel.init([3, 2]), quadratic_surrogate(1.0), probes=0, rng=np.random.default_rng(0)
+    ), ValueError, id="smoothness_no_probes"),
+    pytest.param(lambda: estimate_grad_bound(
+        MLPModel.init([3, 2]), Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)), None,
+        np.random.default_rng(0),
+    ), ConfigError, id="grad_bound_empty_set"),
+    pytest.param(lambda: estimate_grad_bound(
+        MLPModel.init([3, 2]), Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int)), sample_count=0,
+        rng=np.random.default_rng(0),
+    ), ValueError, id="grad_bound_no_samples"),
+    pytest.param(lambda: run_descent_verification(
+        ds := make_blobs(np.random.default_rng(76), 20, 4, 2), ds.subset(np.empty(0, dtype=np.int64)),
+        steps=2, batch_size=4,
+    ), ConfigError, id="descent_empty_validation_set"),
+    pytest.param(lambda: rate_report([]), ValueError, id="rate_report_empty_trace"),
+    pytest.param(lambda: validation_objective(np.zeros((0, 5)), np.zeros(0, dtype=int)), DimensionError,
+                 id="objective_empty_validation_set"),
+])
+def test_bad_input_raises(call, error):
+    with pytest.raises(error):
+        call()

@@ -1,6 +1,7 @@
 """Training loop tests. The replay oracle reproduces the loop's RNG
 consumption step by step and checks the committed parameters exactly."""
 
+import dataclasses
 import threading
 import time
 import warnings
@@ -67,7 +68,15 @@ def small_config(**kw):
 
 class TestConfigValidation:
     def test_good_config_passes(self):
-        small_config().validate()
+        small_config()
+
+    def test_frozen_and_rechecked_by_replace(self):
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.learning_rate = 0.1
+        assert small_config(lr_schedule=[(5, 0.1)]).lr_schedule == ((5, 0.1),)
+        with pytest.raises(ConfigError, match="^learning_rate: must be positive and finite$"):
+            dataclasses.replace(cfg, learning_rate=np.nan)
 
     @pytest.mark.parametrize(
         "kw",
@@ -92,7 +101,7 @@ class TestConfigValidation:
     )
     def test_bad_configs_raise(self, kw):
         with pytest.raises(ConfigError):
-            small_config(**kw).validate()
+            small_config(**kw)
 
 
 class TestTrainBasics:
