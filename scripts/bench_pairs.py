@@ -6,7 +6,9 @@ Each root is a repository checkout holding `perfbench/`, `BENCHMARK.json`
 and `src/`. Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0` from each root, T being `run_seconds` of the parent's
 BENCHMARK.json, the parent first in even pairs and the change first in odd
-ones, so neither side always runs on a warmer or a busier machine. Each run
+ones, so neither side always runs on a warmer or a busier machine. The pair
+count must be a positive even number, so each side runs first equally often;
+any other count exits 2 before a run starts. Each run
 prints its verdict (`correct`, `attempted`, `failed`) and its end-to-end
 metrics as it ends. At the end, for every end-to-end metric of the parent's
 BENCHMARK.json, the script prints each side's median and quartiles over the
@@ -167,6 +169,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     args = parser.parse_args()
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error(f"--pairs must be a positive even number, got {args.pairs}")
     roots = [os.path.abspath(r) for r in (args.parent_root, args.change_root)]
     with open(os.path.join(roots[0], "BENCHMARK.json")) as f:
         spec = json.load(f)

@@ -90,6 +90,8 @@ MUTANTS = [
      '        object.__setattr__(self, "lr_schedule", tuple(self.lr_schedule))\n', ""),
     ("trainer/nan-learning-rate-accepted", "trainer.py",
      "        if not 0 < self.learning_rate < np.inf:\n", "        if self.learning_rate <= 0:\n"),
+    ("trainer/empty-test-set-accepted", "trainer.py", "    if len(test_ds) == 0:\n", "    if False:\n"),
+    ("trainer/one-class-accepted", "trainer.py", "    if num_classes < 2:\n", "    if False:\n"),
     ("trainer/validation-not-in-pool", "trainer.py", "        pool = _concat(train_ds, val_ds)\n",
      "        pool = train_ds\n"),
     ("trainer/bytes-joined-with-floats", "trainer.py",
@@ -170,6 +172,13 @@ MUTANTS = [
      'if values["early_stop_on_hyperval"] and values["hyperval_total"] == 0:', "if False:"),
     ("config/noise-ratio-without-kind-accepted", "config.py",
      'if noise is None and values["noise_ratio"] != 0:', "if False:"),
+    ("config/negative-val-per-class-accepted", "config.py", '    if values["val_per_class"] < 0:\n',
+     "    if False:\n"),
+    ("config/negative-hyperval-total-accepted", "config.py", '    if values["hyperval_total"] < 0:\n',
+     "    if False:\n"),
+    ("config/zero-repeat-accepted", "config.py", '    if values["repeat"] < 1:\n', "    if False:\n"),
+    ("config/zero-subset-total-accepted", "config.py",
+     '    if values["subset_total"] is not None and values["subset_total"] < 1:\n', "    if False:\n"),
     ("cli/seed-override-ignored", "cli.py", '        values["seed"] = args.seed\n', "        pass\n"),
     ("cli/oserror-not-exit-2", "cli.py",
      "except (ConfigError, DimensionError, IdxParseError, NonFiniteError, OSError) as e:",

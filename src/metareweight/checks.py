@@ -84,11 +84,6 @@ def flat_grads(grads: PerExampleGrads) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def flat_grad(grads: PerExampleGrads, i: int) -> np.ndarray:
-    """The gradient of example i alone as a flat vector."""
-    return np.concatenate([np.outer(z[i], g[i]).ravel() for z, g in zip(grads.inputs, grads.signals)])
-
-
 def with_params(model: MLPModel, flat: np.ndarray) -> MLPModel:
     """A model of the same shape built from a copy of a flat parameter vector."""
     flat = np.array(flat, dtype=np.float64)
@@ -203,10 +198,10 @@ def check_per_example_gradients():
     worst = dict.fromkeys(ACTIVATIONS, 0.0)
     for seed, sizes, activation, bias, n in cases:
         _, model, batch = _seeded(seed, sizes, activation, bias, n)
-        grads = _grads(model, batch)
+        flats = flat_grads(_grads(model, batch))
         for i in range(n):
             fd = finite_diff_grad(model, lambda m, i=i: float(forward(m, batch).losses[i]))
-            worst[activation] = max(worst[activation], _fd_err(flat_grad(grads, i), fd))
+            worst[activation] = max(worst[activation], _fd_err(flats[i], fd))
     # The weighted sum of them that a training step applies.
     rng, model, batch = _seeded(15, [5, 4, 2], "tanh", 0.1, 4)
     w = rng.random(4)
@@ -216,19 +211,6 @@ def check_per_example_gradients():
     return max(worst.values()) <= 1e-6, (
         f"max relative deviation from finite differences {_per_activation(worst)} (<=1e-6)"
     )
-
-
-def check_flat_reconstruction():
-    for seed, bias, n in ((13, 0.1, 6), (10, 0.2, 7)):
-        _, model, batch = _seeded(seed, [5, 4, 3], "tanh", bias, n)
-        grads = _grads(model, batch)
-        flat = flat_grads(grads)
-        if flat.shape != (n, model.param_count):
-            return False, f"flat_grads has shape {flat.shape}, expected {(n, model.param_count)}"
-        for i in range(n):
-            if not np.array_equal(flat[i], flat_grad(grads, i)):
-                return False, f"row {i} of flat_grads differs from flat_grad(grads, {i})"
-    return True, ""
 
 
 def check_closed_form_vs_flat():
@@ -532,7 +514,6 @@ def check_rate_report():
 QUICK_CHECKS = [
     ("forward_matches_reference_loop", check_forward_reference),
     ("per_example_gradients_match_finite_differences", check_per_example_gradients),
-    ("per_example_flat_reconstruction_bitwise", check_flat_reconstruction),
     ("closed_form_matches_materialized_form", check_closed_form_vs_flat),
     ("lookahead_matches_closed_form_scaled", check_lookahead_matches_closed_form),
     ("meta_gradient_matches_finite_differences", check_meta_gradient_finite_differences),

@@ -4,6 +4,7 @@ of a workload's `BENCH_<workload>.json`; checked here on made-up pairs."""
 import json
 import os
 import runpy
+import sys
 
 import pytest
 
@@ -58,3 +59,13 @@ def test_entry_from_made_up_pairs(tmp_path):
     script["append_entry"](str(path), entry)
     assert json.loads(path.read_text()) == [entry, entry]
     assert script["commit"](str(tmp_path)) == "unknown"
+
+
+@pytest.mark.parametrize("pairs", ["0", "1", "9"])
+def test_pair_count_not_positive_even_exits_2(monkeypatch, capsys, pairs):
+    script = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "a", "b", "--workload", "descent", "--pairs", pairs])
+    with pytest.raises(SystemExit) as raised:
+        script["main"]()
+    assert raised.value.code == 2
+    assert f"--pairs must be a positive even number, got {pairs}" in capsys.readouterr().err

@@ -388,7 +388,7 @@ class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys, cached_checks):
         assert main(["verify", "--level", "quick"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") >= 16
+        assert out.count("[PASS]") == len(checks.QUICK_CHECKS)
         assert "[FAIL]" not in out
 
     def test_full_without_data_skips(self, tmp_path, capsys, monkeypatch, cached_checks):

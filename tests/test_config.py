@@ -58,26 +58,24 @@ class TestParsing:
         assert cfg["subset_total"] is None
         assert cfg["activation"] == "tanh"
 
-    def test_unknown_key_names_field(self, tmp_path):
-        with pytest.raises(ConfigError, match="learning_rte"):
-            parse_config_file(write_config(tmp_path, "learning_rte = 0.1\n"))
-
     def test_duplicate_key(self, tmp_path):
         for text in ("seed = 1\nseed = 2\n", "seed =\nseed = 3\n"):
             with pytest.raises(ConfigError, match="duplicate"):
                 parse_config_file(write_config(tmp_path, text))
 
-    def test_bad_value_names_field(self, tmp_path):
-        with pytest.raises(ConfigError, match="total_steps"):
-            parse_config_file(write_config(tmp_path, "total_steps = soon\n"))
+    @pytest.mark.parametrize("text, match", [
+        pytest.param("learning_rte = 0.1\n", ":1: unknown config field 'learning_rte'$", id="unknown_key"),
+        pytest.param("total_steps = soon\n", ":1: field 'total_steps': invalid literal for int", id="bad_value"),
+        pytest.param("strategy uniform\n", ":1: expected key = value, got 'strategy uniform'$",
+                     id="line_without_equals"),
+    ])
+    def test_bad_file_rejected(self, tmp_path, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_file(write_config(tmp_path, text))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(str(tmp_path / "absent.cfg"))
-
-    def test_line_without_equals(self, tmp_path):
-        with pytest.raises(ConfigError, match="key = value"):
-            parse_config_file(write_config(tmp_path, "strategy uniform\n"))
 
 
 class TestHash:
@@ -128,16 +126,6 @@ class TestBuildExperiment:
         assert exp.train.hidden_sizes == (32, 16)
         assert exp.imbalance is None and exp.noise is None
 
-    def test_missing_required_path_named(self, tmp_path):
-        text = self._paths(tmp_path).replace(f"test_labels = {tmp_path}/test-lab\n", "")
-        with pytest.raises(ConfigError, match="test_labels"):
-            build_experiment(parse_config_file(write_config(tmp_path, text)))
-
-    def test_nonexistent_path_named(self, tmp_path):
-        text = self._paths(tmp_path).replace(f"{tmp_path}/test-lab", f"{tmp_path}/gone")
-        with pytest.raises(ConfigError, match="test_labels"):
-            build_experiment(parse_config_file(write_config(tmp_path, text)))
-
     def test_imbalance_and_noise_assembled(self, tmp_path):
         text = self._paths(tmp_path) + (
             "imbalance_ratio = 100\nimbalance_total = 500\n"
@@ -159,19 +147,33 @@ class TestBuildExperiment:
         np.testing.assert_array_equal(test.images, base_test.images[keep])
         np.testing.assert_array_equal(test.labels, 1 - base_test.labels[keep])
 
-    @pytest.mark.parametrize(
-        "field, value", [("val_per_class", 0), ("early_stop_on_hyperval", "true"), ("noise_ratio", 0.4)]
-    )
-    def test_incomplete_setting_rejected(self, tmp_path, field, value):
-        # meta_reweight without validation, early stopping without a hyperval
-        # set, a noise ratio without a noise kind.
-        text = self._paths(tmp_path) + f"{field} = {value}\n"
-        with pytest.raises(ConfigError, match=field):
-            build_experiment(parse_config_file(write_config(tmp_path, text)))
-
-    def test_bad_strategy_rejected(self, tmp_path):
-        text = self._paths(tmp_path).replace("meta_reweight", "mystery")
-        with pytest.raises(ConfigError, match="strategy"):
+    @pytest.mark.parametrize("edit, match", [
+        # Each edit is of the BASIC template, before its {d} names the directory.
+        pytest.param(lambda text: text + "val_per_class = 0\n",
+                     "^field 'val_per_class': meta_reweight needs a validation split$", id="val_per_class-0"),
+        pytest.param(lambda text: text + "early_stop_on_hyperval = true\n",
+                     "^field 'early_stop_on_hyperval': needs hyperval_total > 0$", id="early_stop_on_hyperval-true"),
+        pytest.param(lambda text: text + "noise_ratio = 0.4\n",
+                     "^field 'noise_ratio': needs a noise_kind$", id="noise_ratio-0.4"),
+        pytest.param(lambda text: text.replace("test_labels = {d}/test-lab\n", ""),
+                     "^field 'test_labels' is required$", id="required_path_missing"),
+        pytest.param(lambda text: text.replace("{d}/test-lab", "{d}/gone"),
+                     "^field 'test_labels': file not found: .*gone$", id="path_not_found"),
+        pytest.param(lambda text: text.replace("meta_reweight", "mystery"),
+                     "^strategy: unknown value 'mystery'$", id="unknown_strategy"),
+        pytest.param(lambda text: text + "val_per_class = -1\n",
+                     "^field 'val_per_class': must be nonnegative$", id="val_per_class_negative"),
+        pytest.param(lambda text: text + "hyperval_total = -1\n",
+                     "^field 'hyperval_total': must be nonnegative$", id="hyperval_total_negative"),
+        pytest.param(lambda text: text + "repeat = 0\n",
+                     "^field 'repeat': must be at least 1$", id="repeat_zero"),
+        pytest.param(lambda text: text + "subset_total = 0\n",
+                     "^field 'subset_total': must be at least 1$", id="subset_total_zero"),
+    ])
+    def test_incomplete_setting_rejected(self, tmp_path, edit, match):
+        self._paths(tmp_path)
+        text = edit(BASIC).format(d=tmp_path)
+        with pytest.raises(ConfigError, match=match):
             build_experiment(parse_config_file(write_config(tmp_path, text)))
 
     def test_fuzzed_config_builds_or_raises_config_error(self, tmp_path):

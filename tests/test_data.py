@@ -102,33 +102,6 @@ class TestIdxParsing:
         assert list(ds.labels) == [4, 1, 7]
         assert list(ds.original_labels) == [4, 1, 7]
 
-    def test_wrong_image_magic(self, tmp_path):
-        # Labels magic where images are expected.
-        pair = write_raw_pair(tmp_path, idx_labels_bytes([1]), idx_labels_bytes([1]))
-        with pytest.raises(IdxParseError, match="images magic"):
-            load_idx(*pair)
-
-    def test_wrong_label_magic(self, tmp_path):
-        # Images magic where labels are expected.
-        images = idx_images_bytes(np.zeros((1, 2, 2)))
-        with pytest.raises(IdxParseError, match="labels magic"):
-            load_idx(*write_raw_pair(tmp_path, images, images))
-
-    def test_truncated_payload(self, tmp_path):
-        # Header claims one 2x2 image but carries no payload bytes.
-        pair = write_raw_pair(tmp_path, struct.pack(">iiii", 0x00000803, 1, 2, 2), idx_labels_bytes([0]))
-        with pytest.raises(IdxParseError, match="images payload"):
-            load_idx(*pair)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        pair = write_raw_pair(tmp_path, idx_images_bytes(np.zeros((1, 2, 2))) + b"\x00", idx_labels_bytes([0]))
-        with pytest.raises(IdxParseError, match="images payload"):
-            load_idx(*pair)
-
-    def test_count_mismatch(self, tmp_path):
-        with pytest.raises(IdxParseError, match="count mismatch"):
-            load_idx(*write_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1, 2]))
-
     def test_write_labels_roundtrip(self, tmp_path):
         images, _ = write_pair(tmp_path, np.zeros((3, 2, 2)), [0, 0, 0])
         out = tmp_path / "out-labels"
@@ -228,20 +201,6 @@ class TestImbalance:
         out = make_imbalanced_pair(ds, ImbalanceSpec(ratio=500, total=501), rng)
         assert int((out.labels == 0).sum()) == 1
 
-    def test_insufficient_pool_raises(self):
-        rng = np.random.default_rng(52)
-        ds = labeled_dataset(rng, {4: 2, 9: 100})
-        with pytest.raises(ConfigError):
-            make_imbalanced_pair(ds, ImbalanceSpec(ratio=10, total=100), rng)
-
-    def test_total_below_ratio_rejected(self):
-        with pytest.raises(ConfigError):
-            ImbalanceSpec(ratio=10, total=10)
-
-    def test_same_classes_rejected(self):
-        with pytest.raises(ConfigError):
-            ImbalanceSpec(ratio=10, total=100, minority_class=4, majority_class=4)
-
     def test_filter_remap_test_set(self):
         rng = np.random.default_rng(53)
         ds = labeled_dataset(rng, {4: 20, 9: 30, 7: 40})
@@ -294,12 +253,6 @@ class TestValidationSplit:
         train, val = split_clean_validation(ds, 0, rng)
         assert len(val) == 0 and len(train) == len(ds)
 
-    def test_insufficient_clean_raises(self):
-        rng = np.random.default_rng(58)
-        ds = labeled_dataset(rng, {0: 4, 1: 50})
-        with pytest.raises(ConfigError):
-            split_clean_validation(ds, 5, rng)
-
 
 class TestUniformFlip:
     def test_ratio_zero_is_identity(self):
@@ -336,11 +289,6 @@ class TestUniformFlip:
         b = corrupt(ds, spec, np.random.default_rng(5))
         assert np.array_equal(a.labels, b.labels)
 
-    def test_label_outside_classes_raises(self):
-        ds = labeled_dataset(np.random.default_rng(64), {0: 5, 7: 5})
-        with pytest.raises(ConfigError):
-            corrupt(ds, NoiseSpec("uniform_flip", 0.2, num_classes=3), np.random.default_rng(0))
-
 
 class TestBackgroundFlip:
     def test_background_untouched_others_flip_to_it(self):
@@ -358,14 +306,6 @@ class TestBackgroundFlip:
         out = corrupt(ds, NoiseSpec("background_flip", 0.3, num_classes=2, background_class=0), rng)
         assert abs(float(out.flipped_mask.mean()) - 0.3) <= 0.02
 
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            NoiseSpec("background_flip", 0.5, num_classes=3, background_class=3)
-        with pytest.raises(ConfigError):
-            NoiseSpec("uniform_flip", 1.5)
-        with pytest.raises(ConfigError):
-            NoiseSpec("mystery", 0.5)
-
 
 class TestSplitsAndSubsets:
     def test_random_split_sizes_disjoint(self):
@@ -377,23 +317,12 @@ class TestSplitsAndSubsets:
         b = {img.tobytes() for img in taken.images}
         assert not (a & b)
 
-    def test_random_split_bad_count(self):
-        ds = labeled_dataset(np.random.default_rng(68), {0: 5})
-        with pytest.raises(ConfigError):
-            random_split(ds, 6, np.random.default_rng(0))
-
     def test_subset_carries_provenance(self):
         rng = np.random.default_rng(69)
         ds = labeled_dataset(rng, {0: 30, 1: 30})
         noisy = corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
         sub = noisy.subset(np.arange(10))
         assert np.array_equal(sub.flipped_mask, noisy.flipped_mask[:10])
-
-    def test_dataset_validation(self):
-        with pytest.raises(ConfigError):
-            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
-        with pytest.raises(ConfigError):
-            Dataset(np.zeros(3), np.zeros(3, dtype=int))
 
 
 class TestLocateMnist:
@@ -419,3 +348,50 @@ class TestLocateMnist:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HOME", str(tmp_path))
         assert locate_mnist(str(tmp_path / "nowhere")) is None
+
+
+IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: load_idx(*write_raw_pair(tmp, idx_labels_bytes([1]), idx_labels_bytes([1]))),
+                 IdxParseError, "^images magic: expected 0x00000803, got 0x00000801 in ", id="idx_image_magic"),
+    pytest.param(lambda tmp: load_idx(*write_raw_pair(tmp, IMAGE_2X2, IMAGE_2X2)),
+                 IdxParseError, "^labels magic: expected 0x00000801, got 0x00000803 in ", id="idx_label_magic"),
+    pytest.param(lambda tmp: load_idx(*write_raw_pair(tmp, IMAGE_2X2[:16], idx_labels_bytes([0]))),
+                 IdxParseError, "^images payload: header promises 4 bytes, .* has 0$", id="idx_truncated_payload"),
+    pytest.param(lambda tmp: load_idx(*write_raw_pair(tmp, IMAGE_2X2 + b"\x00", idx_labels_bytes([0]))),
+                 IdxParseError, "^images payload: header promises 4 bytes, .* has 5$", id="idx_trailing_bytes"),
+    pytest.param(lambda tmp: load_idx(*write_pair(tmp, np.zeros((2, 2, 2)), [0, 1, 2])),
+                 IdxParseError, "^count mismatch: 2 images but 3 labels$", id="idx_count_mismatch"),
+    pytest.param(lambda tmp: make_imbalanced_pair(labeled_dataset(np.random.default_rng(52), {4: 2, 9: 100}),
+                                                  ImbalanceSpec(ratio=10, total=100), np.random.default_rng(0)),
+                 ConfigError, "^need 9 examples of class 4, dataset has 2$", id="imbalance_pool_too_small"),
+    pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=10),
+                 ConfigError, "^total 10 too small for ratio 10", id="imbalance_total_below_ratio"),
+    pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=100, minority_class=4, majority_class=4),
+                 ConfigError, "^minority and majority class must differ$", id="imbalance_same_classes"),
+    pytest.param(lambda tmp: split_clean_validation(labeled_dataset(np.random.default_rng(58), {0: 4, 1: 50}), 5,
+                                                    np.random.default_rng(0)),
+                 ConfigError, "^class 0 has only 4 clean examples, need 5$", id="validation_too_few_clean"),
+    pytest.param(lambda tmp: corrupt(labeled_dataset(np.random.default_rng(64), {0: 5, 7: 5}),
+                                     NoiseSpec("uniform_flip", 0.2, num_classes=3), np.random.default_rng(0)),
+                 ConfigError, "^dataset contains labels outside the declared class count$",
+                 id="corrupt_label_outside_classes"),
+    pytest.param(lambda tmp: NoiseSpec("background_flip", 0.5, num_classes=3, background_class=3),
+                 ConfigError, r"^background class 3 outside \[0, 3\)$", id="noise_background_outside_classes"),
+    pytest.param(lambda tmp: NoiseSpec("uniform_flip", 1.5),
+                 ConfigError, r"^noise ratio must lie in \[0, 1\]$", id="noise_ratio_above_one"),
+    pytest.param(lambda tmp: NoiseSpec("mystery", 0.5),
+                 ConfigError, "^unknown noise kind 'mystery'$", id="noise_unknown_kind"),
+    pytest.param(lambda tmp: random_split(labeled_dataset(np.random.default_rng(68), {0: 5}), 6,
+                                          np.random.default_rng(0)),
+                 ConfigError, "^cannot split 6 examples from 5$", id="random_split_too_many"),
+    pytest.param(lambda tmp: Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int)),
+                 ConfigError, "^labels must have one entry per image$", id="dataset_label_count"),
+    pytest.param(lambda tmp: Dataset(np.zeros(3), np.zeros(3, dtype=int)),
+                 ConfigError, r"^images must be 2-d, got shape \(3,\)$", id="dataset_images_not_2d"),
+])
+def test_bad_input_raises(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

@@ -143,31 +143,11 @@ class TestTrainBasics:
             assert r.frac_zero_w == 0.0
             assert np.isnan(r.mean_w_flipped)  # no corrupted examples exist
 
-    def test_corrupted_val_rejected(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        rng = np.random.default_rng(3)
-        bad_val = corrupt(val_ds, NoiseSpec("uniform_flip", 1.0, num_classes=2), rng)
-        with pytest.raises(ConfigError):
-            train(small_config(), train_ds, bad_val, test_ds)
-
-    def test_meta_requires_validation(self):
-        train_ds, _val_ds, test_ds = blob_sets()
-        empty = train_ds.subset(np.empty(0, dtype=np.int64))
-        with pytest.raises(ConfigError):
-            train(small_config(strategy="meta_reweight"), train_ds, empty, test_ds)
-
     def test_uniform_runs_without_validation_set(self):
         train_ds, val_ds, test_ds = blob_sets()
-        empty = val_ds.subset(np.empty(0, dtype=np.int64))
-        result = train(small_config(total_steps=20), train_ds, empty, test_ds)
+        result = train(small_config(total_steps=20), train_ds, empty(val_ds), test_ds)
         assert [r.step for r in result.records] == [20]
         assert np.isnan(result.records[0].val_loss) and np.isnan(result.records[0].grad_norm_sq)
-
-    def test_empty_train_rejected(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        empty = train_ds.subset(np.empty(0, dtype=np.int64))
-        with pytest.raises(ConfigError):
-            train(small_config(), empty, val_ds, test_ds)
 
 
 class TestReplayOracle:
@@ -276,12 +256,6 @@ class TestByteBackedImages:
             for key in ("step", "weight", "flipped"):
                 assert a.weight_log[key].tobytes() == b.weight_log[key].tobytes(), (strategy, key)
 
-    def test_bytes_and_floats_not_joined(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        cfg = small_config(include_val_in_train=True)
-        with pytest.raises(ConfigError, match="uint8 images with float64"):
-            train(cfg, byte_backed(train_ds), val_ds, test_ds)
-
 
 class TestValidationFolding:
     def test_val_examples_enter_training_pool(self):
@@ -325,13 +299,6 @@ class TestHardMiningDefaults:
         # Weights are indicator/|sel|; with both classes present some examples
         # must be zero-weighted.
         assert result.records[-1].frac_zero_w > 0
-
-
-class TestEarlyStopping:
-    def test_needs_hyperval(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        with pytest.raises(ConfigError):
-            train(small_config(early_stop_on_hyperval=True), train_ds, val_ds, test_ds)
 
 
 class TestEvaluationWorker:
@@ -422,12 +389,14 @@ class TestEvaluate:
         assert err == 0.25
         assert loss > 0
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         rng = np.random.default_rng(12)
         ds = make_blobs(rng, 70, 5, 3)
         model = MLPModel.init([5, 6, 3], rng=rng)
-        a = evaluate(model, ds, chunk=7)
-        b = evaluate(model, ds, chunk=1000)
+        monkeypatch.setattr(trainer, "EVAL_CHUNK", 7)
+        a = evaluate(model, ds)
+        monkeypatch.setattr(trainer, "EVAL_CHUNK", 1000)
+        b = evaluate(model, ds)
         assert a[0] == b[0]
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
@@ -435,3 +404,33 @@ class TestEvaluate:
         model = MLPModel.init([3, 2])
         with pytest.raises(ConfigError):
             evaluate(model, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+
+
+def empty(ds):
+    return ds.subset(np.empty(0, dtype=np.int64))
+
+
+def one_class(ds):
+    return Dataset(ds.images, np.zeros(len(ds), dtype=np.int64))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda tr, va, te: train(
+        small_config(), tr, corrupt(va, NoiseSpec("uniform_flip", 1.0, num_classes=2), np.random.default_rng(3)), te),
+                 "^validation set contains corrupted labels$", id="corrupted_validation"),
+    pytest.param(lambda tr, va, te: train(small_config(strategy="meta_reweight"), tr, empty(tr), te),
+                 "^meta_reweight needs a nonempty validation set$", id="meta_without_validation"),
+    pytest.param(lambda tr, va, te: train(small_config(), empty(tr), va, te),
+                 "^training set is empty$", id="empty_train"),
+    pytest.param(lambda tr, va, te: train(small_config(), tr, va, empty(te)),
+                 "^test set is empty$", id="empty_test"),
+    pytest.param(lambda tr, va, te: train(small_config(early_stop_on_hyperval=True), tr, va, te),
+                 "^early_stop_on_hyperval needs a hyperval dataset$", id="early_stop_without_hyperval"),
+    pytest.param(lambda tr, va, te: train(small_config(include_val_in_train=True), byte_backed(tr), va, te),
+                 "^cannot join uint8 images with float64 images$", id="bytes_joined_with_floats"),
+    pytest.param(lambda tr, va, te: train(small_config(), one_class(tr), one_class(va), one_class(te)),
+                 "^need at least two classes to train a classifier$", id="one_class"),
+])
+def test_bad_datasets_raise(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call(*blob_sets())
