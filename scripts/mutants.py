@@ -94,6 +94,8 @@ MUTANTS = [
     ("trainer/one-class-accepted", "trainer.py", "    if num_classes < 2:\n", "    if False:\n"),
     ("trainer/validation-not-in-pool", "trainer.py", "        pool = _concat(train_ds, val_ds)\n",
      "        pool = train_ds\n"),
+    ("trainer/pool-rows-copied", "trainer.py", "    if a.images.pixels is b.images.pixels:\n",
+     "    if False:\n"),
     ("trainer/bytes-joined-with-floats", "trainer.py",
      "    if a.images.dtype != b.images.dtype:\n", "    if False:\n"),
     ("trainer/validation-draw-with-replacement", "trainer.py",
@@ -128,13 +130,25 @@ MUTANTS = [
      "np.maximum.accumulate(norms)"),
     ("data/idx-images-scaled-floats", "data.py", "    images = pixels.reshape(count, rows * cols)\n",
      "    images = pixels.reshape(count, rows * cols) / 255.0\n"),
-    ("data/idx-trailing-bytes-accepted", "data.py", "    if len(buffer) - header != expected:\n",
-     "    if len(buffer) - header < expected:\n"),
+    ("data/idx-trailing-bytes-accepted", "data.py", "    if length - header != expected:\n",
+     "    if length - header < expected:\n"),
     ("data/gzip-damage-unwrapped", "data.py",
-     "        except (EOFError, zlib.error, gzip.BadGzipFile) as e:\n", "        except EOFError as e:\n"),
+     "    except (EOFError, zlib.error, gzip.BadGzipFile) as e:\n", "    except EOFError as e:\n"),
     ("data/idx-map-writable", "data.py", "access=mmap.ACCESS_READ", "access=mmap.ACCESS_COPY"),
     ("data/idx-empty-file-mapped", "data.py", "        if os.fstat(f.fileno()).st_size == 0:\n",
      "        if False:\n"),
+    ("data/gzip-payload-read-at-once", "data.py", "f.read(min(GZ_CHUNK, len(buffer) - length))",
+     "f.read(len(buffer) - length)"),
+    ("data/gzip-promise-unbounded", "data.py",
+     "                if size > DEFLATE_MAX_RATIO * os.path.getsize(path):\n", "                if False:\n"),
+    ("data/subset-copies-pixels", "data.py", "Dataset(self.images.select(idx), self.labels[idx]",
+     "Dataset(self.images[idx], self.labels[idx]"),
+    ("data/imbalanced-pair-copies-pixels", "data.py", "    return Dataset(ds.images.select(idx), new_labels)\n",
+     "    return Dataset(ds.images[idx], new_labels)\n"),
+    ("data/corrupt-copies-pixels", "data.py", "    return Dataset(ds.images, labels, ds.original_labels.copy())\n",
+     "    return Dataset(ds.images[:], labels, ds.original_labels.copy())\n"),
+    ("data/filter-remap-indexes", "data.py", "    return Dataset(ds.images[keep], values",
+     "    return Dataset(ds.images.select(keep), values"),
     ("data/remap-looks-up-keys", "data.py", "values[np.searchsorted(keys, ds.labels[keep])]",
      "keys[np.searchsorted(keys, ds.labels[keep])]"),
     ("data/empty-labels-not-writable", "data.py",

@@ -458,7 +458,7 @@ def check_descent_step_properties():
     for k, bound_ds in ((3, ds), (4, Dataset(rng.random((30, 6)), rng.integers(0, 4, size=30)))):
         zero_single = MLPModel([np.zeros((bound_ds.images.shape[1] + 1, k))])
         got = theory.estimate_grad_bound(zero_single, bound_ds, sample_count=len(bound_ds), rng=rng)
-        inputs_aug = np.hstack([bound_ds.images, np.ones((len(bound_ds), 1))])
+        inputs_aug = np.hstack([bound_ds.images[:], np.ones((len(bound_ds), 1))])
         want = math.sqrt((k - 1) / k) * float(np.linalg.norm(inputs_aug, axis=1).max())
         if abs(got - want) > 1e-12:
             return False, f"gradient bound {got} != closed form {want}"

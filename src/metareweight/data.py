@@ -28,33 +28,77 @@ MNIST_FILES = {
 }
 
 
+class PixelRows:
+    """Rows of one 2-D pixel array, named by an int64 row index.
+
+    A subset, split or corruption of a dataset makes a new index over the
+    same pixels, 8 bytes a row, and copies no pixel. Indexing with an integer
+    array or a slice gathers the rows it names into a new array; `rows[:]`
+    gathers them all, as a set that becomes one batch needs."""
+
+    # Not iterable, so that NumPy refuses it instead of gathering it row by row.
+    __iter__ = None
+
+    def __init__(self, pixels: np.ndarray, index: np.ndarray):
+        self.pixels = pixels
+        self.index = index
+
+    def select(self, idx) -> "PixelRows":
+        """The rows at positions idx of these, over the same pixels."""
+        return PixelRows(self.pixels, self.index[idx])
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.pixels[self.index[key]]
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.pixels.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.pixels.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the rows would take if gathered, not the bytes held."""
+        return len(self) * self.pixels.shape[1] * self.pixels.itemsize
+
+
 @dataclass
 class Dataset:
     """Images (count, features), labels, and pre-corruption labels.
 
+    `images` is a PixelRows over one pixel array, which every derived dataset
+    shares: the read-only IDX mapping of `load_idx`, or the array passed in.
     uint8 images are pixel bytes, kept as such and scaled to [0, 1] only by
     `nn.Batch`; any other dtype becomes float64 and is model input as it is."""
 
-    images: np.ndarray
+    images: PixelRows
     labels: np.ndarray
     original_labels: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        images = np.asarray(self.images)
-        self.images = images if images.dtype == np.uint8 else np.asarray(images, dtype=np.float64)
+        if not isinstance(self.images, PixelRows):
+            pixels = np.asarray(self.images)
+            if pixels.dtype != np.uint8:
+                pixels = np.asarray(pixels, dtype=np.float64)
+            if pixels.ndim != 2:
+                raise ConfigError(f"images must be 2-d, got shape {pixels.shape}")
+            self.images = PixelRows(pixels, np.arange(pixels.shape[0]))
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.original_labels is None:
             self.original_labels = self.labels.copy()
         self.original_labels = np.asarray(self.original_labels, dtype=np.int64)
-        if self.images.ndim != 2:
-            raise ConfigError(f"images must be 2-d, got shape {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
+        if self.labels.shape != (len(self.images),):
             raise ConfigError("labels must have one entry per image")
         if self.original_labels.shape != self.labels.shape:
             raise ConfigError("original_labels must align with labels")
 
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return len(self.images)
 
     @property
     def flipped_mask(self) -> np.ndarray:
@@ -63,7 +107,7 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return Dataset(self.images[idx], self.labels[idx], self.original_labels[idx])
+        return Dataset(self.images.select(idx), self.labels[idx], self.original_labels[idx])
 
 
 @dataclass
@@ -114,19 +158,47 @@ class NoiseSpec:
             )
 
 
-def _file_buffer(path: str, what: str):
-    """The whole of one file, which the caller's arrays may view in place."""
-    if str(path).endswith(".gz"):
-        # A compressed file cannot be mapped: decompressed into one bytes object.
-        try:
-            with gzip.open(path, "rb") as f:
-                return f.read()
-        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
-            # A truncated or corrupted gzip stream, found while decompressing.
-            raise IdxParseError(f"{what}: damaged compressed file {path}: {e}") from e
+GZ_CHUNK = 1 << 16  # decompressed bytes per read of a .gz file
+DEFLATE_MAX_RATIO = 1032  # deflate expands a compressed byte to at most this many
+
+
+def _decompressed(path: str, what: str, header: int) -> tuple[memoryview, int]:
+    """A read-only view of a .gz file's decompressed header and the payload it
+    promises, and the count of all its decompressed bytes.
+
+    The payload is read a chunk at a time into one buffer sized from the
+    header, so the pixels are held once: `GzipFile.read()` joins its chunks,
+    which holds them twice at its peak. Bytes past the promised size are
+    counted, not kept, and so is a payload larger than the compressed file
+    could expand to. The whole stream is read, so damage anywhere in it is
+    found before the header is checked."""
+    try:
+        with gzip.open(path, "rb") as f:
+            head = buffer = f.read(header)
+            length = len(head)
+            if length == header:
+                dims = struct.unpack_from(f">{header // 4 - 1}i", head, 4)
+                size = math.prod(dims) if min(dims) >= 0 else 0
+                if size > DEFLATE_MAX_RATIO * os.path.getsize(path):
+                    size = 0
+                buffer = bytearray(header + size)
+                buffer[:header] = head
+                while length < len(buffer) and (chunk := f.read(min(GZ_CHUNK, len(buffer) - length))):
+                    buffer[length : length + len(chunk)] = chunk
+                    length += len(chunk)
+            while chunk := f.read(GZ_CHUNK):
+                length += len(chunk)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        # A truncated or corrupted gzip stream, found while decompressing.
+        raise IdxParseError(f"{what}: damaged compressed file {path}: {e}") from e
+    return memoryview(buffer).toreadonly(), length
+
+
+def _mapped(path: str):
+    """A read-only mapping of a plain file, which the caller's arrays view in
+    place, so that a run pays only for the pages it reads."""
     with open(path, "rb") as f:
-        # Mapped read-only, so that a run pays only for the pages it reads. mmap
-        # refuses an empty file; its empty buffer fails the magic check instead.
+        # mmap refuses an empty file; its empty buffer fails the magic check instead.
         if os.fstat(f.fileno()).st_size == 0:
             return b""
         return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
@@ -143,18 +215,22 @@ def _unpack(fmt: str, buffer, offset: int, what: str) -> tuple[int, ...]:
 
 def _read_idx(path: str, what: str, magic: int, ndim: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The ndim header sizes and the uint8 payload of one IDX file, checked against each other."""
-    buffer = _file_buffer(path, what)
+    header = 4 * (ndim + 1)
+    if str(path).endswith(".gz"):
+        buffer, length = _decompressed(path, what, header)
+    else:
+        buffer = _mapped(path)
+        length = len(buffer)
     (got,) = _unpack(">i", buffer, 0, f"{what} magic in {path}")
     if got != magic:
         raise IdxParseError(f"{what} magic: expected {magic:#010x}, got {got:#010x} in {path}")
     dims = _unpack(f">{ndim}i", buffer, 4, f"{what} header in {path}")
     if dims[0] < 0 or any(d <= 0 for d in dims[1:]):
         raise IdxParseError(f"{what} header: bad dimensions {'x'.join(map(str, dims))} in {path}")
-    header = 4 * (ndim + 1)
     expected = math.prod(dims)
-    if len(buffer) - header != expected:
+    if length - header != expected:
         raise IdxParseError(
-            f"{what} payload: header promises {expected} bytes, {path} has {len(buffer) - header}"
+            f"{what} payload: header promises {expected} bytes, {path} has {length - header}"
         )
     return dims, np.frombuffer(buffer, dtype=np.uint8, offset=header)
 
@@ -162,12 +238,15 @@ def _read_idx(path: str, what: str, magic: int, ndim: int) -> tuple[tuple[int, .
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
-    Big-endian headers. Images come back as a read-only (count, rows * cols)
-    uint8 view, not a copy: of a read-only mapping of a plain file, whose
-    pages are read only when an image is, or of the decompressed bytes of a
-    file ending in .gz. Labels are copied out as int64. Do not truncate or
-    rewrite an images file while its images are in use: reading a mapped page
-    past the end of a truncated file kills the process with SIGBUS. Any header
+    Big-endian headers. The images are a PixelRows over a read-only
+    (count, rows * cols) uint8 view, not a copy: of a read-only mapping of a
+    plain file, whose pages are read only when an image is, or of the
+    decompressed payload of a file ending in .gz, held once. Every subset,
+    split, corruption and training pool made from the dataset indexes that
+    view, so training reads the mapping at every step. Labels are copied out
+    as int64. Do not truncate or rewrite an images file while a dataset made
+    from it is in use, in training too: reading a mapped page past the end of
+    a truncated file kills the process with SIGBUS. Any header
     or size violation, and any damage to a compressed file, raises
     IdxParseError naming the offending file and field.
     """
@@ -226,15 +305,18 @@ def make_imbalanced_pair(ds: Dataset, spec: ImbalanceSpec, rng: np.random.Genera
     idx = np.concatenate([take_min, take_maj])
     rng.shuffle(idx)
     new_labels = np.where(ds.labels[idx] == spec.minority_class, 0, 1).astype(np.int64)
-    return Dataset(ds.images[idx], new_labels)
+    return Dataset(ds.images.select(idx), new_labels)
 
 
 def filter_remap(ds: Dataset, label_map: dict) -> Dataset:
-    """Keep only examples whose label is in the map, relabeled through it."""
+    """Keep only examples whose label is in the map, relabeled through it.
+
+    The kept rows are copied out, so that a filtered set does not keep its
+    whole source file mapped."""
     if not label_map:
         raise ConfigError("label map is empty")
     keys, values = (np.array(v, dtype=np.int64) for v in zip(*sorted(label_map.items())))
-    keep = np.isin(ds.labels, keys)
+    keep = np.flatnonzero(np.isin(ds.labels, keys))
     return Dataset(ds.images[keep], values[np.searchsorted(keys, ds.labels[keep])])
 
 

@@ -280,7 +280,7 @@ def run_descent_verification(
     model0 = MLPModel.init(
         [train_ds.images.shape[1], *hidden_sizes, num_classes], activation=ACTIVATION, rng=rng
     )
-    objective = validation_objective(val_ds.images, val_ds.labels)
+    objective = validation_objective(val_ds.images[:], val_ds.labels)
     estimate = estimate_regularity(model0, train_ds, objective, probes, sample_count, rng)
 
     n_pool = len(train_ds)

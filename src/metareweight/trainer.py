@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, PixelRows
 from .errors import ConfigError, NonFiniteError
 from .nn import (
     ACTIVATIONS,
@@ -177,8 +177,13 @@ def _concat(a: Dataset, b: Dataset) -> Dataset:
     # np.concatenate would upcast pixel bytes to unscaled 0..255 floats.
     if a.images.dtype != b.images.dtype:
         raise ConfigError(f"cannot join {a.images.dtype} images with {b.images.dtype} images")
+    if a.images.pixels is b.images.pixels:
+        # Two row sets of one pixel array, as a split leaves them: join their indices.
+        images = PixelRows(a.images.pixels, np.concatenate([a.images.index, b.images.index]))
+    else:
+        images = np.concatenate([a.images[:], b.images[:]])
     return Dataset(
-        np.concatenate([a.images, b.images]),
+        images,
         np.concatenate([a.labels, b.labels]),
         np.concatenate([a.original_labels, b.original_labels]),
     )
@@ -250,7 +255,7 @@ def train(
     n = config.batch_size_train
     # The whole validation set as one batch, built once: the evaluation pass
     # and, when batch_size_val covers the set, every meta_reweight step use it.
-    val_batch = Batch(val_ds.images, val_ds.labels) if len(val_ds) else None
+    val_batch = Batch(val_ds.images[:], val_ds.labels) if len(val_ds) else None
     examples = 0  # example passes (forward and backward alike) in the stepping path
 
     # Weight functions (batch, cache, grads) -> w, one per strategy, on the current model.

@@ -144,7 +144,7 @@ class TestBuildExperiment:
         _, _, test, _ = prepare_datasets(exp, 0, base_train, base_test)
         keep = np.flatnonzero(base_test.labels != 2)
         assert 0 < keep.size < len(base_test)
-        np.testing.assert_array_equal(test.images, base_test.images[keep])
+        np.testing.assert_array_equal(test.images[:], base_test.images[keep])
         np.testing.assert_array_equal(test.labels, 1 - base_test.labels[keep])
 
     @pytest.mark.parametrize("edit, match", [

@@ -4,6 +4,7 @@ generators against explicit counting oracles."""
 import csv
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,9 +61,9 @@ class TestIdxParsing:
         # The file's bytes, unscaled and read-only; Batch scales them.
         assert ds.images.shape == (2, 4)
         assert ds.images.dtype == np.uint8
-        assert ds.images.tobytes() == images.tobytes()
-        assert not ds.images.flags.writeable
-        inputs = Batch(ds.images, ds.labels).inputs
+        assert ds.images[:].tobytes() == images.tobytes()
+        assert not ds.images.pixels.flags.writeable
+        inputs = Batch(ds.images[:], ds.labels).inputs
         assert inputs.dtype == np.float64
         want = images.reshape(2, 4).astype(np.float64) / 255.0
         assert np.array_equal(inputs, want)
@@ -75,9 +76,9 @@ class TestIdxParsing:
         ds = load_idx(*write_pair(tmp_path, images, [1, 0], gz=True))
         assert len(ds) == 2
         assert ds.images.dtype == np.uint8
-        assert ds.images.tobytes() == images.tobytes()
-        assert not ds.images.flags.writeable
-        inputs = Batch(ds.images, ds.labels).inputs
+        assert ds.images[:].tobytes() == images.tobytes()
+        assert not ds.images.pixels.flags.writeable
+        inputs = Batch(ds.images[:], ds.labels).inputs
         assert inputs.dtype == np.float64
         assert np.array_equal(inputs, images.reshape(2, 4).astype(np.float64) / 255.0)
 
@@ -93,6 +94,31 @@ class TestIdxParsing:
         ds = load_idx(*write_pair(tmp_path, np.zeros((0, 3, 5)), [], gz=gz))
         assert ds.images.shape == (0, 15) and ds.images.dtype == np.uint8
         assert ds.labels.shape == (0,)
+
+    def test_gzip_load_holds_the_pixels_once(self, tmp_path):
+        images = np.random.default_rng(91).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        pair = write_pair(tmp_path, images, np.zeros(2000), gz=True)
+        tracemalloc.start()
+        try:
+            ds = load_idx(*pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.images[:].tobytes() == images.tobytes()
+        assert peak < 1.25 * images.nbytes
+
+    def test_gzip_promise_beyond_the_file_is_not_allocated(self, tmp_path):
+        # 7,840,000 promised bytes cannot come out of a file of a few dozen.
+        header = struct.pack(">iiii", 0x00000803, 10000, 28, 28)
+        pair = write_raw_pair(tmp_path, header + bytes(10), idx_labels_bytes([0]), gz=True)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxParseError, match="header promises 7840000 bytes, .* has 10$"):
+                load_idx(*pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_labels_survive_rewrite_in_place(self, tmp_path):
         # As `corrupt --out` does when it names its own --labels.
@@ -212,7 +238,7 @@ class TestImbalance:
         label_map = {9: 0, 7: 5, 4: 1}
         out = filter_remap(ds, label_map)
         keep = [i for i, y in enumerate(ds.labels) if int(y) in label_map]
-        np.testing.assert_array_equal(out.images, ds.images[keep])
+        np.testing.assert_array_equal(out.images[:], ds.images[keep])
         np.testing.assert_array_equal(out.labels, [label_map[int(ds.labels[i])] for i in keep])
         assert out.labels.dtype == np.int64
 
@@ -242,8 +268,8 @@ class TestValidationSplit:
         rng = np.random.default_rng(56)
         ds = labeled_dataset(rng, {0: 30, 1: 30})
         train, val = split_clean_validation(ds, 3, rng)
-        seen = {img.tobytes() for img in ds.images}
-        got = {img.tobytes() for img in train.images} | {img.tobytes() for img in val.images}
+        seen = {img.tobytes() for img in ds.images[:]}
+        got = {img.tobytes() for img in train.images[:]} | {img.tobytes() for img in val.images[:]}
         assert got == seen
         assert len(train) + len(val) == len(ds)
 
@@ -268,7 +294,7 @@ class TestUniformFlip:
         out = corrupt(ds, NoiseSpec("uniform_flip", 1.0, num_classes=3), rng)
         assert (out.labels != ds.labels).all()
         assert np.array_equal(out.original_labels, ds.labels)
-        assert np.shares_memory(out.images, ds.images)  # labels change, images pass through
+        assert out.images.pixels is ds.images.pixels  # labels change, images pass through
 
     def test_flip_rate_and_uniform_target(self):
         rng = np.random.default_rng(62)
@@ -298,7 +324,7 @@ class TestBackgroundFlip:
         was_background = ds.labels == 0
         assert np.array_equal(out.labels[was_background], ds.labels[was_background])
         assert (out.labels[~was_background] == 0).all()
-        assert np.shares_memory(out.images, ds.images)
+        assert out.images.pixels is ds.images.pixels
 
     def test_flip_rate(self):
         rng = np.random.default_rng(66)
@@ -313,8 +339,8 @@ class TestSplitsAndSubsets:
         ds = labeled_dataset(rng, {0: 40, 1: 40})
         rest, taken = random_split(ds, 30, rng)
         assert len(taken) == 30 and len(rest) == 50
-        a = {img.tobytes() for img in rest.images}
-        b = {img.tobytes() for img in taken.images}
+        a = {img.tobytes() for img in rest.images[:]}
+        b = {img.tobytes() for img in taken.images[:]}
         assert not (a & b)
 
     def test_subset_carries_provenance(self):
@@ -323,6 +349,24 @@ class TestSplitsAndSubsets:
         noisy = corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
         sub = noisy.subset(np.arange(10))
         assert np.array_equal(sub.flipped_mask, noisy.flipped_mask[:10])
+
+    def test_derived_datasets_share_the_pixels(self):
+        rng = np.random.default_rng(70)
+        ds = labeled_dataset(rng, {4: 40, 9: 40})
+        derived = [
+            ds.subset(np.arange(5)),
+            make_imbalanced_pair(ds, ImbalanceSpec(ratio=1, total=20), rng),
+            *random_split(ds, 10, rng),
+            *split_clean_validation(ds, 3, rng),
+            corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=10), rng),
+        ]
+        assert [d.images.pixels is ds.images.pixels for d in derived] == [True] * 7
+
+    def test_filter_remap_copies_the_kept_rows(self):
+        ds = labeled_dataset(np.random.default_rng(71), {4: 5, 7: 6})
+        out = filter_remap(ds, {4: 0})
+        assert out.images.pixels.shape == (5, 4)
+        assert not np.shares_memory(out.images.pixels, ds.images.pixels)
 
 
 class TestLocateMnist:

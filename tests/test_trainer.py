@@ -4,13 +4,14 @@ consumption step by step and checks the committed parameters exactly."""
 import dataclasses
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from metareweight import trainer
-from metareweight.data import Dataset, NoiseSpec, corrupt
+from metareweight.data import Dataset, NoiseSpec, corrupt, split_clean_validation
 from metareweight.errors import ConfigError, NonFiniteError
 from metareweight.nn import (
     Batch,
@@ -41,13 +42,13 @@ def blob_sets(seed=0, n_per=80, d=6, k=2):
 
 def byte_backed(ds):
     """ds with its pixels quantized to uint8 bytes, as `load_idx` returns them."""
-    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
+    pixels = np.rint(ds.images[:] * 255.0).astype(np.uint8)
     return Dataset(pixels, ds.labels, ds.original_labels)
 
 
 def pre_scaled(ds):
     """A byte-backed ds with its pixels already scaled to float64 in [0, 1]."""
-    return Dataset(ds.images.astype(np.float64) / 255.0, ds.labels, ds.original_labels)
+    return Dataset(ds.images[:].astype(np.float64) / 255.0, ds.labels, ds.original_labels)
 
 
 def small_config(**kw):
@@ -258,18 +259,43 @@ class TestByteBackedImages:
 
 
 class TestValidationFolding:
-    def test_val_examples_enter_training_pool(self):
+    def test_val_examples_enter_training_pool(self, monkeypatch):
         train_ds, val_ds, test_ds = blob_sets(n_per=10)
-        # With include_val_in_train the pool is larger than the train set, so
-        # a full-pool batch must be able to exceed len(train).
+        # A batch the size of the pool is drawn without replacement, so with
+        # include_val_in_train each batch holds every train and val row once.
         cfg = small_config(
             batch_size_train=len(train_ds) + len(val_ds),
             total_steps=2,
             eval_every=2,
             include_val_in_train=True,
         )
+        drawn = []
+
+        def recording(inputs, labels):
+            batch = Batch(inputs, labels)
+            if len(batch) == cfg.batch_size_train:
+                drawn.append(sorted(row.tobytes() for row in batch.inputs))
+            return batch
+
+        monkeypatch.setattr(trainer, "Batch", recording)
         result = train(cfg, train_ds, val_ds, test_ds)
+        pool = np.concatenate([train_ds.images[:], val_ds.images[:]])
+        assert drawn == [sorted(row.tobytes() for row in pool)] * 2
         assert result.examples == 2 * (len(train_ds) + len(val_ds))
+
+    def test_pool_of_one_array_is_indexed_not_copied(self):
+        rng = np.random.default_rng(12)
+        pixels = rng.integers(0, 256, size=(20_000, 784), dtype=np.uint8)
+        ds = Dataset(pixels, np.arange(20_000) % 2)
+        train_ds, val_ds = split_clean_validation(ds, 5, rng)
+        cfg = small_config(total_steps=2, eval_every=2, hidden_sizes=(4,), include_val_in_train=True)
+        tracemalloc.start()
+        try:
+            train(cfg, train_ds, val_ds, ds.subset(np.arange(100)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pixels.nbytes
 
 
 class TestHardMiningDefaults:
