@@ -11,9 +11,9 @@ The script copies src/ to a temporary directory and runs the suite once on
 the unmutated copy; if that run fails, no mutant is run. Then, one row at a
 time, it replaces the row's old text in the copy, runs
 
-    python -m pytest -q -x -p no:cacheprovider tests --deselect ANCHOR_TEST
+    python -m pytest -q -x -p no:cacheprovider --rootdir ROOT ROOT/tests --deselect ANCHOR_TEST
 
-from the repository root with PYTHONPATH set to the copy's src/ and
+from the temporary directory, with PYTHONPATH set to the copy's src/ and
 PYTHONDONTWRITEBYTECODE=1, restores the file, and prints `caught <id of the
 first failing test>` or `SURVIVED`. ANCHOR_TEST, the test that every row
 applies to the checked-in src/, is left out of these runs: it never reads
@@ -22,8 +22,10 @@ rows that tree predates, which would stop the unmutated run. pytest's exit
 code 1 means caught and 0 survived; any other code (a mutant that breaks
 collection, say) marks the row BROKEN, as does an old text that does not
 occur exactly once in its file. The exit status is 1 if any row survived or
-is broken. The script writes nothing inside the repository. A full run takes
-about 7 minutes on a 2-core machine.
+is broken. ROOT is the repository root. The script writes nothing inside
+the repository: a mutant that writes to a relative path (an ignored `--out`
+falls back to the config's `output_dir = runs`) writes into the temporary
+directory. A full run takes about 7 minutes on a 2-core machine.
 """
 
 import os
@@ -35,8 +37,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ANCHOR_TEST = "tests/test_mutants.py::test_every_row_applies_once_to_the_checked_in_sources"
-PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests",
-          "--deselect", ANCHOR_TEST]
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--rootdir", ROOT,
+          os.path.join(ROOT, "tests"), "--deselect", ANCHOR_TEST]
 RUN_TIMEOUT_S = 600
 
 # (name, file under src/metareweight/, old text, new text)
@@ -128,6 +130,9 @@ MUTANTS = [
      "2.0 * batch_size / denom"),
     ("theory/rate-running-max", "theory.py", "np.minimum.accumulate(norms)",
      "np.maximum.accumulate(norms)"),
+    ("theory/descent-empty-training-set-accepted", "theory.py", "    if len(train_ds) == 0:\n",
+     "    if False:\n"),
+    ("theory/descent-zero-steps-accepted", "theory.py", "    if steps < 1:\n", "    if False:\n"),
     ("data/idx-images-scaled-floats", "data.py", "    images = pixels.reshape(count, rows * cols)\n",
      "    images = pixels.reshape(count, rows * cols) / 255.0\n"),
     ("data/idx-trailing-bytes-accepted", "data.py", "    if length - header != expected:\n",
@@ -174,6 +179,12 @@ MUTANTS = [
      '        run_experiment.__dict__.setdefault("results", []).append(result)\n'),
     ("experiment/imbalance-test-set-unfiltered", "experiment.py",
      "        test = filter_remap(base_test, exp.imbalance.label_map)\n", "        test = base_test\n"),
+    ("experiment/output-dir-before-data", "experiment.py",
+     "    chash = config_hash(exp.raw)\n    base_train = load_idx(exp.train_images, exp.train_labels)\n"
+     "    base_test = load_idx(exp.test_images, exp.test_labels)\n    os.makedirs(exp.output_dir, exist_ok=True)\n",
+     "    os.makedirs(exp.output_dir, exist_ok=True)\n    chash = config_hash(exp.raw)\n"
+     "    base_train = load_idx(exp.train_images, exp.train_labels)\n"
+     "    base_test = load_idx(exp.test_images, exp.test_labels)\n"),
     ("config/comments-kept", "config.py", '        line = raw.split("#", 1)[0].strip()\n',
      "        line = raw.strip()\n"),
     ("config/duplicate-after-blank-accepted", "config.py", "        if key in seen:\n",
@@ -194,6 +205,8 @@ MUTANTS = [
     ("config/zero-subset-total-accepted", "config.py",
      '    if values["subset_total"] is not None and values["subset_total"] < 1:\n', "    if False:\n"),
     ("cli/seed-override-ignored", "cli.py", '        values["seed"] = args.seed\n', "        pass\n"),
+    ("cli/out-override-ignored", "cli.py", '        values["output_dir"] = args.out\n', "        pass\n"),
+    ("cli/corrupt-negative-seed-accepted", "cli.py", "    if args.seed < 0:\n", "    if False:\n"),
     ("cli/oserror-not-exit-2", "cli.py",
      "except (ConfigError, DimensionError, IdxParseError, NonFiniteError, OSError) as e:",
      "except (ConfigError, DimensionError, IdxParseError, NonFiniteError) as e:"),
@@ -216,14 +229,19 @@ def run_suite(src: str) -> tuple[int, str]:
     """pytest's exit code on the tests against the package in src, and the
     id of its first failing test ('' if none)."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    cwd = os.path.dirname(src)
     try:
-        proc = subprocess.run(PYTEST, cwd=ROOT, env=env, capture_output=True, text=True,
+        proc = subprocess.run(PYTEST, cwd=cwd, env=env, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return -1, f"timed out after {RUN_TIMEOUT_S} s"
     failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
-    return proc.returncode, failed[0] if failed else ""
+    if not failed:
+        return proc.returncode, ""
+    # pytest gives the test's path from its working directory; report it from ROOT.
+    path, sep, test = failed[0].partition("::")
+    return proc.returncode, os.path.relpath(os.path.join(cwd, path), ROOT) + sep + test
 
 
 def main() -> int:

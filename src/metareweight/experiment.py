@@ -92,11 +92,13 @@ def run_experiment(exp: ExperimentConfig, progress=None) -> dict:
     """Run all repeats of one experiment and write its artifacts.
 
     Returns the summary dict (also written to summary.json in output_dir).
+    output_dir is made once both datasets are read, so unreadable data
+    leaves no directory behind.
     """
-    os.makedirs(exp.output_dir, exist_ok=True)
     chash = config_hash(exp.raw)
     base_train = load_idx(exp.train_images, exp.train_labels)
     base_test = load_idx(exp.test_images, exp.test_labels)
+    os.makedirs(exp.output_dir, exist_ok=True)
 
     per_seed = []
     t0 = time.perf_counter()

@@ -273,8 +273,12 @@ def run_descent_verification(
     Only the index draws are kept; each trial builds its batches as it
     reaches them, so memory does not grow with steps.
     """
+    if len(train_ds) == 0:
+        raise ConfigError("descent verification needs a training set")
     if len(val_ds) == 0:
         raise ConfigError("descent verification needs a validation set")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     rng = np.random.default_rng(seed)
     num_classes = int(max(train_ds.labels.max(), val_ds.labels.max())) + 1
     model0 = MLPModel.init(

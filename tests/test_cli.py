@@ -44,9 +44,9 @@ def synth_mnist_like(tmp_path, n_train=120, n_test=60, side=6, k=2, seed=0):
     return out
 
 
-def write_train_config(tmp_path, paths, extra="", name="exp.cfg", strategy="meta_reweight"):
+def write_train_config(tmp_path, paths, extra=""):
     text = (
-        f"strategy = {strategy}\n"
+        f"strategy = meta_reweight\n"
         f"learning_rate = 0.05\n"
         f"batch_size_train = 20\n"
         f"batch_size_val = 4\n"
@@ -60,17 +60,37 @@ def write_train_config(tmp_path, paths, extra="", name="exp.cfg", strategy="meta
         f"test_labels = {paths['test_labels']}\n"
         + extra
     )
-    p = tmp_path / name
+    p = tmp_path / "exp.cfg"
     p.write_text(text)
     return str(p)
 
 
+def train_argv(tmp_path, *flags, edit=("", "")):
+    """argv of a `train` run of the fixture config into tmp_path/runs, with the
+    config's text edit[0] replaced by edit[1]. The text is written as latin-1,
+    so an edit's "\\xe9" is a byte that is not UTF-8. Flags go last, and
+    argparse keeps the last of a repeated flag."""
+    cfg = Path(write_train_config(tmp_path, synth_mnist_like(tmp_path)))
+    cfg.write_bytes(cfg.read_text().replace(*edit).encode("latin-1"))
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "runs"), *flags]
+
+
+def assert_exits_2(argv, tmp_path, capsys, message, out, out_exists):
+    """main(argv) exits 2 without a RuntimeWarning, its stderr is the one line
+    `error: <message>`, and out exists iff out_exists; "{tmp}" in argv and
+    message stands for tmp_path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert out.exists() == out_exists
+
+
 class TestTrainCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(tmp_path, paths, extra="repeat = 2\n")
+        assert main(train_argv(tmp_path, edit=("eval_every = 20", "eval_every = 20\nrepeat = 2"))) == 0
         out = tmp_path / "runs"
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
 
         with open(out / "summary.json") as f:
             summary = json.load(f)
@@ -103,131 +123,85 @@ class TestTrainCommand:
         assert "mean test error" in text
 
     def test_deterministic_across_invocations(self, tmp_path):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(tmp_path, paths)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["train", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["train", "--config", cfg, "--out", str(b)]) == 0
-        assert (a / "metrics_seed0.csv").read_bytes() == (b / "metrics_seed0.csv").read_bytes()
+        argv = train_argv(tmp_path)
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "runs" / "metrics_seed0.csv").read_bytes() == (
+            tmp_path / "b" / "metrics_seed0.csv").read_bytes()
 
     def test_seed_override(self, tmp_path):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(tmp_path, paths)
-        out = tmp_path / "seeded"
-        assert main(["train", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-        assert (out / "metrics_seed7.csv").exists()
+        assert main(train_argv(tmp_path, "--seed", "7")) == 0
+        assert (tmp_path / "runs" / "metrics_seed7.csv").exists()
 
-    def test_missing_dataset_field_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        text = write_train_config(tmp_path, paths)
-        content = Path(text).read_text().replace(f"test_labels = {paths['test_labels']}\n", "")
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(content)
-        assert main(["train", "--config", str(bad)]) == 2
-        assert "test_labels" in capsys.readouterr().err
-        # An output directory that is a file (FileExistsError) is bad input too.
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        assert main(["train", "--config", text, "--out", str(taken)]) == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
-
-    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "latin1.cfg"
-        bad.write_bytes(b"strategy = uniform\noutput_dir = caf\xe9\n")
-        assert main(["train", "--config", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot read config file {bad}")
-
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(tmp_path, paths)
-        out = str(tmp_path / "runs")
-        assert main(["train", "--config", cfg, "--out", out, "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
-        cfg = write_train_config(tmp_path, paths, extra="seed = -1\n", name="neg.cfg")
-        assert main(["train", "--config", cfg, "--out", out]) == 2
-        assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
-        assert not Path(out).exists()
-
-    def test_nan_imbalance_ratio_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(tmp_path, paths, extra="imbalance_ratio = nan\n")
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: imbalance ratio must be a finite number >= 1, got nan\n"
-        assert not (tmp_path / "runs").exists()
-
-    @pytest.mark.parametrize("old, new, message", [
-        pytest.param("learning_rate = 0.05", "learning_rate = nan",
-                     "learning_rate: must be positive and finite", id="nan_learning_rate"),
-        pytest.param("eval_every = 20", "eval_every = 20\nlr_schedule = 20:inf",
-                     "lr_schedule: multipliers must be positive and finite", id="inf_schedule_multiplier"),
-        pytest.param("eval_every = 20", "eval_every = 20\nearly_stop_on_hyperval = true",
-                     "field 'early_stop_on_hyperval': needs hyperval_total > 0", id="early_stop_no_hyperval"),
-        pytest.param("eval_every = 20", "eval_every = 20\nnoise_ratio = 0.3",
-                     "field 'noise_ratio': needs a noise_kind", id="noise_ratio_no_kind"),
+    @pytest.mark.parametrize("edit, flags, message, out_exists", [
+        pytest.param(("learning_rate = 0.05", "learning_rate = nan"), (),
+                     "learning_rate: must be positive and finite", False, id="nan_learning_rate"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nlr_schedule = 20:inf"), (),
+                     "lr_schedule: multipliers must be positive and finite", False, id="inf_schedule_multiplier"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nearly_stop_on_hyperval = true"), (),
+                     "field 'early_stop_on_hyperval': needs hyperval_total > 0", False, id="early_stop_no_hyperval"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nnoise_ratio = 0.3"), (),
+                     "field 'noise_ratio': needs a noise_kind", False, id="noise_ratio_no_kind"),
+        pytest.param(("test_labels", "# test_labels"), (), "field 'test_labels' is required", False,
+                     id="missing_dataset_field"),
+        pytest.param(("/train-images-idx3-ubyte", "/absent"), (),
+                     "field 'train_images': file not found: {tmp}/absent", False, id="missing_idx_path"),
+        pytest.param(("", ""), ("--config", "{tmp}/absent.cfg"),
+                     "cannot read config file {tmp}/absent.cfg: [Errno 2] No such file or directory: "
+                     "'{tmp}/absent.cfg'", False, id="missing_config_file"),
+        pytest.param(("strategy", "output_dir = caf\xe9\nstrategy"), (),
+                     "cannot read config file {tmp}/exp.cfg: 'utf-8' codec can't decode byte 0xe9 in "
+                     "position 16: invalid continuation byte", False, id="non_utf8_config"),
+        pytest.param(("strategy", "strtegy"), (), "{tmp}/exp.cfg:1: unknown config field 'strtegy'", False,
+                     id="unknown_field"),
+        pytest.param(("", ""), ("--seed", "-1"), "seed: must be nonnegative", False, id="negative_seed_flag"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nseed = -1"), (), "seed: must be nonnegative", False,
+                     id="negative_seed_field"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nimbalance_ratio = nan"), (),
+                     "imbalance ratio must be a finite number >= 1, got nan", False, id="nan_imbalance_ratio"),
     ])
-    def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, old, new, message):
-        # The README's exit-2 cases that no other test runs through the CLI.
-        cfg = Path(write_train_config(tmp_path, synth_mnist_like(tmp_path)))
-        cfg.write_text(cfg.read_text().replace(old, new))
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "runs").exists()
+    def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, edit, flags, message, out_exists):
+        assert_exits_2(train_argv(tmp_path, *flags, edit=edit), tmp_path, capsys, message,
+                       tmp_path / "runs", out_exists)
 
-    def test_unknown_field_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("strtegy = uniform\n")
-        assert main(["train", "--config", str(bad)]) == 2
-        assert "strtegy" in capsys.readouterr().err
-
-    def test_image_size_mismatch_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path, side=4)
-        (tmp_path / "small").mkdir()
-        small = synth_mnist_like(tmp_path / "small", side=3)
-        paths.update(test_images=small["test_images"], test_labels=small["test_labels"])
-        cfg = write_train_config(tmp_path, paths)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
-        assert "error: batch has 9 features, model expects 16" in capsys.readouterr().err
-
-    def test_non_finite_run_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        for strategy, message in (
-            ("uniform", "gradient contains non-finite values"),
-            ("meta_reweight", "weight scores contain non-finite values"),
-        ):
-            cfg = tmp_path / f"{strategy}.cfg"
-            cfg.write_text(
-                Path(write_train_config(tmp_path, paths, strategy=strategy)).read_text().replace(
-                    "learning_rate = 0.05", "learning_rate = 1e300"
-                )
-            )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(["train", "--config", str(cfg), "--out", str(tmp_path / strategy)])
-            assert code == 2
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-            # The first step overflows the parameters; the second meets the non-finite values.
-            assert capsys.readouterr().err == f"error: seed 0 step 1: {message}\n"
+    @pytest.mark.parametrize("edit, files, message, out_exists", [
+        pytest.param(("", ""), {"runs": b""}, "[Errno 17] File exists: '{tmp}/runs'", True, id="out_is_a_file"),
+        pytest.param(("", ""), {"train-images-idx3-ubyte": idx_images_bytes(np.zeros((120, 6, 6)))[:100]},
+                     "images payload: header promises 4320 bytes, {tmp}/train-images-idx3-ubyte has 84", False,
+                     id="truncated_train_images"),
+        pytest.param(("", ""), {"test-images-idx3-ubyte": idx_images_bytes(np.zeros((60, 3, 3)))},
+                     "batch has 9 features, model expects 36", True, id="image_size_mismatch"),
+        # The first step overflows the parameters; the second meets the non-finite values.
+        pytest.param(("strategy = meta_reweight\nlearning_rate = 0.05", "strategy = uniform\nlearning_rate = 1e300"),
+                     {}, "seed 0 step 1: gradient contains non-finite values", True, id="non_finite_uniform"),
+        pytest.param(("learning_rate = 0.05", "learning_rate = 1e300"), {},
+                     "seed 0 step 1: weight scores contain non-finite values", True, id="non_finite_meta_reweight"),
+    ])
+    def test_bad_run_exits_2(self, tmp_path, capsys, edit, files, message, out_exists):
+        argv = train_argv(tmp_path, edit=edit)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        assert_exits_2(argv, tmp_path, capsys, message, tmp_path / "runs", out_exists)
 
     def test_noise_pipeline_runs(self, tmp_path):
-        paths = synth_mnist_like(tmp_path)
-        cfg = write_train_config(
-            tmp_path,
-            paths,
-            extra="noise_kind = uniform_flip\nnoise_ratio = 0.3\nnum_classes = 2\n",
-        )
-        out = tmp_path / "noisy"
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-        with open(out / "metrics_seed0.csv") as f:
+        noise = "eval_every = 20\nnoise_kind = uniform_flip\nnoise_ratio = 0.3\nnum_classes = 2"
+        assert main(train_argv(tmp_path, edit=("eval_every = 20", noise))) == 0
+        with open(tmp_path / "runs" / "metrics_seed0.csv") as f:
             rows = list(csv.DictReader(f))
         # Corrupted examples exist, so the flipped-weight column is populated.
         assert rows[-1]["mean_w_flipped"] != "nan"
 
 
-def corrupt_argv(images, labels, out, *extra, ratio="0.5"):
-    """argv of a uniform_flip `corrupt` run; extra flags go last."""
+def corrupt_argv(images, labels, out, *extra):
+    """argv of a uniform_flip `corrupt` run; extra flags go last, and argparse
+    keeps the last of a repeated flag."""
     return ["corrupt", "--images", str(images), "--labels", str(labels), "--out", str(out),
-            "--kind", "uniform_flip", "--ratio", ratio, *extra]
+            "--kind", "uniform_flip", "--ratio", "0.5", *extra]
+
+
+# A gzipped IDX image file, which the damaged-gzip rows cut at HALF or flip there.
+PACKED = gzip.compress(idx_images_bytes(np.random.default_rng(0).integers(0, 60, (40, 6, 6))), mtime=0)
+HALF = len(PACKED) // 2
 
 
 class TestCorruptCommand:
@@ -260,35 +234,27 @@ class TestCorruptCommand:
         assert main(corrupt_argv(images, labels, labels, "--num-classes", "2", "--seed", "3")) == 0
         assert labels.read_bytes() == ref.read_bytes()
 
-    def test_bad_ratio_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, files, message, out_exists", [
+        pytest.param(("--ratio", "1.5"), {}, "noise ratio must lie in [0, 1]", False, id="ratio_above_one"),
+        pytest.param(("--seed", "-1"), {}, "--seed: must be nonnegative", False, id="negative_seed"),
+        pytest.param(("--images", "{tmp}/absent"), {}, "[Errno 2] No such file or directory: '{tmp}/absent'",
+                     False, id="missing_images"),
+        pytest.param(("--images", "{tmp}"), {}, "[Errno 21] Is a directory: '{tmp}'", False,
+                     id="images_is_a_directory"),
+        pytest.param(("--images", "{tmp}/half.idx.gz"), {"half.idx.gz": PACKED[:HALF]},
+                     "images: damaged compressed file {tmp}/half.idx.gz: Compressed file ended before the "
+                     "end-of-stream marker was reached", False, id="truncated_gzip"),
+        pytest.param(("--images", "{tmp}/flipped.idx.gz"),
+                     {"flipped.idx.gz": PACKED[:HALF] + bytes([PACKED[HALF] ^ 0xFF]) + PACKED[HALF + 1 :]},
+                     "images: damaged compressed file {tmp}/flipped.idx.gz: CRC check failed 0x66432e64 != "
+                     "0xaf9a094a", False, id="flipped_gzip"),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, flags, files, message, out_exists):
         paths = synth_mnist_like(tmp_path)
-        code = main(corrupt_argv(paths["train_images"], paths["train_labels"], tmp_path / "x", ratio="1.5"))
-        assert code == 2
-        assert "ratio" in capsys.readouterr().err
-        # An images path that is a directory (IsADirectoryError) is bad input too.
-        code = main(corrupt_argv(tmp_path, paths["train_labels"], tmp_path / "x"))
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
-
-    def test_damaged_gzip_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        with open(paths["train_images"], "rb") as f:
-            packed = gzip.compress(f.read())
-        flipped = bytearray(packed)
-        flipped[len(packed) // 2] ^= 0xFF
-        for name, data in (("half.idx.gz", packed[: len(packed) // 2]), ("flipped.idx.gz", flipped)):
-            images = tmp_path / name
-            images.write_bytes(data)
-            code = main(corrupt_argv(images, paths["train_labels"], tmp_path / "x"))
-            assert code == 2
-            assert capsys.readouterr().err.startswith(f"error: images: damaged compressed file {images}: ")
-
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        paths = synth_mnist_like(tmp_path)
-        code = main(corrupt_argv(paths["train_images"], paths["train_labels"], tmp_path / "x", "--seed", "-1"))
-        assert code == 2
-        assert capsys.readouterr().err == "error: --seed: must be nonnegative\n"
-        assert not (tmp_path / "x").exists()
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv = corrupt_argv(paths["train_images"], paths["train_labels"], tmp_path / "x", *flags)
+        assert_exits_2(argv, tmp_path, capsys, message, tmp_path / "x", out_exists)
 
     def test_empty_dataset_writes_empty_label_file(self, tmp_path):
         images = tmp_path / "images-idx3-ubyte"
@@ -306,13 +272,10 @@ class TestCorruptCommand:
 
 class TestReportCommand:
     def test_aggregates_runs(self, tmp_path):
-        paths = synth_mnist_like(tmp_path)
         root = tmp_path / "all"
         for strategy in ("uniform", "meta_reweight"):
-            cfg = write_train_config(
-                tmp_path, paths, extra="repeat = 2\n", name=f"{strategy}.cfg", strategy=strategy
-            )
-            assert main(["train", "--config", cfg, "--out", str(root / strategy)]) == 0
+            edit = ("strategy = meta_reweight", f"strategy = {strategy}\nrepeat = 2")
+            assert main(train_argv(tmp_path, "--out", str(root / strategy), edit=edit)) == 0
         assert main(["report", "--dir", str(root)]) == 0
 
         with open(root / "report_final.csv") as f:
@@ -357,24 +320,26 @@ class TestReportCommand:
             b"c0ffee,uniform,20,0.30000000000000004,0.8999999999999999,0.04043490449370843\r\n"
         )
 
-    def test_empty_dir_exits_2(self, tmp_path, capsys):
-        assert main(["report", "--dir", str(tmp_path)]) == 2
-        assert "summary.json" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("files", [
-        {"summary.json": '{"strategy": "unif'},
-        {"summary.json": "{}"},
-        {"summary.json": json.dumps({"strategy": "uniform", "config_hash": "c0ffee", "seeds": [0],
-                                     "mean_test_error": 0.25, "ci_half_width": 0.0}),
-         "metrics_seed0.csv": "step,train_loss,val_loss_G,test_error\n10,abc,0.5,0.25\n"},
-        {"summary.json": "[]"},
-    ], ids=["truncated_summary", "empty_summary", "bad_metrics_cell", "summary_not_an_object"])
-    def test_malformed_run_file_exits_2(self, tmp_path, capsys, files):
+    @pytest.mark.parametrize("files, message, out_exists", [
+        pytest.param({}, "no summary.json found under {tmp}", False, id="empty_dir"),
+        pytest.param({"summary.json": '{"strategy": "unif'}, "malformed run file {tmp}/summary.json: "
+                     "JSONDecodeError('Unterminated string starting at: line 1 column 14 (char 13)')", False,
+                     id="truncated_summary"),
+        pytest.param({"summary.json": "{}"}, "malformed run file {tmp}/summary.json: KeyError('config_hash')",
+                     False, id="empty_summary"),
+        pytest.param({"summary.json": json.dumps({"strategy": "uniform", "config_hash": "c0ffee", "seeds": [0],
+                                                  "mean_test_error": 0.25, "ci_half_width": 0.0}),
+                      "metrics_seed0.csv": "step,train_loss,val_loss_G,test_error\n10,abc,0.5,0.25\n"},
+                     "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"could not convert string to float: 'abc'\")", False, id="bad_metrics_cell"),
+        pytest.param({"summary.json": "[]"}, "malformed run file {tmp}/summary.json: "
+                     "AttributeError(\"'list' object has no attribute 'get'\")", False, id="summary_not_an_object"),
+    ])
+    def test_malformed_run_file_exits_2(self, tmp_path, capsys, files, message, out_exists):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        assert main(["report", "--dir", str(tmp_path)]) == 2
-        # The error names the malformed file: the last one written.
-        assert list(files)[-1] in capsys.readouterr().err
+        assert_exits_2(["report", "--dir", "{tmp}"], tmp_path, capsys, message,
+                       tmp_path / "report_final.csv", out_exists)
 
 
 @pytest.fixture

@@ -58,24 +58,20 @@ class TestParsing:
         assert cfg["subset_total"] is None
         assert cfg["activation"] == "tanh"
 
-    def test_duplicate_key(self, tmp_path):
-        for text in ("seed = 1\nseed = 2\n", "seed =\nseed = 3\n"):
-            with pytest.raises(ConfigError, match="duplicate"):
-                parse_config_file(write_config(tmp_path, text))
-
     @pytest.mark.parametrize("text, match", [
         pytest.param("learning_rte = 0.1\n", ":1: unknown config field 'learning_rte'$", id="unknown_key"),
         pytest.param("total_steps = soon\n", ":1: field 'total_steps': invalid literal for int", id="bad_value"),
         pytest.param("strategy uniform\n", ":1: expected key = value, got 'strategy uniform'$",
                      id="line_without_equals"),
+        pytest.param("seed = 1\nseed = 2\n", ":2: duplicate config field 'seed'$", id="duplicate_key"),
+        pytest.param("seed =\nseed = 3\n", ":2: duplicate config field 'seed'$", id="duplicate_after_blank"),
+        pytest.param(None, r"^cannot read config file .*absent\.cfg: \[Errno 2\] No such file or directory: '.*absent\.cfg'$",
+                     id="missing_file"),
     ])
     def test_bad_file_rejected(self, tmp_path, text, match):
+        path = str(tmp_path / "absent.cfg") if text is None else write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=match):
-            parse_config_file(write_config(tmp_path, text))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config_file(str(tmp_path / "absent.cfg"))
+            parse_config_file(path)
 
 
 class TestHash:

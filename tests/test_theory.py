@@ -232,6 +232,13 @@ class TestObjectiveContract:
         ds := make_blobs(np.random.default_rng(76), 20, 4, 2), ds.subset(np.empty(0, dtype=np.int64)),
         steps=2, batch_size=4,
     ), ConfigError, id="descent_empty_validation_set"),
+    pytest.param(lambda: run_descent_verification(
+        (ds := make_blobs(np.random.default_rng(76), 20, 4, 2)).subset(np.empty(0, dtype=np.int64)), ds,
+        steps=2, batch_size=4,
+    ), ConfigError, id="descent_empty_training_set"),
+    pytest.param(lambda: run_descent_verification(
+        ds := make_blobs(np.random.default_rng(76), 20, 4, 2), ds, steps=0, batch_size=4,
+    ), ValueError, id="descent_no_steps"),
     pytest.param(lambda: rate_report([]), ValueError, id="rate_report_empty_trace"),
     pytest.param(lambda: validation_objective(np.zeros((0, 5)), np.zeros(0, dtype=int)), DimensionError,
                  id="objective_empty_validation_set"),

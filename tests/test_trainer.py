@@ -426,11 +426,6 @@ class TestEvaluate:
         assert a[0] == b[0]
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
-    def test_empty_rejected(self):
-        model = MLPModel.init([3, 2])
-        with pytest.raises(ConfigError):
-            evaluate(model, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
-
 
 def empty(ds):
     return ds.subset(np.empty(0, dtype=np.int64))
@@ -456,6 +451,8 @@ def one_class(ds):
                  "^cannot join uint8 images with float64 images$", id="bytes_joined_with_floats"),
     pytest.param(lambda tr, va, te: train(small_config(), one_class(tr), one_class(va), one_class(te)),
                  "^need at least two classes to train a classifier$", id="one_class"),
+    pytest.param(lambda tr, va, te: evaluate(MLPModel.init([6, 2]), empty(te)),
+                 "^cannot evaluate on an empty dataset$", id="evaluate_empty"),
 ])
 def test_bad_datasets_raise(call, match):
     with pytest.raises(ConfigError, match=match):
