@@ -90,6 +90,7 @@ MUTANTS = [
      "@dataclass\nclass TrainConfig:"),
     ("trainer/schedule-kept-as-list", "trainer.py",
      '        object.__setattr__(self, "lr_schedule", tuple(self.lr_schedule))\n', ""),
+    ("trainer/negative-schedule-step-accepted", "trainer.py", "            if step < 0:\n", "            if False:\n"),
     ("trainer/nan-learning-rate-accepted", "trainer.py",
      "        if not 0 < self.learning_rate < np.inf:\n", "        if self.learning_rate <= 0:\n"),
     ("trainer/empty-test-set-accepted", "trainer.py", "    if len(test_ds) == 0:\n", "    if False:\n"),
@@ -148,6 +149,8 @@ MUTANTS = [
      "                if size > DEFLATE_MAX_RATIO * os.path.getsize(path):\n", "                if False:\n"),
     ("data/subset-copies-pixels", "data.py", "Dataset(self.images.select(idx), self.labels[idx]",
      "Dataset(self.images[idx], self.labels[idx]"),
+    ("data/explicit-root-falls-back-to-env", "data.py", "        candidates = [root]\n",
+     '        candidates = [root, os.environ.get("MNIST_DIR", root)]\n'),
     ("data/imbalanced-pair-copies-pixels", "data.py", "    return Dataset(ds.images.select(idx), new_labels)\n",
      "    return Dataset(ds.images[idx], new_labels)\n"),
     ("data/corrupt-copies-pixels", "data.py", "    return Dataset(ds.images, labels, ds.original_labels.copy())\n",
@@ -204,6 +207,8 @@ MUTANTS = [
     ("config/zero-repeat-accepted", "config.py", '    if values["repeat"] < 1:\n', "    if False:\n"),
     ("config/zero-subset-total-accepted", "config.py",
      '    if values["subset_total"] is not None and values["subset_total"] < 1:\n', "    if False:\n"),
+    ("cli/verify-data-dir-unchecked", "cli.py",
+     '    if args.level == "full" and args.data_dir and locate_mnist(args.data_dir) is None:\n', "    if False:\n"),
     ("cli/seed-override-ignored", "cli.py", '        values["seed"] = args.seed\n', "        pass\n"),
     ("cli/out-override-ignored", "cli.py", '        values["output_dir"] = args.out\n', "        pass\n"),
     ("cli/corrupt-negative-seed-accepted", "cli.py", "    if args.seed < 0:\n", "    if False:\n"),
@@ -214,6 +219,10 @@ MUTANTS = [
      "    except () as e:\n"),
     ("cli/curve-means-whole-array", "cli.py", "[cols[:, k].mean() for k in range(3)]",
      "list(cols.mean(axis=0))"),
+    # The finite-difference oracles going soft: the checks they back must notice.
+    ("checks/fd-one-sided", "checks.py", "(f(plus) - f(minus)) / (2.0 * FD_STEP)", "(f(plus) - f(x)) / FD_STEP"),
+    ("checks/fd-step-coarse", "checks.py", "FD_STEP = 1e-5  #", "FD_STEP = 1e-2  #"),
+    ("checks/fd-meta-gradient-unnegated", "checks.py", "    return -_central_diff(", "    return _central_diff("),
 ]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .checks import run_checks
 from .config import build_experiment, parse_config_file
-from .data import NoiseSpec, corrupt, load_idx, write_csv, write_idx_labels
+from .data import NoiseSpec, corrupt, load_idx, locate_mnist, write_csv, write_idx_labels
 from .errors import ConfigError, DimensionError, IdxParseError, NonFiniteError
 from .experiment import run_experiment
 
@@ -78,6 +78,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.level == "full" and args.data_dir and locate_mnist(args.data_dir) is None:
+        raise ConfigError(f"--data-dir: MNIST IDX files not found in {args.data_dir}")
     return run_checks(level=args.level, data_dir=args.data_dir, out_dir=args.out)
 
 

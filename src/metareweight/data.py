@@ -392,17 +392,16 @@ def corrupt(ds: Dataset, spec: NoiseSpec, rng: np.random.Generator) -> Dataset:
 def locate_mnist(root: str | None = None) -> dict | None:
     """Find the four MNIST IDX files; returns a path dict or None.
 
-    Search order: explicit root, the MNIST_DIR environment variable,
-    ./data/mnist, ~/mnist. Accepts .gz variants.
+    An explicit root is the only place searched. Without one the search
+    order is the MNIST_DIR environment variable, ./data/mnist, ~/mnist.
+    Accepts .gz variants.
     """
-    candidates = []
     if root:
-        candidates.append(root)
-    env = os.environ.get("MNIST_DIR")
-    if env:
-        candidates.append(env)
-    candidates.append(os.path.join(".", "data", "mnist"))
-    candidates.append(os.path.expanduser(os.path.join("~", "mnist")))
+        candidates = [root]
+    else:
+        env = os.environ.get("MNIST_DIR")
+        candidates = [env] if env else []
+        candidates += [os.path.join(".", "data", "mnist"), os.path.expanduser(os.path.join("~", "mnist"))]
     for base in candidates:
         found = {}
         for key, name in MNIST_FILES.items():

@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("eval_every: must be at least 1")
         prev = -1
         for step, mult in self.lr_schedule:
+            if step < 0:
+                raise ConfigError("lr_schedule: steps must be nonnegative")
             if step <= prev:
                 raise ConfigError("lr_schedule: steps must be strictly increasing")
             if not 0 < mult < np.inf:

@@ -364,6 +364,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[SKIP] mnist_monotone_descent" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(("--data-dir", "{tmp}"), "--data-dir: MNIST IDX files not found in {tmp}",
+                     id="data_dir_without_idx"),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, message):
+        # A check that ran would make the exit code 1.
+        monkeypatch.setattr(checks, "QUICK_CHECKS", [("must_not_run", lambda: (False, "ran"))])
+        argv = ["verify", "--level", "full", "--out", "{tmp}/verify_out", *flags]
+        assert_exits_2(argv, tmp_path, capsys, message, tmp_path / "verify_out", False)
+
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         failing = [("passing", lambda: (True, "")), ("broken", lambda: (False, "gap 3.0e-02"))]
         monkeypatch.setattr(checks, "QUICK_CHECKS", failing)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from metareweight.data import (
+    MNIST_FILES,
     Dataset,
     ImbalanceSpec,
     NoiseSpec,
@@ -127,13 +128,6 @@ class TestIdxParsing:
         write_idx_labels(np.array([0, 0]), labels)
         assert list(ds.labels) == [4, 1, 7]
         assert list(ds.original_labels) == [4, 1, 7]
-
-    def test_write_labels_roundtrip(self, tmp_path):
-        images, _ = write_pair(tmp_path, np.zeros((3, 2, 2)), [0, 0, 0])
-        out = tmp_path / "out-labels"
-        write_idx_labels(np.array([3, 1, 9]), str(out))
-        ds = load_idx(images, str(out))
-        assert list(ds.labels) == [3, 1, 9]
 
     def test_write_labels_gz(self, tmp_path):
         out = tmp_path / "out-labels.gz"
@@ -369,28 +363,29 @@ class TestSplitsAndSubsets:
         assert not np.shares_memory(out.images.pixels, ds.images.pixels)
 
 
+def write_mnist_files(root):
+    """The four MNIST IDX files, one 2x2 image each, in root."""
+    root.mkdir(parents=True, exist_ok=True)
+    for name in MNIST_FILES.values():
+        data = idx_images_bytes(np.zeros((1, 2, 2))) if "images" in name else idx_labels_bytes([0])
+        (root / name).write_bytes(data)
+
+
 class TestLocateMnist:
     def test_found_via_explicit_root(self, tmp_path):
-        images = np.zeros((1, 2, 2), dtype=np.uint8)
-        names = [
-            "train-images-idx3-ubyte",
-            "train-labels-idx1-ubyte",
-            "t10k-images-idx3-ubyte",
-            "t10k-labels-idx1-ubyte",
-        ]
-        for name in names:
-            if "images" in name:
-                (tmp_path / name).write_bytes(idx_images_bytes(images))
-            else:
-                (tmp_path / name).write_bytes(idx_labels_bytes([0]))
+        write_mnist_files(tmp_path)
         paths = locate_mnist(str(tmp_path))
         assert paths is not None
         assert paths["train_images"].endswith("train-images-idx3-ubyte")
 
     def test_missing_returns_none(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("MNIST_DIR", raising=False)
+        # An explicit root is the only place searched, though every fallback holds the files.
+        for root in (tmp_path / "env", tmp_path / "data" / "mnist", tmp_path / "mnist"):
+            write_mnist_files(root)
+        monkeypatch.setenv("MNIST_DIR", str(tmp_path / "env"))
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HOME", str(tmp_path))
+        assert locate_mnist()["train_images"] == str(tmp_path / "env" / "train-images-idx3-ubyte")
         assert locate_mnist(str(tmp_path / "nowhere")) is None
 
 

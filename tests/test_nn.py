@@ -28,14 +28,6 @@ from metareweight.nn import (
 
 
 class TestForward:
-    def test_losses_nonnegative_probs_normalized(self):
-        rng = np.random.default_rng(5)
-        model = random_model(rng, [6, 4, 3], "relu")
-        batch = random_batch(rng, 32, 6, 3)
-        cache = forward(model, batch)
-        assert (cache.losses >= 0).all()
-        assert np.abs(cache.probs.sum(axis=1) - 1.0).max() <= 1e-12
-
     def test_extreme_logits_stay_finite(self):
         # Large weights drive logits to +-1e4; the shifted softmax must not
         # overflow, and the correct-class loss must be near zero.
@@ -185,20 +177,14 @@ class TestFlatLayout:
             offset += w.size
         assert offset == model.param_count
 
-    def test_flatten_copies_separate_layers(self):
-        model = MLPModel.init([5, 4, 3], rng=np.random.default_rng(32))
-        flat = model.flatten()
-        assert not any(np.shares_memory(flat, w) for w in model.layers)
-        for v, w in zip(layer_views(flat, [w.shape for w in model.layers]), model.layers):
-            assert np.array_equal(v, w)
-
     def test_model_flatten_never_aliases_layers(self):
+        # Separate layer arrays, and the views of one vector that sgd_step returns.
         model, _, _, grad = self._gradient(33)
-        stepped = sgd_step(model, grad, 0.1)
-        before = [w.tobytes() for w in stepped.layers]
-        flat = stepped.flatten()
-        flat[:] = 0.0
-        assert [w.tobytes() for w in stepped.layers] == before
+        for m in (model, sgd_step(model, grad, 0.1)):
+            flat = m.flatten()
+            assert not any(np.shares_memory(flat, w) for w in m.layers)
+            for v, w in zip(layer_views(flat, [w.shape for w in m.layers]), m.layers):
+                assert np.array_equal(v, w)
 
     def test_with_params_does_not_alias_its_input(self):
         model = random_model(np.random.default_rng(34), [4, 3, 2], "tanh", bias_scale=0.5)

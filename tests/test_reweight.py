@@ -44,13 +44,6 @@ class TestProportionWeights:
         assert abs(w.sum() - 1.0) <= 1e-12
 
 
-class TestHardMining:
-    def test_k_zero_keeps_only_minority(self):
-        losses = np.array([5.0, 1.0, 3.0])
-        labels = np.array([1, 0, 1])
-        assert list(hard_mining_select(losses, labels, 1, 0)) == [1]
-
-
 class TestResample:
     def test_deterministic_given_seed(self):
         labels = np.array([0, 0, 1, 1, 1])

@@ -25,7 +25,6 @@ from metareweight.nn import MLPModel
 from metareweight.theory import (
     DescentEntry,
     estimate_grad_bound,
-    estimate_regularity,
     estimate_smoothness,
     rate_report,
     run_descent_verification,
@@ -157,16 +156,6 @@ class TestFdMetaGradient:
         vb = random_batch(rng, 2, 4, 2)
         u = fd_meta_gradient(model, tb, vb, alpha=0.0)
         assert np.array_equal(u, np.zeros(4))
-
-
-class TestRegularity:
-    def test_estimate_bundle(self):
-        rng = np.random.default_rng(79)
-        ds = make_blobs(rng, 40, 5, 2)
-        model = random_model(rng, [5, 6, 2], "relu", bias_scale=0.1)
-        objective = validation_objective(ds.images[:10], ds.labels[:10])
-        est = estimate_regularity(model, ds, objective, probes=5, sample_count=16, rng=rng)
-        assert est.smoothness > 0 and est.grad_bound > 0
 
 
 class TestObjectiveContract:

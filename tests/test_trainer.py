@@ -68,9 +68,6 @@ def small_config(**kw):
 
 
 class TestConfigValidation:
-    def test_good_config_passes(self):
-        small_config()
-
     def test_frozen_and_rechecked_by_replace(self):
         cfg = small_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -98,6 +95,7 @@ class TestConfigValidation:
             {"learning_rate": np.nan},
             {"learning_rate": np.inf},
             {"lr_schedule": [(5, np.nan)]},
+            pytest.param({"lr_schedule": [(-5, 0.1)]}, id="negative_schedule_step"),
         ],
     )
     def test_bad_configs_raise(self, kw):
@@ -111,11 +109,6 @@ class TestTrainBasics:
         result = train(small_config(total_steps=300), train_ds, val_ds, test_ds)
         assert result.final_test_error <= 0.2
         assert result.records[-1].step == 300
-
-    def test_metrics_cadence(self):
-        train_ds, val_ds, test_ds = blob_sets()
-        result = train(small_config(total_steps=120, eval_every=50), train_ds, val_ds, test_ds)
-        assert [r.step for r in result.records] == [50, 100, 120]
 
     def test_weight_log_holds_last_eval_every_steps(self):
         # The last eval_every steps (10-29), not the final evaluation window (20-29).
