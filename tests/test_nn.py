@@ -177,14 +177,20 @@ class TestFlatLayout:
             offset += w.size
         assert offset == model.param_count
 
+    @staticmethod
+    def _assert_flatten_copies(model):
+        flat = model.flatten()
+        assert not any(np.shares_memory(flat, w) for w in model.layers)
+        for v, w in zip(layer_views(flat, [w.shape for w in model.layers]), model.layers):
+            assert np.array_equal(v, w)
+
+    def test_flatten_copies_separate_layers(self):
+        self._assert_flatten_copies(MLPModel.init([5, 4, 3], rng=np.random.default_rng(32)))
+
     def test_model_flatten_never_aliases_layers(self):
-        # Separate layer arrays, and the views of one vector that sgd_step returns.
+        # The layers sgd_step returns are views of one vector; flatten still copies.
         model, _, _, grad = self._gradient(33)
-        for m in (model, sgd_step(model, grad, 0.1)):
-            flat = m.flatten()
-            assert not any(np.shares_memory(flat, w) for w in m.layers)
-            for v, w in zip(layer_views(flat, [w.shape for w in m.layers]), m.layers):
-                assert np.array_equal(v, w)
+        self._assert_flatten_copies(sgd_step(model, grad, 0.1))
 
     def test_with_params_does_not_alias_its_input(self):
         model = random_model(np.random.default_rng(34), [4, 3, 2], "tanh", bias_scale=0.5)
