@@ -1,19 +1,21 @@
-"""Run the benchmark on two checkouts in alternating pairs and compare them.
+"""Run the benchmark on two commits in alternating pairs and compare them.
 
-    python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload descent --pairs 10
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload descent --pairs 10
 
-Each root is a repository checkout holding `perfbench/`, `BENCHMARK.json`
-and `src/`. Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T
---trace 0` from each root, T being `run_seconds` of the parent's
+PARENT and CHANGE name commits of the repository that holds this script.
+Each is exported with `git archive` into `parent/` or `change/` of one
+temporary directory, removed at the end, so both sides run alike and neither
+from the repository. Pair i runs `perfbench/run.py --workload W --seed S+i
+--seconds T --trace 0` in each export, T being `run_seconds` of the parent's
 BENCHMARK.json, the parent first in even pairs and the change first in odd
-ones, so neither side always runs on a warmer or a busier machine. The pair
-count must be a positive even number, so each side runs first equally often;
-any other count exits 2 before a run starts. Each run
-prints its verdict (`correct`, `attempted`, `failed`) and its end-to-end
-metrics as it ends. At the end, for every end-to-end metric of the parent's
-BENCHMARK.json, the script prints each side's median and quartiles over the
-completed pairs, how many pairs each side won (ties count for neither),
-whether the change's gain is claimable and whether the change regressed.
+ones, so neither side always runs on a warmer or a busier machine. A name
+that is not a commit, or a pair count that is not a positive even number,
+exits 2 before a run starts. Each run prints its verdict (`correct`,
+`attempted`, `failed`) and its end-to-end metrics as it ends; then, for
+every end-to-end metric of the parent's BENCHMARK.json, the script prints
+each side's median and quartiles over the completed pairs, the pairs each
+side won (ties count for neither), whether the change's gain is claimable
+and whether the change regressed.
 
 A gain is claimable when every change run completed and was correct with no
 more failed operations than its paired parent run, the change won at least
@@ -22,22 +24,13 @@ parent's interquartile range. The regression verdict takes the metric's
 `bound` in BENCHMARK.json as a fraction of the parent's median: `worse` when
 the change's median is worse than the parent's by more than that, else
 `unresolved` when the parent's interquartile range is wider than that and
-not every change run beats every parent run, else `ok`.
+not every change run beats every parent run, else `ok`. A run that fails or
+ends without a result line drops its pair from the medians; it, a change run
+that is not sound as above, or any `worse` verdict makes the exit status 1.
 
-A run that fails drops its pair from the medians; it, a change run that is
-not correct or fails more operations than its paired parent run, or any
-`worse` verdict makes the exit status 1.
-
-When any pair completed, the script appends one entry to the JSON list in
-`BENCH_<workload>.json` at the change root, so the repository keeps its
-performance history: each side's commit (`unknown` for a root that is not a
-git checkout, suffixed `-dirty` when its `src/`, `perfbench/` or
-`BENCHMARK.json` differ from that commit), the seeds, the run seconds, the
-completed pairs, whether the change's runs were sound, and for every
-end-to-end metric both sides' q1/median/q3, the pairs each side won, the
-claimable flag, the regression verdict and the change/parent median ratio.
-Besides that file, the runs write what any benchmark run writes,
-`.perfbench/` in each root.
+When any pair completed, the comparison is appended as one entry, which
+`bench_entry` describes, to the JSON list in the repository's
+`BENCH_<workload>.json`.
 """
 
 import argparse
@@ -46,35 +39,46 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict | None:
-    """One benchmark run in root: `correct`, `attempted`, `failed` and `metrics`
-    ({name: value}), or None if the run did not finish."""
+    """One benchmark run in root, printed as it ends under the root's name:
+    `correct`, `attempted`, `failed` and `metrics` ({name: value}), or None if
+    the run did not finish or its last line is not a result."""
+    run = f"seed {seed} {os.path.basename(root)}"
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     try:
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        print(f"  {root}: seed {seed} timed out after {RUN_TIMEOUT_S} s")
+        print(f"{run}: timed out after {RUN_TIMEOUT_S} s")
         return None
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        print(f"  {root}: seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        print(f"{run}: exited {proc.returncode}\n{proc.stderr[-2000:]}")
         return None
-    result = json.loads(lines[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    try:
+        result = json.loads(lines[-1])
+        r = {"correct": result["correct"], "attempted": result["attempted"],
+             "failed": result["failed"],
+             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        print(f"{run}: printed no result: {lines[-1][:2000]}")
+        return None
+    values = ", ".join(f"{k} {v:.4g}" for k, v in r["metrics"].items())
+    print(f"{run}: correct {r['correct']}, attempted {r['attempted']}, failed {r['failed']}; "
+          f"{values}", flush=True)
+    return r
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def regression(m: dict, parent: list[float], change: list[float]) -> str:
@@ -101,31 +105,29 @@ def table(summary: dict[str, dict]) -> list[str]:
     return rows
 
 
-def commit(root: str) -> str:
-    """The commit checked out in root, suffixed `-dirty` when its `src/`,
-    `perfbench/` or `BENCHMARK.json` differ from it; `unknown` when root is
-    not a git checkout (a `git archive`, say)."""
-    if not os.path.exists(os.path.join(root, ".git")):
-        return "unknown"
-    def git(*args):
-        return subprocess.run(["git", "-C", root, *args], capture_output=True, text=True,
-                              check=True).stdout.strip()
-    try:
-        head = git("rev-parse", "HEAD")
-        dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return head + "-dirty" if dirty else head
+def resolve(repo: str, name: str) -> str | None:
+    """The full hash of the commit that name stands for in repo, or None."""
+    proc = subprocess.run(["git", "-C", repo, "rev-parse", "--verify", "--quiet", name + "^{commit}"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def export(repo: str, commit: str, dest: str) -> None:
+    """Write the files of commit in repo to the new directory dest."""
+    os.mkdir(dest)
+    archive = subprocess.run(["git", "-C", repo, "archive", commit], capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
 def bench_entry(commits: tuple[str, str], seeds: list[int], seconds: float, metrics: list[dict],
                 pairs: list[tuple[dict, dict]], sound: bool) -> dict:
-    """One entry of `BENCH_<workload>.json`: the commits compared, the seeds
-    of all pairs run, the run seconds, and for every metric each side's
-    q1/median/q3, the pairs each side won, whether a gain is claimable, the
-    regression verdict and the change/parent median ratio. `pairs` holds the
-    completed pairs' metrics; the nine-tenths test counts against all pairs
-    run, and no gain is claimable unless `sound`."""
+    """One entry of `BENCH_<workload>.json`: the full hashes of the commits
+    compared, the seeds of all pairs run, the run seconds, the pairs
+    completed, whether the change's runs were sound, and for every metric
+    each side's q1/median/q3, the pairs each side won, whether a gain is
+    claimable, the regression verdict and the change/parent median ratio.
+    `pairs` holds the completed pairs' metrics; the nine-tenths test counts
+    against all pairs run, and no gain is claimable unless `sound`."""
     summary = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -163,41 +165,38 @@ def append_entry(path: str, entry: dict) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent_root")
-    parser.add_argument("change_root")
+    parser.add_argument("parent")
+    parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     args = parser.parse_args()
     if args.pairs < 2 or args.pairs % 2:
         parser.error(f"--pairs must be a positive even number, got {args.pairs}")
-    roots = [os.path.abspath(r) for r in (args.parent_root, args.change_root)]
-    with open(os.path.join(roots[0], "BENCHMARK.json")) as f:
-        spec = json.load(f)
-    seconds = spec["run_seconds"]
+    commits = [resolve(ROOT, name) for name in (args.parent, args.change)]
+    for name, commit in zip((args.parent, args.change), commits):
+        if commit is None:
+            parser.error(f"{name!r} is not a commit of {ROOT}")
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = [os.path.join(tmp, side) for side in ("parent", "change")]
+        for commit, root in zip(commits, roots):
+            export(ROOT, commit, root)
+        with open(os.path.join(roots[0], "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        seconds = spec["run_seconds"]
 
-    pairs, failed, sound = [], False, True
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        got = {}
-        for side in order:
-            got[side] = run_once(roots[side], args.workload, seed, seconds)
-            label = ("parent", "change")[side]
-            if got[side] is not None:
-                r = got[side]
-                values = ", ".join(f"{k} {v:.4g}" for k, v in r["metrics"].items())
-                print(f"pair {i} seed {seed} {label}: correct {r['correct']}, "
-                      f"attempted {r['attempted']}, failed {r['failed']}; {values}", flush=True)
-        parent, change = got[0], got[1]
-        if change is None or not change["correct"]:
-            sound = False
-        elif parent is not None and change["failed"] > parent["failed"]:
-            sound = False
-        if parent is None or change is None:
-            failed = True
-            continue
-        pairs.append((parent["metrics"], change["metrics"]))
+        pairs, sound = [], True
+        for i in range(args.pairs):
+            seed = args.seed + i
+            got = {root: run_once(root, args.workload, seed, seconds)
+                   for root in (roots if i % 2 == 0 else roots[::-1])}
+            parent, change = (got[root] for root in roots)
+            if change is None or not change["correct"]:
+                sound = False
+            elif parent is not None and change["failed"] > parent["failed"]:
+                sound = False
+            if parent is not None and change is not None:
+                pairs.append((parent["metrics"], change["metrics"]))
 
     print(f"\n{args.workload}: {len(pairs)} of {args.pairs} pairs completed, {seconds:g} s runs, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
@@ -207,14 +206,13 @@ def main() -> int:
     worse = False
     if pairs:
         seeds = list(range(args.seed, args.seed + args.pairs))
-        entry = bench_entry(tuple(commit(r) for r in roots), seeds, seconds, spec["end_to_end"],
-                            pairs, sound)
+        entry = bench_entry(tuple(commits), seeds, seconds, spec["end_to_end"], pairs, sound)
         worse = any(s["regression"] == "worse" for s in entry["metrics"].values())
         print("\n".join(table(entry["metrics"])))
-        path = os.path.join(roots[1], f"BENCH_{args.workload}.json")
+        path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
         append_entry(path, entry)
         print(f"appended this comparison to {path}")
-    return 1 if failed or not sound or worse else 0
+    return 1 if len(pairs) < args.pairs or not sound or worse else 0
 
 
 if __name__ == "__main__":

@@ -134,6 +134,8 @@ MUTANTS = [
     ("theory/descent-empty-training-set-accepted", "theory.py", "    if len(train_ds) == 0:\n",
      "    if False:\n"),
     ("theory/descent-zero-steps-accepted", "theory.py", "    if steps < 1:\n", "    if False:\n"),
+    ("theory/short-trial-replayed", "theory.py", "        if merged == estimate or attempt == MAX_ATTEMPTS:\n",
+     "        if (merged == estimate and len(trace) == steps) or attempt == MAX_ATTEMPTS:\n"),
     ("data/idx-images-scaled-floats", "data.py", "    images = pixels.reshape(count, rows * cols)\n",
      "    images = pixels.reshape(count, rows * cols) / 255.0\n"),
     ("data/idx-trailing-bytes-accepted", "data.py", "    if length - header != expected:\n",

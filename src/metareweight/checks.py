@@ -402,7 +402,7 @@ def check_descent_step_properties():
     _, model, batch, val = _seeded(73, [5, 4, 3], "sigmoid", 0.3, 8, 5)
     objective = theory.validation_objective(val.inputs, val.labels)
     alpha = 0.07
-    stepped, (entry,), _, _ = theory._descent_trial(model, [batch], objective, alpha)
+    stepped, (entry,), _ = theory._descent_trial(model, [batch], objective, alpha)
     _, grad_g = objective(model)
     flats = flat_grads(_grads(model, batch))
     coef = np.maximum(flats @ grad_g, 0.0)
@@ -418,7 +418,7 @@ def check_descent_step_properties():
     zero_model = with_params(model, np.zeros(model.param_count))
     for curvature, alpha in ((0.8, 0.1), (1.0, 0.5)):
         quad = quadratic_surrogate(curvature)
-        stepped, (entry,), _, _ = theory._descent_trial(zero_model, [batch], quad, alpha)
+        stepped, (entry,), _ = theory._descent_trial(zero_model, [batch], quad, alpha)
         if entry.align_sq != 0.0 or entry.g_after != entry.g_before or not np.array_equal(
             stepped.flatten(), zero_model.flatten()
         ):
@@ -446,7 +446,7 @@ def check_descent_step_properties():
     objective = theory.validation_objective(val.inputs, val.labels)
     est = theory.estimate_regularity(model, ds, objective, probes=10, sample_count=None, rng=rng)
     alpha = theory.safe_step_size(len(batch), est)
-    _, trace, _, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
+    _, trace, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
     if len(trace) != 50:
         return False, f"trial stopped after {len(trace)} of 50 steps"
     for entry in trace:

@@ -197,7 +197,7 @@ def _descent_trial(
     batches,
     objective,
     alpha: float,
-) -> tuple[MLPModel, list[DescentEntry], float, float]:
+) -> tuple[MLPModel, list[DescentEntry], RegularityEstimate]:
     """Run one fixed-step trial, harvesting regularity probes as it goes.
 
     batches is any iterable of Batch, read once in order. Each step is the
@@ -205,9 +205,9 @@ def _descent_trial(
     no example aligned with grad G leaves the parameters unchanged. Every
     executed segment (theta_t, theta_{t+1}) doubles as a Lipschitz probe
     pair for grad G, and every batch contributes per-example gradient norms.
-    Returns (final model, trace, max segment ratio, max gradient norm). The
-    trial stops early if G blows up or the numbers leave float range; the
-    probes gathered up to that point are what force a smaller step next time.
+    Returns (final model, trace, RegularityEstimate of the largest segment
+    ratio and gradient norm). The trial stops early if G blows up or leaves
+    float range; its probes up to there are what force a smaller step next time.
     """
     g_val, grad_g = objective(model)
     ceiling = 10.0 * max(g_val, 1.0)
@@ -242,7 +242,7 @@ def _descent_trial(
         model, g_val, grad_g = stepped, g_next, grad_next
         if not np.isfinite(g_val) or g_val > ceiling:
             break
-    return model, trace, seg_ratio, grad_norm
+    return model, trace, RegularityEstimate(seg_ratio, grad_norm)
 
 
 def run_descent_verification(
@@ -263,12 +263,13 @@ def run_descent_verification(
     bound enough to break descent. So the estimates are refined to
     self-consistency: each trial replays the same batch sequence from the same
     initialization, the segments and batches of the trial feed back into L-hat
-    and sigma-hat, and the run is accepted only when a full-length trial adds
-    nothing to either estimate, meaning the constants that chose the step size
-    held everywhere the run actually went. Estimates only grow, so the step
-    size shrinks monotonically; after MAX_ATTEMPTS trials the last one is
-    returned as it is. probes smoothness probes and sample_count sampled
-    examples (None: the whole training set) make the starting estimate.
+    and sigma-hat, and the run is accepted when a trial, whole or stopped
+    short, adds nothing to either estimate: the constants that chose the step
+    size held everywhere the run went, and another trial would replay it
+    exactly. Estimates only grow, so the step size shrinks monotonically;
+    after MAX_ATTEMPTS trials the last one is returned as it is. probes
+    smoothness probes and sample_count sampled examples (None: the whole
+    training set) make the starting estimate.
 
     Only the index draws are kept; each trial builds its batches as it
     reaches them, so memory does not grow with steps.
@@ -292,15 +293,13 @@ def run_descent_verification(
     for attempt in range(1, MAX_ATTEMPTS + 1):
         alpha = safe_step_size(batch_size, estimate)
         batches = (Batch(train_ds.images[idx], train_ds.labels[idx]) for idx in draws)
-        model, trace, seg_ratio, grad_norm = _descent_trial(model0, batches, objective, alpha)
-        held = seg_ratio <= estimate.smoothness and grad_norm <= estimate.grad_bound
-        if (held and len(trace) == steps) or attempt == MAX_ATTEMPTS:
+        model, trace, seen = _descent_trial(model0, batches, objective, alpha)
+        merged = RegularityEstimate(
+            max(estimate.smoothness, seen.smoothness), max(estimate.grad_bound, seen.grad_bound)
+        )
+        if merged == estimate or attempt == MAX_ATTEMPTS:
             return DescentRun(trace=trace, model=model, alpha=alpha, estimate=estimate)
-        if not held:
-            estimate = RegularityEstimate(
-                max(estimate.smoothness, seg_ratio), max(estimate.grad_bound, grad_norm)
-            )
-    raise AssertionError("unreachable")
+        estimate = merged
 
 
 @dataclass

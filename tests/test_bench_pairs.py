@@ -1,9 +1,12 @@
 """`scripts/bench_pairs.py` turns alternating benchmark pairs into one entry
-of a workload's `BENCH_<workload>.json`; checked here on made-up pairs."""
+of a workload's `BENCH_<workload>.json`; checked here on made-up pairs, stubbed
+runs and a throwaway repository, so no test needs this one to be a git
+checkout."""
 
 import json
 import os
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -28,12 +31,16 @@ def made_up_pairs():
     return pairs
 
 
+def load_script() -> dict:
+    return runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))
+
+
 def test_entry_from_made_up_pairs(tmp_path):
-    script = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    script = load_script()
     seeds = list(range(40, 50))
-    entry = script["bench_entry"](("abc", "unknown"), seeds, 30, METRICS, made_up_pairs(), True)
+    entry = script["bench_entry"](("abc", "def"), seeds, 30, METRICS, made_up_pairs(), True)
     assert {k: v for k, v in entry.items() if k != "metrics"} == {
-        "parent_commit": "abc", "change_commit": "unknown", "seeds": seeds, "run_seconds": 30,
+        "parent_commit": "abc", "change_commit": "def", "seeds": seeds, "run_seconds": 30,
         "pairs_completed": 10, "sound": True}
     setup, steps, rss = (entry["metrics"][m["name"]] for m in METRICS)
     # Inclusive quartiles of 0.040..0.049 sit at positions 2.25, 4.5 and 6.75.
@@ -58,14 +65,68 @@ def test_entry_from_made_up_pairs(tmp_path):
     script["append_entry"](str(path), entry)
     script["append_entry"](str(path), entry)
     assert json.loads(path.read_text()) == [entry, entry]
-    assert script["commit"](str(tmp_path)) == "unknown"
 
 
-@pytest.mark.parametrize("pairs", ["0", "1", "9"])
-def test_pair_count_not_positive_even_exits_2(monkeypatch, capsys, pairs):
-    script = runpy.run_path(os.path.join(ROOT, "scripts", "bench_pairs.py"))
-    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "a", "b", "--workload", "descent", "--pairs", pairs])
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["HEAD", "HEAD", "--pairs", "0"], "--pairs must be a positive even number, got 0",
+                 id="pairs_0"),
+    pytest.param(["HEAD", "HEAD", "--pairs", "1"], "--pairs must be a positive even number, got 1",
+                 id="pairs_1"),
+    pytest.param(["HEAD", "HEAD", "--pairs", "9"], "--pairs must be a positive even number, got 9",
+                 id="pairs_9"),
+    pytest.param(["no-such-commit", "HEAD", "--pairs", "2"], "'no-such-commit' is not a commit of",
+                 id="unknown_commit"),
+])
+def test_bad_arguments_exit_2_before_a_run(monkeypatch, capsys, args, message):
+    script = load_script()
+    for name in ("export", "run_once"):
+        monkeypatch.setitem(script["main"].__globals__, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", *args, "--workload", "descent"])
     with pytest.raises(SystemExit) as raised:
         script["main"]()
     assert raised.value.code == 2
-    assert f"--pairs must be a positive even number, got {pairs}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_line", [
+    pytest.param("Traceback (most recent call last):", id="not_json"),
+    pytest.param('{"attempted": 3, "failed": 0, "metrics": {}}', id="no_correct"),
+    pytest.param('{"correct": true, "attempted": 3, "failed": 0}', id="no_metrics"),
+    pytest.param('["correct", "attempted", "failed", "metrics"]', id="not_an_object"),
+])
+def test_run_without_a_result_line_is_a_failed_run(monkeypatch, capsys, last_line):
+    # Exit status 0, as a run whose last line is not its result can end.
+    script = load_script()
+    monkeypatch.setattr(subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(
+        cmd, 0, stdout=f"perfbench output\n{last_line}\n", stderr=""))
+    assert script["run_once"]("/exports/change", "descent", 7, 30) is None
+    assert f"seed 7 change: printed no result: {last_line}" in capsys.readouterr().out
+
+
+def test_export_writes_the_commit_not_the_working_tree(tmp_path):
+    script = load_script()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    (repo / "BENCHMARK.json").write_text("{}\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+                               "user.email=bench@example.com", "-c", "commit.gpgsign=false", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    (repo / "src" / "a.py").write_text("x = 2\n")  # edits after the commit stay out
+    (repo / "untracked.txt").write_text("")
+    assert script["resolve"](str(repo), "HEAD") == head and len(head) == 40
+    assert script["resolve"](str(repo), head[:8]) == head
+    assert script["resolve"](str(repo), git("rev-parse", "HEAD^{tree}")) is None
+    assert script["resolve"](str(repo), "no-such-commit") is None
+    dest = tmp_path / "change"
+    script["export"](str(repo), head, str(dest))
+    files = sorted(os.path.relpath(os.path.join(d, f), dest) for d, _, fs in os.walk(dest) for f in fs)
+    assert files == ["BENCHMARK.json", os.path.join("src", "a.py")]
+    assert (dest / "src" / "a.py").read_text() == "x = 1\n"

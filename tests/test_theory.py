@@ -4,6 +4,7 @@ oracles live in `metareweight.checks`; the tests here cover validation,
 the CSV files and synthetic monotone descent runs."""
 
 import csv
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from metareweight.errors import ConfigError, DimensionError
 from metareweight.nn import MLPModel
 from metareweight.theory import (
     DescentEntry,
+    RegularityEstimate,
     estimate_grad_bound,
     estimate_smoothness,
     rate_report,
@@ -46,8 +48,6 @@ class TestEstimators:
 
     def test_safe_step_size_formula(self):
         # With the safety factor 2 the bound collapses to n/(L s^2), capped at 0.1.
-        from metareweight.theory import RegularityEstimate
-
         est = RegularityEstimate(smoothness=4.0, grad_bound=3.0)
         assert safe_step_size(1, est) == pytest.approx(1 / (4.0 * 9.0), rel=1e-12)
         assert safe_step_size(100, est) == theory.ALPHA_CAP == 0.1
@@ -104,6 +104,33 @@ class TestDescentStep:
         assert real(4, run.estimate) == run.alpha != real(4, chosen[0])
         for a, b in zip(chosen, chosen[1:]):
             assert b.smoothness >= a.smoothness and b.grad_bound >= a.grad_bound
+
+    def test_short_trial_inside_the_estimate_is_returned_at_once(self, monkeypatch):
+        # Every trial is cut to 5 of its 20 steps, and the starting estimate
+        # bounds whatever the tiny step meets, so the trial adds nothing to it.
+        # A second trial would start from the same estimate and replay the
+        # first exactly, so the run returns the first.
+        estimate = RegularityEstimate(smoothness=1e6, grad_bound=1e3)
+        calls = []
+        real = theory._descent_trial
+
+        def cut_short(model, batches, objective, alpha):
+            calls.append((model, list(itertools.islice(batches, 5)), objective, alpha))
+            return real(*calls[-1])
+
+        monkeypatch.setattr(theory, "_descent_trial", cut_short)
+        monkeypatch.setattr(theory, "estimate_regularity", lambda *args: estimate)
+        full = make_blobs(np.random.default_rng(75), 60, 6, 2)
+        run = run_descent_verification(
+            full.subset(np.arange(100)), full.subset(np.arange(100, 120)), steps=20,
+            batch_size=20, seed=3, hidden_sizes=(12,),
+        )
+        assert len(calls) == 1
+        model, trace, seen = real(*calls[0])  # the replay that would come next
+        assert seen.smoothness <= estimate.smoothness and seen.grad_bound <= estimate.grad_bound
+        assert len(run.trace) == 5 and run.trace == trace
+        assert [w.tobytes() for w in run.model.layers] == [w.tobytes() for w in model.layers]
+        assert run.estimate is estimate and run.alpha == safe_step_size(20, estimate)
 
     def test_memory_does_not_grow_with_steps(self):
         # Batches are built as a trial reaches them: 200 prebuilt 100-example

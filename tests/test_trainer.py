@@ -76,30 +76,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^learning_rate: must be positive and finite$"):
             dataclasses.replace(cfg, learning_rate=np.nan)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"strategy": "mystery"},
-            {"learning_rate": 0.0},
-            {"batch_size_train": 0},
-            {"batch_size_val": 0},
-            {"total_steps": 0},
-            {"eval_every": 0},
-            {"lr_schedule": [(5, 0.1), (5, 0.01)]},
-            {"lr_schedule": [(5, -1.0)]},
-            {"hard_mining_k": 0},
-            {"hidden_sizes": ()},
-            {"hidden_sizes": (0,)},
-            {"activation": "softplus"},
-            {"seed": -1},
-            {"learning_rate": np.nan},
-            {"learning_rate": np.inf},
-            {"lr_schedule": [(5, np.nan)]},
-            pytest.param({"lr_schedule": [(-5, 0.1)]}, id="negative_schedule_step"),
-        ],
-    )
-    def test_bad_configs_raise(self, kw):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("kw, match", [
+        pytest.param({"strategy": "mystery"}, "^strategy: unknown value 'mystery'$", id="unknown_strategy"),
+        pytest.param({"learning_rate": 0.0}, "^learning_rate: must be positive and finite$",
+                     id="zero_learning_rate"),
+        pytest.param({"batch_size_train": 0}, "^batch_size_train: must be at least 1$",
+                     id="zero_train_batch"),
+        pytest.param({"batch_size_val": 0}, "^batch_size_val: must be at least 1$", id="zero_val_batch"),
+        pytest.param({"total_steps": 0}, "^total_steps: must be at least 1$", id="zero_total_steps"),
+        pytest.param({"eval_every": 0}, "^eval_every: must be at least 1$", id="zero_eval_every"),
+        pytest.param({"lr_schedule": [(5, 0.1), (5, 0.01)]},
+                     "^lr_schedule: steps must be strictly increasing$", id="repeated_schedule_step"),
+        pytest.param({"lr_schedule": [(5, -1.0)]}, "^lr_schedule: multipliers must be positive and finite$",
+                     id="negative_schedule_multiplier"),
+        pytest.param({"hard_mining_k": 0}, "^hard_mining_k: must be at least 1 when set$",
+                     id="zero_hard_mining_k"),
+        pytest.param({"hidden_sizes": ()}, "^hidden_sizes: need positive sizes$", id="no_hidden_layer"),
+        pytest.param({"hidden_sizes": (0,)}, "^hidden_sizes: need positive sizes$", id="zero_hidden_size"),
+        pytest.param({"activation": "softplus"}, "^activation: unknown value 'softplus'$",
+                     id="unknown_activation"),
+        pytest.param({"seed": -1}, "^seed: must be nonnegative$", id="negative_seed"),
+        pytest.param({"learning_rate": np.nan}, "^learning_rate: must be positive and finite$",
+                     id="nan_learning_rate"),
+        pytest.param({"learning_rate": np.inf}, "^learning_rate: must be positive and finite$",
+                     id="inf_learning_rate"),
+        pytest.param({"lr_schedule": [(5, np.nan)]}, "^lr_schedule: multipliers must be positive and finite$",
+                     id="nan_schedule_multiplier"),
+        pytest.param({"lr_schedule": [(-5, 0.1)]}, "^lr_schedule: steps must be nonnegative$",
+                     id="negative_schedule_step"),
+    ])
+    def test_bad_configs_raise(self, kw, match):
+        # The whole message, so a row fails when another rule rejects its input.
+        with pytest.raises(ConfigError, match=match):
             small_config(**kw)
 
 
