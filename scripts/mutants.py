@@ -7,28 +7,35 @@ an exact old text and the new text that replaces it. Each row is a fault
 that a past change was shown to catch, so a later refactor or a deleted
 test cannot let it pass unseen.
 
-The script copies src/ to a temporary directory and runs the suite once on
-the unmutated copy; if that run fails, no mutant is run. Then, one row at a
-time, it replaces the row's old text in the copy, runs
+The script copies src/ into one temporary directory DIR for each of its
+WORKERS (2) and runs the suite once on an unmutated copy; if that run
+fails, no mutant is run. Then each worker in turn takes the next row,
+replaces its old text in the worker's copy, runs
 
     python -m pytest -q -x -p no:cacheprovider --rootdir ROOT ROOT/tests --deselect ANCHOR_TEST
+        --basetemp DIR/pytest
 
-from the temporary directory, with PYTHONPATH set to the copy's src/ and
-PYTHONDONTWRITEBYTECODE=1, restores the file, and prints `caught <id of the
-first failing test>` or `SURVIVED`. ANCHOR_TEST, the test that every row
-applies to the checked-in src/, is left out of these runs: it never reads
-the mutated copy, and on an older tree copied out of history it fails on
-rows that tree predates, which would stop the unmutated run. pytest's exit
-code 1 means caught and 0 survived; any other code (a mutant that breaks
-collection, say) marks the row BROKEN, as does an old text that does not
-occur exactly once in its file. The exit status is 1 if any row survived or
-is broken. ROOT is the repository root. The script writes nothing inside
+from DIR, with PYTHONPATH set to the copy's src/ and
+PYTHONDONTWRITEBYTECODE=1, and restores the file; `--basetemp` keeps the
+workers' test directories apart. Rows are independent, so the script prints
+them in catalogue order with the verdicts one worker would give: `caught <id
+of the first failing test>` or `SURVIVED`. ANCHOR_TEST, the test that every
+row applies to the checked-in src/, is left out of these runs: it never
+reads the mutated copy, and on an older tree copied out of history it fails
+on rows that tree predates, which would stop the unmutated run. pytest's
+exit code 1 means caught and 0 survived; any other code (a mutant that
+breaks collection, say) marks the row BROKEN, as does an old text that does
+not occur exactly once in its file. The exit status is 1 if any row survived
+or is broken. ROOT is the repository root. The script writes nothing inside
 the repository: a mutant that writes to a relative path (an ignored `--out`
 falls back to the config's `output_dir = runs`) writes into the temporary
-directory. A full run takes about 7 minutes on a 2-core machine.
+directory. A full run takes about 7 minutes on one worker and about 4 on
+two, on a 2-core machine.
 """
 
+import concurrent.futures
 import os
+import queue
 import shutil
 import subprocess
 import sys
@@ -40,6 +47,7 @@ ANCHOR_TEST = "tests/test_mutants.py::test_every_row_applies_once_to_the_checked
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--rootdir", ROOT,
           os.path.join(ROOT, "tests"), "--deselect", ANCHOR_TEST]
 RUN_TIMEOUT_S = 600
+WORKERS = 2  # rows run at once, each on its own copy of src/
 
 # (name, file under src/metareweight/, old text, new text)
 MUTANTS = [
@@ -106,7 +114,12 @@ MUTANTS = [
     ("trainer/validation-batch-not-counted", "trainer.py", "        examples += len(vbatch)\n",
      "        examples += 0\n"),
     ("trainer/errstate-default", "trainer.py",
-     'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():"),
+     'with np.errstate(over="ignore", invalid="ignore"):\n                    cache', "with np.errstate():\n                    cache"),
+    ("trainer/worker-errstate-default", "trainer.py",
+     'with np.errstate(over="ignore", invalid="ignore"):  # as in a step', "with np.errstate():  # as in a step"),
+    ("trainer/evaluation-point-unchecked", "trainer.py", "    if not np.isfinite(value):\n", "    if False:\n"),
+    ("trainer/point-named-at-filing-step", "trainer.py", '_at_step(config.seed, columns["step"] - 1)',
+     "_at_step(config.seed, t)"),
     ("trainer/window-slice-whole-deque", "trainer.py",
      "list(log)[-(t % config.eval_every + 1) :]", "list(log)[-config.eval_every :]"),
     ("trainer/mean-w-clean-from-flipped", "trainer.py",
@@ -117,16 +130,17 @@ MUTANTS = [
      "    final, model = best if config.early_stop_on_hyperval else (records[-1], model)\n",
      "    final = best[0] if config.early_stop_on_hyperval else records[-1]\n"),
     ("trainer/waits-instead-of-running-queued-pass", "trainer.py",
-     "(evaluate(snapshot, ds) if future.cancel() else future.result())[0]",
-     "future.result()[0]"),
-    ("trainer/last-point-not-filed", "trainer.py", "            file(pending)\n        except",
-     "            pass\n        except"),
+     "_evaluate_quietly(snapshot, ds) if future.cancel() else future.result()", "future.result()"),
+    ("trainer/last-point-not-filed", "trainer.py", "            )\n        file(pending)\n", "            )\n"),
     ("theory/descent-step-times-n", "theory.py",
      "stepped = sgd_step(model, direction, alpha / n)", "stepped = sgd_step(model, direction, alpha * n)"),
     ("theory/probe-difference-into-g0", "theory.py", "            diff -= g0\n",
      "            diff = np.subtract(diff, g0, out=g0)\n"),
     ("theory/segment-difference-into-grad-next", "theory.py",
      "np.subtract(grad_next, grad_g, out=grad_g)", "np.subtract(grad_next, grad_g, out=grad_next)"),
+    ("theory/short-probe-budget", "theory.py", "PROBES_PER_RESTART = 15  #", "PROBES_PER_RESTART = 14  #"),
+    ("theory/grad-bound-skips-a-row", "theory.py", "    batch = Batch(ds.images[:], ds.labels)\n",
+     "    batch = Batch(ds.images[1:], ds.labels[1:])\n"),
     ("theory/step-size-without-safety", "theory.py", "2.0 * batch_size / (SAFETY * denom)",
      "2.0 * batch_size / denom"),
     ("theory/rate-running-max", "theory.py", "np.minimum.accumulate(norms)",
@@ -242,8 +256,8 @@ def run_suite(src: str) -> tuple[int, str]:
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     cwd = os.path.dirname(src)
     try:
-        proc = subprocess.run(PYTEST, cwd=cwd, env=env, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        proc = subprocess.run([*PYTEST, "--basetemp", os.path.join(cwd, "pytest")], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return -1, f"timed out after {RUN_TIMEOUT_S} s"
     failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
@@ -255,11 +269,39 @@ def run_suite(src: str) -> tuple[int, str]:
     return proc.returncode, os.path.relpath(os.path.join(cwd, path), ROOT) + sep + test
 
 
+def run_row(row: tuple, copies: queue.Queue) -> tuple[int | None, str, float]:
+    """Apply one row to a free copy of src/, run the suite on it and restore
+    the file: (pytest's exit code or None, first failing id or problem, seconds)."""
+    _, file, old, new = row
+    src = copies.get()
+    try:
+        path = os.path.join(src, "metareweight", file)
+        with open(path) as f:
+            text = f.read()
+        started = time.perf_counter()
+        problem = anchor_problem(text, old, new)
+        if problem:
+            return None, f"{problem} in {file}", time.perf_counter() - started
+        with open(path, "w") as f:
+            f.write(text.replace(old, new))
+        try:
+            code, first = run_suite(src)
+        finally:
+            with open(path, "w") as f:
+                f.write(text)
+        return code, first, time.perf_counter() - started
+    finally:
+        copies.put(src)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "src")
-        shutil.copytree(os.path.join(ROOT, "src"), src,
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        copies: queue.Queue = queue.Queue()
+        for k in range(WORKERS):
+            src = os.path.join(tmp, f"worker{k}", "src")
+            shutil.copytree(os.path.join(ROOT, "src"), src,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            copies.put(src)
         started = time.perf_counter()
         code, first = run_suite(src)
         if code != 0:
@@ -268,26 +310,13 @@ def main() -> int:
         print(f"unmutated suite passes ({time.perf_counter() - started:.1f} s)")
         width = max(len(name) for name, *_ in MUTANTS)
         bad = 0
-        for name, file, old, new in MUTANTS:
-            path = os.path.join(src, "metareweight", file)
-            with open(path) as f:
-                text = f.read()
-            started = time.perf_counter()
-            problem = anchor_problem(text, old, new)
-            if problem:
-                code, first = None, f"{problem} in {file}"
-            else:
-                with open(path, "w") as f:
-                    f.write(text.replace(old, new))
-                try:
-                    code, first = run_suite(src)
-                finally:
-                    with open(path, "w") as f:
-                        f.write(text)
-            verdict = {0: "SURVIVED", 1: f"caught {first}"}.get(code, f"BROKEN: {first or code}")
-            bad += code != 1
-            print(f"{name:<{width}}  {verdict}  ({time.perf_counter() - started:.1f} s)", flush=True)
-        print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
+        with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
+            results = pool.map(lambda row: run_row(row, copies), MUTANTS)
+            for (name, *_), (code, first, seconds) in zip(MUTANTS, results):
+                verdict = {0: "SURVIVED", 1: f"caught {first}"}.get(code, f"BROKEN: {first or code}")
+                bad += code != 1
+                print(f"{name:<{width}}  {verdict}  ({seconds:.1f} s)", flush=True)
+        print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught ({time.perf_counter() - started:.0f} s)")
         return 1 if bad else 0
 
 

@@ -427,7 +427,7 @@ def check_descent_step_properties():
     # Quadratic surrogate: smoothness estimate must equal the curvature.
     for curvature in (0.25, 0.8, 1.0, 8.0):
         quad = quadratic_surrogate(curvature)
-        l_est = theory.estimate_smoothness(model, quad, probes=10, rng=rng)
+        l_est = theory.estimate_smoothness(model, quad, rng)
         if abs(l_est - curvature) > 1e-12 * max(curvature, 1.0):
             return False, f"quadratic smoothness estimate {l_est} != {curvature}"
 
@@ -436,7 +436,7 @@ def check_descent_step_properties():
     ds = Dataset(batch.inputs, batch.labels)
     for k, bound_ds in ((3, ds), (4, Dataset(rng.random((30, 6)), rng.integers(0, 4, size=30)))):
         zero_single = MLPModel([np.zeros((bound_ds.images.shape[1] + 1, k))])
-        got = theory.estimate_grad_bound(zero_single, bound_ds, sample_count=len(bound_ds), rng=rng)
+        got = theory.estimate_grad_bound(zero_single, bound_ds)
         inputs_aug = np.hstack([bound_ds.images[:], np.ones((len(bound_ds), 1))])
         want = math.sqrt((k - 1) / k) * float(np.linalg.norm(inputs_aug, axis=1).max())
         if abs(got - want) > 1e-12:
@@ -444,7 +444,7 @@ def check_descent_step_properties():
 
     # Real objective: descent should hold at a compliant step size.
     objective = theory.validation_objective(val.inputs, val.labels)
-    est = theory.estimate_regularity(model, ds, objective, probes=10, sample_count=None, rng=rng)
+    est = theory.estimate_regularity(model, ds, objective, rng)
     alpha = theory.safe_step_size(len(batch), est)
     _, trace, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
     if len(trace) != 50:
@@ -466,8 +466,7 @@ def check_rate_report():
     traces.append([theory.DescentEntry(t, 0.0, 0.0, 1.0, 0.0) for t in range(64)])
     pool = Dataset(rng.random((240, 6)), rng.integers(0, 2, size=240))
     run = theory.run_descent_verification(
-        pool.subset(np.arange(200)), pool.subset(np.arange(200, 240)),
-        steps=600, batch_size=32, seed=0, hidden_sizes=(16,), sample_count=64,
+        pool.subset(np.arange(200)), pool.subset(np.arange(200, 240)), steps=600, batch_size=32, hidden_sizes=(16,)
     )
     traces.append(run.trace)
     for trace in traces:

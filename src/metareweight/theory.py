@@ -14,9 +14,9 @@ example gradient norm, makes the right side at most G(theta) only if
 gradients, but Cauchy-Schwarz gives only ||D||^2 <= n sigma^2 sum_i c_i^2, so
 the bound does not guarantee descent. `safe_step_size` still follows the
 paper's form. Neither L nor sigma is available in closed form for an MLP, so
-both are estimated by sampling, and a `RegularityEstimate` holds just the
-two (`smoothness`, `grad_bound`). The estimates are lower bounds, which is
-why `safe_step_size` divides the bound by a safety factor of SAFETY = 2.
+a `RegularityEstimate` holds one fixed recipe's estimates of the two:
+`smoothness` from 60 probes, `grad_bound` over the whole training set. Both
+are lower bounds, which is why `safe_step_size` divides the bound by SAFETY = 2.
 
 The check therefore measures rather than proves: `run_descent_verification`
 picks the step size from the estimates, refines them along its own trials,
@@ -55,6 +55,7 @@ SAFETY = 2.0  # divides the paper's bound, since L-hat and sigma-hat are lower b
 ACTIVATION = "relu"
 PROBE_RADIUS = 1e-3  # distance of each smoothness probe from the model
 RESTARTS = 4  # random directions the smoothness probes power-iterate from
+PROBES_PER_RESTART = 15  # power-iteration probes along each of them
 MAX_ATTEMPTS = 10  # trials before the last one is returned unconfirmed
 CHECKPOINTS = 20  # horizons in a rate report
 
@@ -69,20 +70,18 @@ def validation_objective(images: np.ndarray, labels: np.ndarray):
     return lambda model: validation_loss_and_grad(model, batch)
 
 
-def estimate_smoothness(model: MLPModel, objective, probes: int, rng: np.random.Generator) -> float:
+def estimate_smoothness(model: MLPModel, objective, rng: np.random.Generator) -> float:
     """Largest observed ||grad G(a) - grad G(b)|| / ||a - b|| near the model.
 
     Every probe measures a secant ratio, which lower-bounds any true Lipschitz
     constant of grad G. Probing purely random directions is not enough: in a
     space with hundreds of thousands of parameters a random direction sees the
     average curvature, which sits far below the top eigenvalue that controls
-    step-size safety. Each restart therefore draws one random direction and
-    then power-iterates, re-probing along the previous gradient difference so
-    the direction climbs toward the dominant curvature; the estimate is the
-    largest ratio seen anywhere.
+    step-size safety. Each of the RESTARTS restarts therefore draws one random
+    direction and power-iterates PROBES_PER_RESTART times, re-probing along the
+    previous gradient difference so the direction climbs toward the dominant
+    curvature; the estimate is the largest ratio seen anywhere.
     """
-    if probes < 1:
-        raise ValueError("need at least one probe")
     theta = model.flatten()
     _, g0 = objective(model)
     # Every probe point theta + PROBE_RADIUS * d goes into one buffer, which
@@ -91,18 +90,13 @@ def estimate_smoothness(model: MLPModel, objective, probes: int, rng: np.random.
     probe = np.empty_like(theta)
     probe_model = MLPModel(layer_views(probe, [w.shape for w in model.layers]), model.activation)
     best = 0.0
-    per_restart = max(1, -(-probes // RESTARTS))
-    spent = 0
     for _ in range(RESTARTS):
         d = rng.standard_normal(theta.size)
         d /= np.linalg.norm(d)
-        for _ in range(per_restart):
-            if spent >= probes:
-                break
+        for _ in range(PROBES_PER_RESTART):
             np.multiply(d, PROBE_RADIUS, out=probe)
             probe += theta
             _, diff = objective(probe_model)
-            spent += 1
             diff -= g0
             norm = np.linalg.norm(diff)
             ratio = float(norm) / PROBE_RADIUS
@@ -114,22 +108,11 @@ def estimate_smoothness(model: MLPModel, objective, probes: int, rng: np.random.
     return best
 
 
-def estimate_grad_bound(
-    model: MLPModel, ds: Dataset, sample_count: int | None, rng: np.random.Generator
-) -> float:
-    """Largest per-example gradient norm over a sample of the dataset.
-
-    sample_count=None scans the whole dataset.
-    """
+def estimate_grad_bound(model: MLPModel, ds: Dataset) -> float:
+    """Largest per-example gradient norm over the whole dataset."""
     if len(ds) == 0:
         raise ConfigError("cannot estimate gradient bound on an empty dataset")
-    if sample_count is not None and sample_count < 1:
-        raise ValueError("need at least one sampled example")
-    if sample_count is None or sample_count >= len(ds):
-        idx = np.arange(len(ds))
-    else:
-        idx = rng.choice(len(ds), size=sample_count, replace=False)
-    batch = Batch(ds.images[idx], ds.labels[idx])
+    batch = Batch(ds.images[:], ds.labels)
     grads = backward_per_example(model, forward(model, batch), batch)
     return float(np.sqrt(grads.norms_squared().max()))
 
@@ -145,16 +128,10 @@ class RegularityEstimate:
 
 
 def estimate_regularity(
-    model: MLPModel,
-    train_ds: Dataset,
-    objective,
-    probes: int,
-    sample_count: int | None,
-    rng: np.random.Generator,
+    model: MLPModel, train_ds: Dataset, objective, rng: np.random.Generator
 ) -> RegularityEstimate:
     return RegularityEstimate(
-        estimate_smoothness(model, objective, probes, rng),
-        estimate_grad_bound(model, train_ds, sample_count, rng),
+        estimate_smoothness(model, objective, rng), estimate_grad_bound(model, train_ds)
     )
 
 
@@ -252,8 +229,6 @@ def run_descent_verification(
     batch_size: int = 100,
     seed: int = 0,
     hidden_sizes: tuple[int, ...] = TrainConfig.hidden_sizes,
-    probes: int = 60,
-    sample_count: int | None = None,
 ) -> DescentRun:
     """Pick a step size the estimated constants justify, then verify that G is
     monotonically nonincreasing along the whole trajectory.
@@ -267,9 +242,9 @@ def run_descent_verification(
     short, adds nothing to either estimate: the constants that chose the step
     size held everywhere the run went, and another trial would replay it
     exactly. Estimates only grow, so the step size shrinks monotonically;
-    after MAX_ATTEMPTS trials the last one is returned as it is. probes
-    smoothness probes and sample_count sampled examples (None: the whole
-    training set) make the starting estimate.
+    after MAX_ATTEMPTS trials the last one is returned as it is. The
+    starting estimate takes RESTARTS * PROBES_PER_RESTART smoothness probes
+    and the largest gradient norm over the whole training set.
 
     Only the index draws are kept; each trial builds its batches as it
     reaches them, so memory does not grow with steps.
@@ -286,7 +261,7 @@ def run_descent_verification(
         [train_ds.images.shape[1], *hidden_sizes, num_classes], activation=ACTIVATION, rng=rng
     )
     objective = validation_objective(val_ds.images[:], val_ds.labels)
-    estimate = estimate_regularity(model0, train_ds, objective, probes, sample_count, rng)
+    estimate = estimate_regularity(model0, train_ds, objective, rng)
 
     n_pool = len(train_ds)
     draws = [rng.choice(n_pool, size=batch_size, replace=n_pool < batch_size) for _ in range(steps)]

@@ -18,6 +18,7 @@ only the small validation set.
 
 import collections
 import concurrent.futures
+import contextlib
 import functools
 import operator
 import time
@@ -159,6 +160,25 @@ def evaluate(model: MLPModel, ds: Dataset) -> tuple[float, float]:
     return wrong / len(ds), loss_sum / len(ds)
 
 
+def _evaluate_quietly(model: MLPModel, ds: Dataset) -> tuple[float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a step: NumPy keeps it per thread
+        return evaluate(model, ds)
+
+
+def _check_point(name: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise NonFiniteError(f"{name} at the evaluation point is {value}")
+
+
+@contextlib.contextmanager
+def _at_step(seed: int, step: int):
+    """Raise a NonFiniteError again with the seed and the step it hit."""
+    try:
+        yield
+    except NonFiniteError as e:
+        raise NonFiniteError(f"seed {seed} step {step}: {e}") from e
+
+
 def validation_loss_and_grad(model: MLPModel, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean loss over a validation batch and its flat gradient, a new vector."""
     cache = forward(model, batch)
@@ -225,7 +245,8 @@ def train(
     The validation set must be provenance-clean. By default it is folded back
     into the training pool, so every strategy sees the same examples and
     meta_reweight gets no extra data, only the identity of the clean ones.
-    A NonFiniteError is raised again with the seed and the step it hit.
+    A NonFiniteError is raised again with the seed and the step it hit, as
+    is a non-finite loss or gradient norm at an evaluation point.
     """
     if len(train_ds) == 0:
         raise ConfigError("training set is empty")
@@ -311,13 +332,15 @@ def train(
         nonlocal best
         columns, snapshot, test_pass, hyper_pass = point
 
-        def error(ds, future) -> float:
-            return (evaluate(snapshot, ds) if future.cancel() else future.result())[0]
+        def error(ds, future, name) -> float:
+            err, loss = _evaluate_quietly(snapshot, ds) if future.cancel() else future.result()
+            _check_point(name, loss)
+            return err
 
-        hyperval_error = error(hyperval_ds, hyper_pass) if hyper_pass else float("nan")
-        record = MetricsRecord(
-            test_error=error(test_ds, test_pass), hyperval_error=hyperval_error, **columns
-        )
+        with _at_step(config.seed, columns["step"] - 1):
+            hyperval_error = error(hyperval_ds, hyper_pass, "hyperval loss") if hyper_pass else float("nan")
+            test_error = error(test_ds, test_pass, "test loss")
+        record = MetricsRecord(test_error=test_error, hyperval_error=hyperval_error, **columns)
         records.append(record)
         if config.early_stop_on_hyperval and (
             best is None or record.hyperval_error < best[0].hyperval_error
@@ -327,8 +350,8 @@ def train(
     t0 = time.perf_counter()
     # Leaving the block, by return or raise, waits for the worker and ends its thread.
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            for t in range(config.total_steps):
+        for t in range(config.total_steps):
+            with _at_step(config.seed, t):
                 alpha = config.learning_rate * _lr_multiplier(config.lr_schedule, t)
                 if config.strategy == "resample":
                     idx = resample_indices(pool.labels, n, rng)
@@ -343,28 +366,27 @@ def train(
                     w = weights(batch, cache, grads)
                     log.append((t, w, pool_flipped[idx], float(w @ cache.losses)))
                     model = sgd_step(model, weighted_gradient(grads, w), alpha)
-
-                if (t + 1) % config.eval_every and t + 1 < config.total_steps:
-                    continue
-                val_loss, grad_norm_sq = float("nan"), float("nan")
-                if val_batch is not None:
-                    val_loss, val_grad = validation_loss_and_grad(model, val_batch)
-                    grad_norm_sq = float(val_grad @ val_grad)
-                columns = dict(
-                    step=t + 1, val_loss=val_loss, grad_norm_sq=grad_norm_sq,
-                    **_window_columns(list(log)[-(t % config.eval_every + 1) :]),
-                )
-                if pending is not None:
-                    file(pending)
-                pending = (
-                    columns,
-                    model,
-                    worker.submit(evaluate, model, test_ds),
-                    worker.submit(evaluate, model, hyperval_ds) if with_hyperval else None,
-                )
-            file(pending)
-        except NonFiniteError as e:
-            raise NonFiniteError(f"seed {config.seed} step {t}: {e}") from e
+                    if (t + 1) % config.eval_every and t + 1 < config.total_steps:
+                        continue
+                    val_loss, grad_norm_sq = float("nan"), float("nan")
+                    if val_batch is not None:
+                        val_loss, val_grad = validation_loss_and_grad(model, val_batch)
+                        grad_norm_sq = float(val_grad @ val_grad)
+                        _check_point("validation loss", val_loss)
+                        _check_point("gradient norm", grad_norm_sq)
+            columns = dict(
+                step=t + 1, val_loss=val_loss, grad_norm_sq=grad_norm_sq,
+                **_window_columns(list(log)[-(t % config.eval_every + 1) :]),
+            )
+            if pending is not None:
+                file(pending)
+            pending = (
+                columns,
+                model,
+                worker.submit(_evaluate_quietly, model, test_ds),
+                worker.submit(_evaluate_quietly, model, hyperval_ds) if with_hyperval else None,
+            )
+        file(pending)
 
     # An early-stopped run's test error is the one recorded at its chosen point.
     final, model = best if config.early_stop_on_hyperval else (records[-1], model)

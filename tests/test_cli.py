@@ -176,6 +176,11 @@ class TestTrainCommand:
                      {}, "seed 0 step 1: gradient contains non-finite values", True, id="non_finite_uniform"),
         pytest.param(("learning_rate = 0.05", "learning_rate = 1e300"), {},
                      "seed 0 step 1: weight scores contain non-finite values", True, id="non_finite_meta_reweight"),
+        # The only step leaves finite parameters whose products overflow at the evaluation point.
+        pytest.param(("strategy = meta_reweight\nlearning_rate = 0.05\nbatch_size_train = 20\nbatch_size_val = 4\n"
+                      "total_steps = 40\neval_every = 20", "strategy = uniform\nlearning_rate = 1e200\n"
+                      "batch_size_train = 20\nbatch_size_val = 4\ntotal_steps = 1\neval_every = 1"), {},
+                     "seed 0 step 0: validation loss at the evaluation point is nan", True, id="non_finite_evaluation_point"),
     ])
     def test_bad_run_exits_2(self, tmp_path, capsys, edit, files, message, out_exists):
         argv = train_argv(tmp_path, edit=edit)

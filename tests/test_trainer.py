@@ -384,11 +384,21 @@ class TestEvaluationWorker:
         monkeypatch.setattr(trainer, "evaluate", slow_evaluate)
         threads = threading.active_count()
         cfg = small_config(learning_rate=1e300, eval_every=1, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowed model's evaluation
+        no_val = val_ds.subset(np.empty(0, dtype=np.int64))  # a non-finite validation loss would raise first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(NonFiniteError, match=r"^seed 0 step 1: gradient contains"):
-                train(cfg, train_ds, val_ds, test_ds)
+                train(cfg, train_ds, no_val, test_ds)
         assert threading.active_count() == threads
+        # The worker evaluates the overflowed model in the step's error state.
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_loss_names_the_point_of_its_step(self, monkeypatch):
+        # The first point is filed five steps later, and the error names the point's step.
+        train_ds, val_ds, test_ds = blob_sets()
+        monkeypatch.setattr(trainer, "evaluate", lambda model, ds: (0.5, float("nan")))
+        with pytest.raises(NonFiniteError, match=r"^seed 1 step 4: test loss at the evaluation point is nan$"):
+            train(small_config(eval_every=5), train_ds, val_ds, test_ds)
 
     def test_evaluation_error_keeps_its_type(self, monkeypatch):
         train_ds, val_ds, test_ds = blob_sets()
