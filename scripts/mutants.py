@@ -29,8 +29,8 @@ not occur exactly once in its file. The exit status is 1 if any row survived
 or is broken. ROOT is the repository root. The script writes nothing inside
 the repository: a mutant that writes to a relative path (an ignored `--out`
 falls back to the config's `output_dir = runs`) writes into the temporary
-directory. A full run takes about 7 minutes on one worker and about 4 on
-two, on a 2-core machine.
+directory. A full run takes about 5 minutes on a 2-core machine, against
+about 8 on one worker.
 """
 
 import concurrent.futures

@@ -119,7 +119,7 @@ def estimate_grad_bound(model: MLPModel, ds: Dataset) -> float:
 
 @dataclass
 class RegularityEstimate:
-    """Sampled stand-ins for the smoothness L and the gradient bound sigma.
+    """Measured stand-ins for the smoothness L and the gradient bound sigma.
 
     Both are lower bounds: the true constants may be larger."""
 
