@@ -61,8 +61,7 @@ MUTANTS = [
      "    post = [batch.augmented.copy()]\n"),
     ("nn/label-signal-sign", "nn.py", "    g[np.arange(n), batch.labels] -= 1.0\n",
      "    g[np.arange(n), batch.labels] += 1.0\n"),
-    ("nn/relu-subgradient-one-at-zero", "nn.py", '"relu": lambda a: (a > 0.0)',
-     '"relu": lambda a: (a >= 0.0)'),
+    ("nn/relu-subgradient-one-at-zero", "nn.py", "lambda a: (a > 0.0).astype", "lambda a: (a >= 0.0).astype"),
     ("nn/kept-rows-positive-only", "nn.py", "        kept = np.flatnonzero(w)\n",
      "        kept = np.flatnonzero(w > 0)\n"),
     ("nn/zero-rows-skipped-without-finite-guard", "nn.py",
@@ -103,12 +102,13 @@ MUTANTS = [
      "        if not 0 < self.learning_rate < np.inf:\n", "        if self.learning_rate <= 0:\n"),
     ("trainer/empty-test-set-accepted", "trainer.py", "    if len(test_ds) == 0:\n", "    if False:\n"),
     ("trainer/one-class-accepted", "trainer.py", "    if num_classes < 2:\n", "    if False:\n"),
-    ("trainer/validation-not-in-pool", "trainer.py", "        pool = _concat(train_ds, val_ds)\n",
-     "        pool = train_ds\n"),
-    ("trainer/pool-rows-copied", "trainer.py", "    if a.images.pixels is b.images.pixels:\n",
-     "    if False:\n"),
-    ("trainer/bytes-joined-with-floats", "trainer.py",
-     "    if a.images.dtype != b.images.dtype:\n", "    if False:\n"),
+    # `Dataset.join`, which builds the pool of `train`, keeps the rows' trainer/ names.
+    ("trainer/validation-not-in-pool", "data.py",
+     "        # np.concatenate would upcast pixel bytes to unscaled 0..255 floats.\n", "        return self\n"),
+    ("trainer/pool-rows-copied", "data.py", "        if self.images.pixels is other.images.pixels:\n",
+     "        if False:\n"),
+    ("trainer/bytes-joined-with-floats", "data.py",
+     "        if self.images.dtype != other.images.dtype:\n", "        if False:\n"),
     ("trainer/validation-draw-with-replacement", "trainer.py",
      "size=config.batch_size_val, replace=False)", "size=config.batch_size_val, replace=True)"),
     ("trainer/validation-batch-not-counted", "trainer.py", "        examples += len(vbatch)\n",
@@ -130,7 +130,7 @@ MUTANTS = [
      "    final, model = best if config.early_stop_on_hyperval else (records[-1], model)\n",
      "    final = best[0] if config.early_stop_on_hyperval else records[-1]\n"),
     ("trainer/waits-instead-of-running-queued-pass", "trainer.py",
-     "_evaluate_quietly(snapshot, ds) if future.cancel() else future.result()", "future.result()"),
+     "evaluate(snapshot, ds) if future.cancel() else future.result()", "future.result()"),
     ("trainer/last-point-not-filed", "trainer.py", "            )\n        file(pending)\n", "            )\n"),
     ("theory/descent-step-times-n", "theory.py",
      "stepped = sgd_step(model, direction, alpha / n)", "stepped = sgd_step(model, direction, alpha * n)"),
@@ -196,6 +196,14 @@ MUTANTS = [
      "        result = train(cfg, train_ds, val_ds, test_ds, hyper)\n",
      "        result = train(cfg, train_ds, val_ds, test_ds, hyper)\n"
      '        run_experiment.__dict__.setdefault("results", []).append(result)\n'),
+    ("experiment/subset-ignored", "experiment.py", "        ds = ds.subset(keep)\n", "        pass\n"),
+    ("experiment/hyperval-always-split", "experiment.py",
+     "        if exp.imbalance is None and rest is not None and len(rest) >= exp.hyperval_total:\n",
+     "        if False:\n"),
+    ("experiment/hyperval-uncorrupted", "experiment.py", "            hyper = corrupt(hyper, exp.noise, rng)\n",
+     "            corrupt(hyper, exp.noise, rng)\n"),
+    ("experiment/hyperval-csv-not-written", "experiment.py", "        if hyper is not None:\n            write_hyperval_csv(",
+     "        if False:\n            write_hyperval_csv("),
     ("experiment/imbalance-test-set-unfiltered", "experiment.py",
      "        test = filter_remap(base_test, exp.imbalance.label_map)\n", "        test = base_test\n"),
     ("experiment/output-dir-before-data", "experiment.py",
@@ -208,6 +216,10 @@ MUTANTS = [
      "        line = raw.strip()\n"),
     ("config/duplicate-after-blank-accepted", "config.py", "        if key in seen:\n",
      "        if key in values:\n"),
+    ("config/false-parses-true", "config.py", '("false", "0", "no", "off"):\n        return False\n',
+     '("false", "0", "no", "off"):\n        return True\n'),
+    ("config/schedule-entry-separator", "config.py", 'return f"{value[0]}:{value[1]!r}"',
+     'return f"{value[0]}/{value[1]!r}"'),
     ("config/seed-in-hash", "config.py", "        if key in HASH_EXCLUDED:\n            continue\n",
      ""),
     ("config/meta-without-validation-accepted", "config.py",

@@ -263,6 +263,8 @@ def check_meta_gradient_finite_differences():
     problems += [(model, tb, vb, 0.05, eps0) for eps0 in (None, np.full(6, 1.0 / 6), rng.random(6))]
     rng, model, tb, vb = _seeded(35, [5, 4, 2], "sigmoid", 0.3, 5, 3)
     problems.append((model, tb, vb, 2.0, rng.random(5)))
+    rng, model, tb, vb = _seeded(55, [6, 5, 3], "tanh", 0.5, 6, 4)
+    problems.append((model, tb, vb, 8.0, rng.random(6)))
     for model, tb, vb, alpha, eps0 in problems:
         u = reweight.meta_grad_lookahead(model, tb, vb, alpha, eps0=eps0)
         worst = max(worst, _fd_err(u, fd_meta_gradient(model, tb, vb, alpha, eps0=eps0)))

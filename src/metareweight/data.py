@@ -74,7 +74,8 @@ class Dataset:
     `images` is a PixelRows over one pixel array, which every derived dataset
     shares: the read-only IDX mapping of `load_idx`, or the array passed in.
     uint8 images are pixel bytes, kept as such and scaled to [0, 1] only by
-    `nn.Batch`; any other dtype becomes float64 and is model input as it is."""
+    `nn.Batch`; any other dtype becomes float64 and is model input as it is.
+    `join` appends another dataset, as `train` folds validation into its pool."""
 
     images: PixelRows
     labels: np.ndarray
@@ -108,6 +109,22 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
         return Dataset(self.images.select(idx), self.labels[idx], self.original_labels[idx])
+
+    def join(self, other: "Dataset") -> "Dataset":
+        """These examples followed by other's. Two row sets of one pixel array,
+        as a split leaves them, join their indices; rows of two arrays are gathered."""
+        # np.concatenate would upcast pixel bytes to unscaled 0..255 floats.
+        if self.images.dtype != other.images.dtype:
+            raise ConfigError(f"cannot join {self.images.dtype} images with {other.images.dtype} images")
+        if self.images.pixels is other.images.pixels:
+            images = PixelRows(self.images.pixels, np.concatenate([self.images.index, other.images.index]))
+        else:
+            images = np.concatenate([self.images[:], other.images[:]])
+        return Dataset(
+            images,
+            np.concatenate([self.labels, other.labels]),
+            np.concatenate([self.original_labels, other.original_labels]),
+        )
 
 
 @dataclass

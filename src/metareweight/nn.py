@@ -35,8 +35,6 @@ import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid")
-
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
@@ -209,20 +207,14 @@ def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-# Activations f(z, out) writing into out.
-_ACT = {
-    "relu": lambda z, out: np.maximum(z, 0.0, out=out),
-    "tanh": lambda z, out: np.tanh(z, out=out),
-    "sigmoid": _sigmoid,
+# (activation f(z, out) writing into out, its derivative from f's output).
+# For relu the subgradient at exactly 0 is taken as 0.
+_ACTIVATIONS = {
+    "relu": (lambda z, out: np.maximum(z, 0.0, out=out), lambda a: (a > 0.0).astype(np.float64)),
+    "tanh": (lambda z, out: np.tanh(z, out=out), lambda a: 1.0 - a * a),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
 }
-
-# Derivatives written in terms of the activation output. For relu the
-# subgradient at exactly 0 is taken as 0.
-_ACT_DERIV_FROM_POST = {
-    "relu": lambda a: (a > 0.0).astype(np.float64),
-    "tanh": lambda a: 1.0 - a * a,
-    "sigmoid": lambda a: a * (1.0 - a),
-}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 def forward(model: MLPModel, batch: Batch) -> ForwardCache:
@@ -235,7 +227,7 @@ def forward(model: MLPModel, batch: Batch) -> ForwardCache:
     if batch.labels.min() < 0 or batch.labels.max() >= k:
         raise DimensionError(f"labels must lie in [0, {k})")
 
-    act = _ACT[model.activation]
+    act = _ACTIVATIONS[model.activation][0]
     n = len(batch)
     post = [batch.augmented]
     last = model.num_layers - 1
@@ -269,7 +261,7 @@ def backward_per_example(model: MLPModel, cache: ForwardCache, batch: Batch) -> 
         # through the activation of layer l.
         inner = signals[l + 1] @ model.layers[l + 1][:-1].T
         post_act = cache.post[l + 1][:, :-1]
-        signals[l] = inner * _ACT_DERIV_FROM_POST[model.activation](post_act)
+        signals[l] = inner * _ACTIVATIONS[model.activation][1](post_act)
     return PerExampleGrads(inputs=cache.post, signals=signals)
 
 

@@ -13,7 +13,8 @@ changes. At most one point is in flight. The next point, or the end of
 training, waits for it, running itself any pass the worker has not started,
 then records it and makes the early-stop choice, in step order. The
 validation loss and gradient norm stay on the training thread: they cover
-only the small validation set.
+only the small validation set. `evaluate` sets NumPy's per-thread error
+state itself, so both threads call it as it is.
 """
 
 import collections
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, PixelRows
+from .data import Dataset
 from .errors import ConfigError, NonFiniteError
 from .nn import (
     ACTIVATIONS,
@@ -147,22 +148,20 @@ def evaluate(model: MLPModel, ds: Dataset) -> tuple[float, float]:
     thread while training goes on, so a chunk's arrays add to the step's
     instead of reusing its memory; 128 examples halve what 256 added. Rows
     are independent, so the error count does not depend on the chunk size,
-    but the loss is summed per chunk, so the mean loss's last bits do."""
+    but the loss is summed per chunk, so the mean loss's last bits do. It
+    sets its own error state, as a step does: overflow gives an inf or nan
+    loss, not a warning, on whichever thread calls it."""
     if len(ds) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     wrong = 0
     loss_sum = 0.0
-    for start in range(0, len(ds), EVAL_CHUNK):
-        part = Batch(ds.images[start : start + EVAL_CHUNK], ds.labels[start : start + EVAL_CHUNK])
-        cache = forward(model, part)
-        wrong += int((cache.logits.argmax(axis=1) != part.labels).sum())
-        loss_sum += float(cache.losses.sum())
-    return wrong / len(ds), loss_sum / len(ds)
-
-
-def _evaluate_quietly(model: MLPModel, ds: Dataset) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # as in a step: NumPy keeps it per thread
-        return evaluate(model, ds)
+        for start in range(0, len(ds), EVAL_CHUNK):
+            part = Batch(ds.images[start : start + EVAL_CHUNK], ds.labels[start : start + EVAL_CHUNK])
+            cache = forward(model, part)
+            wrong += int((cache.logits.argmax(axis=1) != part.labels).sum())
+            loss_sum += float(cache.losses.sum())
+    return wrong / len(ds), loss_sum / len(ds)
 
 
 def _check_point(name: str, value: float) -> None:
@@ -193,22 +192,6 @@ def _lr_multiplier(schedule: list[tuple[int, float]], step: int) -> float:
         if step >= boundary:
             mult = m
     return mult
-
-
-def _concat(a: Dataset, b: Dataset) -> Dataset:
-    # np.concatenate would upcast pixel bytes to unscaled 0..255 floats.
-    if a.images.dtype != b.images.dtype:
-        raise ConfigError(f"cannot join {a.images.dtype} images with {b.images.dtype} images")
-    if a.images.pixels is b.images.pixels:
-        # Two row sets of one pixel array, as a split leaves them: join their indices.
-        images = PixelRows(a.images.pixels, np.concatenate([a.images.index, b.images.index]))
-    else:
-        images = np.concatenate([a.images[:], b.images[:]])
-    return Dataset(
-        images,
-        np.concatenate([a.labels, b.labels]),
-        np.concatenate([a.original_labels, b.original_labels]),
-    )
 
 
 def _left_sum(values) -> float:
@@ -244,7 +227,8 @@ def train(
 
     The validation set must be provenance-clean. By default it is folded back
     into the training pool, so every strategy sees the same examples and
-    meta_reweight gets no extra data, only the identity of the clean ones.
+    meta_reweight gets no extra data, only the identity of the clean ones
+    (`Dataset.join` builds the pool).
     A NonFiniteError is raised again with the seed and the step it hit, as
     is a non-finite loss or gradient norm at an evaluation point.
     """
@@ -256,12 +240,12 @@ def train(
         raise ConfigError("validation set contains corrupted labels")
     if config.strategy == "meta_reweight" and len(val_ds) == 0:
         raise ConfigError("meta_reweight needs a nonempty validation set")
-    if config.early_stop_on_hyperval and (hyperval_ds is None or len(hyperval_ds) == 0):
+    if config.early_stop_on_hyperval and not hyperval_ds:
         raise ConfigError("early_stop_on_hyperval needs a hyperval dataset")
 
     pool = train_ds
     if config.include_val_in_train and len(val_ds):
-        pool = _concat(train_ds, val_ds)
+        pool = train_ds.join(val_ds)
 
     labels = (pool.labels, val_ds.labels, test_ds.labels)
     num_classes = int(max(s.max() for s in labels if s.size)) + 1
@@ -318,7 +302,6 @@ def train(
     # (t, w, flipped, loss) per step; evaluation at step t reads the last t % eval_every + 1.
     log: collections.deque = collections.deque(maxlen=config.eval_every)
     records: list[MetricsRecord] = []
-    with_hyperval = hyperval_ds is not None and len(hyperval_ds) > 0
     # The evaluation point in flight: its record fields, its model and the
     # futures of its test and hyperval passes.
     pending = None
@@ -333,7 +316,7 @@ def train(
         columns, snapshot, test_pass, hyper_pass = point
 
         def error(ds, future, name) -> float:
-            err, loss = _evaluate_quietly(snapshot, ds) if future.cancel() else future.result()
+            err, loss = evaluate(snapshot, ds) if future.cancel() else future.result()
             _check_point(name, loss)
             return err
 
@@ -383,8 +366,8 @@ def train(
             pending = (
                 columns,
                 model,
-                worker.submit(_evaluate_quietly, model, test_ds),
-                worker.submit(_evaluate_quietly, model, hyperval_ds) if with_hyperval else None,
+                worker.submit(evaluate, model, test_ds),
+                worker.submit(evaluate, model, hyperval_ds) if hyperval_ds else None,
             )
         file(pending)
 

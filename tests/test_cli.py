@@ -159,6 +159,8 @@ class TestTrainCommand:
                      id="negative_seed_field"),
         pytest.param(("eval_every = 20", "eval_every = 20\nimbalance_ratio = nan"), (),
                      "imbalance ratio must be a finite number >= 1, got nan", False, id="nan_imbalance_ratio"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nnoise_kind = uniform_flip\nnum_classes = 1"), (),
+                     "label noise needs at least two classes", False, id="noise_with_one_class"),
     ])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, edit, flags, message, out_exists):
         assert_exits_2(train_argv(tmp_path, *flags, edit=edit), tmp_path, capsys, message,
@@ -171,6 +173,10 @@ class TestTrainCommand:
                      id="truncated_train_images"),
         pytest.param(("", ""), {"test-images-idx3-ubyte": idx_images_bytes(np.zeros((60, 3, 3)))},
                      "batch has 9 features, model expects 36", True, id="image_size_mismatch"),
+        # The fixture's training file holds 54 of class 0 and 66 of class 1.
+        pytest.param(("eval_every = 20", "eval_every = 20\nimbalance_ratio = 2\nimbalance_total = 100\n"
+                      "minority_class = 0\nmajority_class = 1"), {},
+                     "need 67 examples of class 1, dataset has 66", True, id="imbalance_majority_too_small"),
         # The first step overflows the parameters; the second meets the non-finite values.
         pytest.param(("strategy = meta_reweight\nlearning_rate = 0.05", "strategy = uniform\nlearning_rate = 1e300"),
                      {}, "seed 0 step 1: gradient contains non-finite values", True, id="non_finite_uniform"),

@@ -1,6 +1,7 @@
 """Config file parsing, validation, identity hashing, and the experiment a
 config builds."""
 
+import csv
 import gc
 import weakref
 
@@ -58,12 +59,19 @@ class TestParsing:
         assert cfg["subset_total"] is None
         assert cfg["activation"] == "tanh"
 
+    @pytest.mark.parametrize("value", ["false", "off"])
+    def test_false_boolean(self, tmp_path, value):
+        cfg = parse_config_file(write_config(tmp_path, f"include_val_in_train = {value}\n"))
+        assert cfg["include_val_in_train"] is False
+
     @pytest.mark.parametrize("text, match", [
         pytest.param("total_steps = soon\n", ":1: field 'total_steps': invalid literal for int", id="bad_value"),
         pytest.param("strategy uniform\n", ":1: expected key = value, got 'strategy uniform'$",
                      id="line_without_equals"),
         pytest.param("seed = 1\nseed = 2\n", ":2: duplicate config field 'seed'$", id="duplicate_key"),
         pytest.param("seed =\nseed = 3\n", ":2: duplicate config field 'seed'$", id="duplicate_after_blank"),
+        pytest.param("early_stop_on_hyperval = maybe\n", ":1: field 'early_stop_on_hyperval': not a boolean: 'maybe'$",
+                     id="not_a_boolean"),
     ])
     def test_bad_file_rejected(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -98,6 +106,15 @@ class TestHash:
             "val_per_class = 5\nrepeat = 10\noutput_dir = runs/imb200\n"
         )
         assert config_hash(parse_config_file(write_config(tmp_path, text))) == "2b3c233ff3b54697"
+
+    def test_schedule_lists_and_false_hash_pinned(self, tmp_path):
+        text = (
+            "strategy = meta_reweight\nlearning_rate = 1e-3\ntotal_steps = 40\nhidden_sizes = 32,16\n"
+            "lr_schedule = 20:0.1, 30:0.01\nearly_stop_on_hyperval = false\n"
+            "train_images = mnist/train-images-idx3-ubyte\ntrain_labels = mnist/train-labels-idx1-ubyte\n"
+            "test_images = mnist/t10k-images-idx3-ubyte\ntest_labels = mnist/t10k-labels-idx1-ubyte\n"
+        )
+        assert config_hash(parse_config_file(write_config(tmp_path, text))) == "83535cd97cfd99fd"
 
     def test_canonical_items_cover_schema(self, tmp_path):
         cfg = parse_config_file(write_config(tmp_path, "seed = 1\n"))
@@ -204,3 +221,40 @@ class TestRunExperiment:
 
         run_experiment(build_experiment(parse_config_file(cfg)), progress)
         assert alive == [0, 0, 0]
+
+
+class TestPrepareDatasets:
+    @pytest.mark.parametrize("extra, sizes", [
+        # 60 of 120 kept: the hyperval set is drawn from the 60 left out.
+        pytest.param("subset_total = 60\nhyperval_total = 20\n", (56, 4, 20), id="subset_hyperval_from_pool"),
+        pytest.param("hyperval_total = 20\n", (96, 4, 20), id="no_subset"),
+        pytest.param("imbalance_ratio = 2\nimbalance_total = 30\nminority_class = 1\nmajority_class = 0\n"
+                     "hyperval_total = 10\n", (16, 4, 10), id="imbalanced_pair"),
+    ])
+    def test_hyperval_set_apart_and_corrupted(self, tmp_path, extra, sizes):
+        paths = synth_mnist_like(tmp_path)
+        noise = "noise_kind = uniform_flip\nnoise_ratio = 0.4\nnum_classes = 2\nseed = 3\n"
+        cfg = write_train_config(tmp_path, paths, extra=extra + noise + f"output_dir = {tmp_path / 'runs'}\n")
+        exp = build_experiment(parse_config_file(cfg))
+        base_train = load_idx(paths["train_images"], paths["train_labels"])
+        base_test = load_idx(paths["test_images"], paths["test_labels"])
+        train_ds, val_ds, _, hyper = prepare_datasets(exp, 3, base_train, base_test)
+
+        assert (len(train_ds), len(val_ds), len(hyper)) == sizes
+        rows = [d.images.index for d in (train_ds, val_ds, hyper)]
+        assert all(d.images.pixels is base_train.images.pixels for d in (train_ds, val_ds, hyper))
+        assert len(np.unique(np.concatenate(rows))) == sum(sizes)  # three disjoint sets of rows
+        if exp.subset_total is not None:
+            # Training and validation rows make up the whole subset, so no hyperval row is in it.
+            assert len(train_ds) + len(val_ds) == exp.subset_total
+        assert hyper.flipped_mask.any()
+        if exp.imbalance is None:
+            np.testing.assert_array_equal(hyper.original_labels, base_train.labels[rows[2]])
+
+        run_experiment(exp)
+        with open(tmp_path / "runs" / "metrics_seed3.csv") as f:
+            metric_steps = [row["step"] for row in csv.DictReader(f)]
+        with open(tmp_path / "runs" / "hyperval_seed3.csv") as f:
+            hyper_rows = list(csv.DictReader(f))
+        assert metric_steps == [row["step"] for row in hyper_rows] == ["20", "40"]
+        assert all(0.0 <= float(row["hyperval_error"]) <= 1.0 for row in hyper_rows)

@@ -430,6 +430,15 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
                  ConfigError, "^labels must have one entry per image$", id="dataset_label_count"),
     pytest.param(lambda tmp: Dataset(np.zeros(3), np.zeros(3, dtype=int)),
                  ConfigError, r"^images must be 2-d, got shape \(3,\)$", id="dataset_images_not_2d"),
+    pytest.param(lambda tmp: Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros(2, dtype=int)),
+                 ConfigError, "^original_labels must align with labels$", id="dataset_original_labels_misaligned"),
+    pytest.param(lambda tmp: write_idx_labels(np.array([3, 256]), str(tmp / "labels-idx1-ubyte")),
+                 ConfigError, "^IDX labels must fit in a byte$", id="idx_label_above_255"),
+    pytest.param(lambda tmp: filter_remap(labeled_dataset(np.random.default_rng(70), {0: 3}), {}),
+                 ConfigError, "^label map is empty$", id="filter_remap_empty_map"),
+    pytest.param(lambda tmp: split_clean_validation(labeled_dataset(np.random.default_rng(72), {0: 3}), -1,
+                                                    np.random.default_rng(0)),
+                 ConfigError, "^per_class must be nonnegative$", id="validation_negative_per_class"),
 ])
 def test_bad_input_raises(tmp_path, call, error, match):
     with pytest.raises(error, match=match):

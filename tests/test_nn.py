@@ -18,6 +18,7 @@ from metareweight.errors import DimensionError, NonFiniteError
 from metareweight.nn import (
     Batch,
     MLPModel,
+    PerExampleGrads,
     backward_per_example,
     dot_with_each,
     forward,
@@ -313,6 +314,15 @@ def nan_at(shape, index):
                  NonFiniteError, "^batch inputs contains non-finite values$", id="batch_nan_inputs"),
     pytest.param(lambda: Batch(np.zeros(4), np.zeros(4, dtype=int)),
                  DimensionError, None, id="batch_not_2d"),
+    pytest.param(lambda: MLPModel([np.zeros((4, 2))], activation="mystery"),
+                 DimensionError, "^unknown activation 'mystery'$", id="model_unknown_activation"),
+    pytest.param(lambda: MLPModel([]), DimensionError, "^model needs at least one layer$", id="model_no_layers"),
+    pytest.param(lambda: MLPModel([np.zeros(4)]),
+                 DimensionError, r"^layer 0 must be a matrix, got shape \(4,\)$", id="model_layer_not_a_matrix"),
+    pytest.param(lambda: MLPModel.init([4]),
+                 DimensionError, "^need at least input and output sizes$", id="init_one_size"),
+    pytest.param(lambda: PerExampleGrads([np.zeros((2, 4))], []),
+                 DimensionError, "^inputs and signals must have one entry per layer$", id="grads_unequal_lists"),
 ])
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):

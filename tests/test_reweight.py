@@ -70,6 +70,10 @@ class TestResample:
                  id="hard_mining_k_too_large"),
     pytest.param(lambda: resample_indices(np.array([], dtype=int), 4, np.random.default_rng(0)), ConfigError,
                  id="resample_empty"),
+    pytest.param(lambda: hard_mining_select(np.array([1.0, 2.0]), np.array([1]), 1, 1), DimensionError,
+                 id="hard_mining_misaligned"),
+    pytest.param(lambda: resample_indices(np.array([0, 1]), 0, np.random.default_rng(0)), ValueError,
+                 id="resample_no_draws"),
 ])
 def test_bad_input_raises(call, error):
     with pytest.raises(error):
