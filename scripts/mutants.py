@@ -102,7 +102,7 @@ MUTANTS = [
      "        if not 0 < self.learning_rate < np.inf:\n", "        if self.learning_rate <= 0:\n"),
     ("trainer/empty-test-set-accepted", "trainer.py", "    if len(test_ds) == 0:\n", "    if False:\n"),
     ("trainer/one-class-accepted", "trainer.py", "    if num_classes < 2:\n", "    if False:\n"),
-    # `Dataset.join`, which builds the pool of `train`, keeps the rows' trainer/ names.
+    # Rows on `Dataset.join`, the join that builds the pool of `train`, keep their trainer/ names.
     ("trainer/validation-not-in-pool", "data.py",
      "        # np.concatenate would upcast pixel bytes to unscaled 0..255 floats.\n", "        return self\n"),
     ("trainer/pool-rows-copied", "data.py", "        if self.images.pixels is other.images.pixels:\n",
