@@ -150,6 +150,18 @@ MUTANTS = [
     ("theory/descent-zero-steps-accepted", "theory.py", "    if steps < 1:\n", "    if False:\n"),
     ("theory/short-trial-replayed", "theory.py", "        if merged == estimate or attempt == MAX_ATTEMPTS:\n",
      "        if (merged == estimate and len(trace) == steps) or attempt == MAX_ATTEMPTS:\n"),
+    ("theory/violations-always-zero", "theory.py", "        return self.steps - held\n", "        return 0\n"),
+    ("theory/nan-rise-not-counted", "theory.py", "e.g_after <= e.g_before + self.tolerance",
+     "not e.g_after > e.g_before + self.tolerance"),
+    ("theory/untaken-steps-not-counted", "theory.py", "return self.steps - held", "return len(self.trace) - held"),
+    ("theory/flat-restart-probes-on", "theory.py", "if ratio == 0.0 or not np.isfinite(ratio):",
+     "if not np.isfinite(ratio):"),
+    ("theory/flat-estimate-divided", "theory.py", "    if denom <= 0:\n", "    if False:\n"),
+    ("theory/overflowing-step-raises", "theory.py", "except NonFiniteError:", "except ZeroDivisionError:"),
+    ("theory/trial-runs-on-past-ceiling", "theory.py", "if not np.isfinite(g_val) or g_val > ceiling:",
+     "if False:"),
+    ("theory/trial-errstate-default", "theory.py", 'with np.errstate(over="ignore", invalid="ignore"):',
+     "with np.errstate():"),
     ("data/idx-images-scaled-floats", "data.py", "    images = pixels.reshape(count, rows * cols)\n",
      "    images = pixels.reshape(count, rows * cols) / 255.0\n"),
     ("data/idx-trailing-bytes-accepted", "data.py", "    if length - header != expected:\n",

@@ -448,14 +448,12 @@ def check_descent_step_properties():
     objective = theory.validation_objective(val.inputs, val.labels)
     est = theory.estimate_regularity(model, ds, objective, rng)
     alpha = theory.safe_step_size(len(batch), est)
-    _, trace, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
-    if len(trace) != 50:
-        return False, f"trial stopped after {len(trace)} of 50 steps"
-    for entry in trace:
-        if entry.g_after > entry.g_before + theory.DescentRun.tolerance:
-            return False, f"objective rose at step {entry.step}: {entry.g_before} -> {entry.g_after}"
-        if entry.align_sq < 0:
-            return False, "negative alignment statistic"
+    stepped, trace, _ = theory._descent_trial(model, [batch] * 50, objective, alpha)
+    run = theory.DescentRun(trace, stepped, alpha, est, steps=50)
+    if run.violations:
+        return False, f"{run.violations} of 50 steps at alpha {alpha:.3e} did not descend"
+    if any(entry.align_sq < 0 for entry in trace):
+        return False, "negative alignment statistic"
     return True, ""
 
 

@@ -26,7 +26,7 @@ from .data import (
     split_indices,
     write_csv,
 )
-from .trainer import MetricsRecord, train
+from .trainer import METRICS_COLUMNS, MetricsRecord, train
 
 
 def prepare_datasets(
@@ -65,7 +65,7 @@ def prepare_datasets(
 
 
 def write_metrics_csv(records: list[MetricsRecord], path: str) -> None:
-    write_csv(path, MetricsRecord.CSV_COLUMNS, (r.csv_row() for r in records))
+    write_csv(path, METRICS_COLUMNS, (r.csv_row() for r in records))
 
 
 def write_weights_csv(weight_log: dict, path: str) -> None:

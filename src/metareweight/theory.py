@@ -22,9 +22,10 @@ The check therefore measures rather than proves: `run_descent_verification`
 picks the step size from the estimates, refines them along its own trials,
 and records G before and after every step of the accepted trajectory. Its
 `DescentRun.estimate` is the estimate that chose `alpha`, and
-`DescentRun.violations` counts the steps on which G rose by more than the
-class constant `DescentRun.tolerance` (1e-9); on MNIST-shaped two-class
-pairs that is a few percent of steps.
+`DescentRun.violations` counts the requested steps that did not hold: a step
+on which G rose by more than the class constant `DescentRun.tolerance`
+(1e-9) or became NaN, and a step the trial never took because it stopped.
+On MNIST-shaped two-class pairs that is a few percent of steps.
 
 An objective is a callable model -> (G, flat gradient of G). The gradient
 is a new array that the caller may overwrite, and the objective keeps
@@ -162,11 +163,15 @@ class DescentRun:
     model: MLPModel
     alpha: float
     estimate: RegularityEstimate  # the one that chose alpha
+    steps: int  # the steps asked for; the trace is shorter if the trial stopped
     tolerance = 1e-9  # a class constant, not a field: the rise G may take on a step
 
     @property
     def violations(self) -> int:
-        return sum(1 for e in self.trace if e.g_after > e.g_before + self.tolerance)
+        """Requested steps that did not hold: G rose past g_before + tolerance
+        or became NaN, or the trial stopped before taking the step."""
+        held = sum(e.g_after <= e.g_before + self.tolerance for e in self.trace)
+        return self.steps - held
 
 
 def _descent_trial(
@@ -191,34 +196,35 @@ def _descent_trial(
     trace: list[DescentEntry] = []
     seg_ratio = 0.0
     grad_norm = 0.0
-    for t, batch in enumerate(batches):
-        n = len(batch)
-        try:
-            grads = backward_per_example(model, forward(model, batch), batch)
-            grad_norm = max(grad_norm, float(np.sqrt(grads.norms_squared().max())))
-            coef = np.maximum(dot_with_each(grads, grad_g), 0.0)
-            direction = weighted_gradient(grads, coef)
-            step_len = (alpha / n) * float(np.linalg.norm(direction))
-            stepped = sgd_step(model, direction, alpha / n)  # takes over direction
-            g_next, grad_next = objective(stepped)
-        except NonFiniteError:
-            break
-        trace.append(
-            DescentEntry(
-                step=t,
-                g_before=g_val,
-                g_after=g_next,
-                grad_norm_sq=float(grad_g @ grad_g),
-                align_sq=float(coef @ coef),
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a training step
+        for t, batch in enumerate(batches):
+            n = len(batch)
+            try:
+                grads = backward_per_example(model, forward(model, batch), batch)
+                grad_norm = max(grad_norm, float(np.sqrt(grads.norms_squared().max())))
+                coef = np.maximum(dot_with_each(grads, grad_g), 0.0)
+                direction = weighted_gradient(grads, coef)
+                step_len = (alpha / n) * float(np.linalg.norm(direction))
+                stepped = sgd_step(model, direction, alpha / n)  # takes over direction
+                g_next, grad_next = objective(stepped)
+            except NonFiniteError:
+                break
+            trace.append(
+                DescentEntry(
+                    step=t,
+                    g_before=g_val,
+                    g_after=g_next,
+                    grad_norm_sq=float(grad_g @ grad_g),
+                    align_sq=float(coef @ coef),
+                )
             )
-        )
-        if step_len > 0:
-            # grad_g is not read again: the segment difference goes into it.
-            diff = np.subtract(grad_next, grad_g, out=grad_g)
-            seg_ratio = max(seg_ratio, float(np.linalg.norm(diff)) / step_len)
-        model, g_val, grad_g = stepped, g_next, grad_next
-        if not np.isfinite(g_val) or g_val > ceiling:
-            break
+            if step_len > 0:
+                # grad_g is not read again: the segment difference goes into it.
+                diff = np.subtract(grad_next, grad_g, out=grad_g)
+                seg_ratio = max(seg_ratio, float(np.linalg.norm(diff)) / step_len)
+            model, g_val, grad_g = stepped, g_next, grad_next
+            if not np.isfinite(g_val) or g_val > ceiling:
+                break
     return model, trace, RegularityEstimate(seg_ratio, grad_norm)
 
 
@@ -273,7 +279,7 @@ def run_descent_verification(
             max(estimate.smoothness, seen.smoothness), max(estimate.grad_bound, seen.grad_bound)
         )
         if merged == estimate or attempt == MAX_ATTEMPTS:
-            return DescentRun(trace=trace, model=model, alpha=alpha, estimate=estimate)
+            return DescentRun(trace=trace, model=model, alpha=alpha, estimate=estimate, steps=steps)
         estimate = merged
 
 

@@ -105,7 +105,7 @@ class TrainConfig:
 class MetricsRecord:
     step: int
     train_loss: float
-    val_loss: float
+    val_loss_G: float
     test_error: float
     grad_norm_sq: float
     mean_w_clean: float
@@ -113,20 +113,13 @@ class MetricsRecord:
     frac_zero_w: float
     hyperval_error: float = float("nan")
 
-    CSV_COLUMNS = (
-        "step",
-        "train_loss",
-        "val_loss_G",
-        "test_error",
-        "grad_norm_sq",
-        "mean_w_clean",
-        "mean_w_flipped",
-        "frac_zero_w",
-    )
-
     def csv_row(self) -> list:
-        """The fields in CSV_COLUMNS order: every field but hyperval_error."""
-        return [getattr(self, f.name) for f in fields(self) if f.name != "hyperval_error"]
+        """The values of the METRICS_COLUMNS, in that order."""
+        return [getattr(self, name) for name in METRICS_COLUMNS]
+
+
+# The metrics CSV's columns: every field but hyperval_error, which has a file of its own.
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord) if f.name != "hyperval_error")
 
 
 @dataclass
@@ -358,7 +351,7 @@ def train(
                         _check_point("validation loss", val_loss)
                         _check_point("gradient norm", grad_norm_sq)
             columns = dict(
-                step=t + 1, val_loss=val_loss, grad_norm_sq=grad_norm_sq,
+                step=t + 1, val_loss_G=val_loss, grad_norm_sq=grad_norm_sq,
                 **_window_columns(list(log)[-(t % config.eval_every + 1) :]),
             )
             if pending is not None:

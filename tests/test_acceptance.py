@@ -105,7 +105,8 @@ class TestCriterion4:
             4,
             "monotone validation descent",
             ok,
-            f"{violations} violations of G(t+1) <= G(t) + {DescentRun.tolerance:g} over 3 seeds x 1000 steps, "
+            f"{violations} of 3 seeds x 1000 steps broke G(t+1) <= G(t) + {DescentRun.tolerance:g} "
+            "or were never taken, "
             f"alpha in [{min(alphas):.2e}, {max(alphas):.2e}], {elapsed:.1f}s (<300s)",
         )
         assert violations == 0

@@ -4,13 +4,14 @@ import csv
 import gzip
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_check
-from metareweight import checks
+from metareweight import checks, theory
 from metareweight.cli import main
 from metareweight.data import load_idx, write_csv
 
@@ -374,6 +375,38 @@ class TestVerifyCommand:
         assert main(["verify", "--level", "full"]) == 0
         out = capsys.readouterr().out
         assert "[SKIP] mnist_monotone_descent" in out
+
+    @pytest.mark.parametrize("cut, code, line", [
+        pytest.param(None, 0, "[PASS] mnist_monotone_descent: alpha=1.000e-01 smoothness=8.110e+00 "
+                     "grad_bound=4.561e+00 violations=0", id="descends"),
+        pytest.param(5, 1, "[FAIL] mnist_monotone_descent: alpha=1.000e-01 smoothness=8.110e+00 "
+                     "grad_bound=4.561e+00 violations=15", id="trial_cut_short"),
+    ])
+    def test_full_runs_the_descent_check(self, tmp_path, capsys, monkeypatch, cached_checks, cut, code, line):
+        # 255 images each of classes 4 and 9: exactly the check's 510-example pair.
+        rng = np.random.default_rng(84)
+        labels = np.repeat([4, 9], 255)
+        images = rng.integers(0, 60, size=(510, 6, 6)).astype(np.uint8)
+        images[labels == 9, :, :3] += 180
+        images[labels == 4, :, 3:] += 180
+        data = tmp_path / "mnist"
+        data.mkdir()
+        for split in ("train", "t10k"):
+            (data / f"{split}-images-idx3-ubyte").write_bytes(idx_images_bytes(images))
+            (data / f"{split}-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels))
+        real = theory.run_descent_verification
+
+        def twenty_steps(*args, **kwargs):
+            run = real(*args, **{**kwargs, "steps": 20})
+            return replace(run, trace=run.trace[:cut])
+
+        monkeypatch.setattr(theory, "run_descent_verification", twenty_steps)
+        argv = ["verify", "--level", "full", "--data-dir", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        assert capsys.readouterr().out.splitlines()[-1] == line
+        for name, header in (("descent_trace.csv", "step,G,grad_norm_sq,T_t"),
+                             ("descent_rate.csv", "T,min_grad_norm_sq,envelope")):
+            assert (tmp_path / "out" / name).read_text().splitlines()[0] == header
 
     @pytest.mark.parametrize("flags, message", [
         pytest.param(("--data-dir", "{tmp}"), "--data-dir: MNIST IDX files not found in {tmp}",

@@ -15,13 +15,14 @@ from test_trainer import byte_backed, pre_scaled
 from metareweight import theory
 from metareweight.checks import (
     fd_meta_gradient,
+    quadratic_surrogate,
     random_batch,
     random_model,
     with_params,
 )
 from metareweight.data import Dataset
 from metareweight.errors import ConfigError, DimensionError
-from metareweight.nn import MLPModel
+from metareweight.nn import Batch, MLPModel
 from metareweight.theory import (
     DescentEntry,
     RegularityEstimate,
@@ -49,6 +50,24 @@ class TestEstimators:
         est = RegularityEstimate(smoothness=4.0, grad_bound=3.0)
         assert safe_step_size(1, est) == pytest.approx(1 / (4.0 * 9.0), rel=1e-12)
         assert safe_step_size(100, est) == theory.ALPHA_CAP == 0.1
+        # No measured curvature or gradient: nothing bounds the step but the cap.
+        for flat in (RegularityEstimate(0.0, 3.0), RegularityEstimate(4.0, 0.0)):
+            assert safe_step_size(1, flat) == 0.1
+
+    def test_flat_objective_ends_each_restart_at_its_first_probe(self, recwarn):
+        # A zero gradient difference gives no direction to iterate along, so the
+        # objective runs once at the model and once per restart.
+        calls = []
+        flat = quadratic_surrogate(0.0)
+
+        def counted(model):
+            calls.append(model)
+            return flat(model)
+
+        model = random_model(np.random.default_rng(82), [5, 6, 2], "relu", bias_scale=0.1)
+        assert estimate_smoothness(model, counted, np.random.default_rng(5)) == 0.0
+        assert len(calls) == 1 + theory.RESTARTS
+        assert not recwarn.list
 
 
 class TestDescentStep:
@@ -121,8 +140,43 @@ class TestDescentStep:
         model, trace, seen = real(*calls[0])  # the replay that would come next
         assert seen.smoothness <= estimate.smoothness and seen.grad_bound <= estimate.grad_bound
         assert len(run.trace) == 5 and run.trace == trace
+        assert run.violations == 15  # the steps the trial never took
         assert [w.tobytes() for w in run.model.layers] == [w.tobytes() for w in model.layers]
         assert run.estimate is estimate and run.alpha == safe_step_size(20, estimate)
+
+    @pytest.mark.parametrize("alpha, taken", [
+        pytest.param(5.0, 2, id="past_ceiling"),
+        pytest.param(1e200, 1, id="nan_objective"),
+    ])
+    def test_stopped_trial_fails_every_requested_step(self, monkeypatch, recwarn, alpha, taken):
+        # A fixed step size far too large for the blobs: at 5.0 G passes ten times its
+        # start on the second step, at 1e200 it is NaN after the first. Each trial
+        # stops there; the steps it took rose and the rest were never taken.
+        monkeypatch.setattr(theory, "safe_step_size", lambda batch_size, estimate: alpha)
+        full = make_blobs(np.random.default_rng(75), 120, 6, 2)
+        run = run_descent_verification(
+            full.subset(np.arange(200)), full.subset(np.arange(200, 240)), steps=40,
+            batch_size=20, seed=3, hidden_sizes=(12,),
+        )
+        assert len(run.trace) == taken
+        assert not any(e.g_after <= e.g_before for e in run.trace)
+        last = run.trace[-1].g_after
+        assert np.isnan(last) if alpha == 1e200 else last > 10.0 * max(run.trace[0].g_before, 1.0)
+        assert run.violations == 40
+        assert not recwarn.list
+
+    def test_step_that_overflows_ends_the_trial(self, recwarn):
+        # Input weights of 1e308 overflow on the all-ones batch, so the first
+        # direction is NaN and sgd_step raises. The zero validation inputs meet
+        # only the biases, so G is finite at the start.
+        model = MLPModel.init([4, 3, 2], rng=np.random.default_rng(83))
+        model.layers[0][:-1] = 1e308
+        objective = validation_objective(np.zeros((3, 4)), np.array([0, 1, 0]))
+        batch = Batch(np.ones((5, 4)), np.array([0, 1, 0, 1, 1]))
+        stepped, trace, seen = theory._descent_trial(model, [batch] * 3, objective, 0.1)
+        assert stepped is model and trace == []
+        assert theory.DescentRun(trace, stepped, 0.1, seen, steps=3).violations == 3
+        assert not recwarn.list
 
     def test_memory_does_not_grow_with_steps(self):
         # Batches are built as a trial reaches them: 200 prebuilt 100-example

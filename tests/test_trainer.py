@@ -149,7 +149,7 @@ class TestTrainBasics:
         train_ds, val_ds, test_ds = blob_sets()
         result = train(small_config(total_steps=20), train_ds, empty(val_ds), test_ds)
         assert [r.step for r in result.records] == [20]
-        assert np.isnan(result.records[0].val_loss) and np.isnan(result.records[0].grad_norm_sq)
+        assert np.isnan(result.records[0].val_loss_G) and np.isnan(result.records[0].grad_norm_sq)
 
 
 class TestReplayOracle:
