@@ -259,6 +259,13 @@ MUTANTS = [
      "    except () as e:\n"),
     ("cli/curve-means-whole-array", "cli.py", "[cols[:, k].mean() for k in range(3)]",
      "list(cols.mean(axis=0))"),
+    ("cli/report-weight-row-unchecked", "cli.py",
+     '    if not 0.0 <= w < np.inf:\n        raise ValueError(f"weight must be finite and >= 0, got {r[\'weight\']!r}")\n'
+     '    if r["flipped"] not in ("0", "1"):\n        raise ValueError(f"flipped must be 0 or 1, got {r[\'flipped\']!r}")\n',
+     ""),
+    ("checks/raising-check-not-caught", "checks.py",
+     "        try:\n            ok, detail = fn()\n        except Exception as e:  # a crashed check is a failed check\n"
+     '            ok, detail = False, f"raised {e!r}"\n', "        ok, detail = fn()\n"),
     # The finite-difference oracles going soft: the checks they back must notice.
     ("checks/fd-one-sided", "checks.py", "(f(plus) - f(minus)) / (2.0 * FD_STEP)", "(f(plus) - f(x)) / FD_STEP"),
     ("checks/fd-step-coarse", "checks.py", "FD_STEP = 1e-5  #", "FD_STEP = 1e-2  #"),

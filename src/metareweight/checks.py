@@ -59,14 +59,15 @@ def random_batch(rng, n, d, k) -> Batch:
     return Batch(rng.random((n, d)), rng.integers(0, k, size=n))
 
 
-def _seeded(seed, sizes, activation, bias_scale, *batch_sizes):
+def seeded(seed, sizes, activation, bias_scale, *batch_sizes):
     """(rng, model, *batches): a model and batches drawn after it from one seeded generator."""
     rng = np.random.default_rng(seed)
     model = random_model(rng, sizes, activation, bias_scale)
     return (rng, model, *[random_batch(rng, n, sizes[0], sizes[-1]) for n in batch_sizes])
 
 
-def _grads(model, batch):
+def grads_of(model, batch):
+    """Per-example gradients of model's losses on batch."""
     return backward_per_example(model, forward(model, batch), batch)
 
 
@@ -123,7 +124,7 @@ def fd_meta_gradient(
     """
     if eps0 is None:
         eps0 = np.zeros(len(train_batch))
-    grads = _grads(model, train_batch)
+    grads = grads_of(model, train_batch)
 
     def val_loss_after(eps: np.ndarray) -> float:
         stepped = sgd_step(model, weighted_gradient(grads, eps), alpha)
@@ -171,7 +172,7 @@ def check_forward_reference():
     ] + [(4, [5, 6, 4, 3], "tanh", 0.2, 4)]
     worst = dict.fromkeys(ACTIVATIONS, 0.0)
     for seed, sizes, activation, bias, n in cases:
-        _, model, batch = _seeded(seed, sizes, activation, bias, n)
+        _, model, batch = seeded(seed, sizes, activation, bias, n)
         cache = forward(model, batch)
         for i in range(n):
             loss, probs = _naive_loss_probs(model, batch.inputs[i], int(batch.labels[i]))
@@ -190,16 +191,16 @@ def check_per_example_gradients():
     ] + [(200 + t, [5, 8, 2 + t % 4], ACTIVATIONS[t % 3], 0.0, 4) for t in range(20)]
     worst = dict.fromkeys(ACTIVATIONS, 0.0)
     for seed, sizes, activation, bias, n in cases:
-        _, model, batch = _seeded(seed, sizes, activation, bias, n)
-        flats = flat_grads(_grads(model, batch))
+        _, model, batch = seeded(seed, sizes, activation, bias, n)
+        flats = flat_grads(grads_of(model, batch))
         for i in range(n):
             fd = finite_diff_grad(model, lambda m, i=i: float(forward(m, batch).losses[i]))
             worst[activation] = max(worst[activation], _fd_err(flats[i], fd))
     # The weighted sum of them that a training step applies.
-    rng, model, batch = _seeded(15, [5, 4, 2], "tanh", 0.1, 4)
+    rng, model, batch = seeded(15, [5, 4, 2], "tanh", 0.1, 4)
     w = rng.random(4)
     fd = finite_diff_grad(model, lambda m: float(w @ forward(m, batch).losses))
-    weighted = weighted_gradient(_grads(model, batch), w)
+    weighted = weighted_gradient(grads_of(model, batch), w)
     worst["tanh"] = max(worst["tanh"], _fd_err(weighted, fd))
     return max(worst.values()) <= 1e-6, (
         f"max relative deviation from finite differences {_per_activation(worst)} (<=1e-6)"
@@ -207,18 +208,18 @@ def check_per_example_gradients():
 
 
 def check_closed_form_vs_flat():
-    problems = [_seeded(17, [6, 5, 3], "relu", 0.2, 8, 4)[1:]]
-    problems += [_seeded(30, [6, 5, 3], a, 0.3, 8, 4)[1:] for a in ACTIVATIONS]
+    problems = [seeded(17, [6, 5, 3], "relu", 0.2, 8, 4)[1:]]
+    problems += [seeded(30, [6, 5, 3], a, 0.3, 8, 4)[1:] for a in ACTIVATIONS]
     # One example scored against itself: its score is its squared gradient norm, > 0.
-    _, solo_model, solo = _seeded(31, [5, 4, 2], "tanh", 0.2, 1)
+    _, solo_model, solo = seeded(31, [5, 4, 2], "tanh", 0.2, 1)
     problems.append((solo_model, solo, solo))
     worst = 0.0
     for model, tb, vb in problems:
-        tg, vg = _grads(model, tb), _grads(model, vb)
+        tg, vg = grads_of(model, tb), grads_of(model, vb)
         u = reweight.meta_grad_closed_form(tg, vg)
         u_ref = (flat_grads(tg) @ flat_grads(vg).T).mean(axis=1)
         worst = max(worst, float(np.abs(u - u_ref).max()))
-    g = _grads(solo_model, solo)
+    g = grads_of(solo_model, solo)
     (self_alignment,) = reweight.meta_grad_closed_form(g, g)
     if not self_alignment > 0:
         return False, f"self-alignment {self_alignment} is not positive"
@@ -228,19 +229,19 @@ def check_closed_form_vs_flat():
 def _chain_trials():
     """Twenty random scoring problems (model, train batch, val batch, alpha)."""
     for t in range(20):
-        rng, model, tb, vb = _seeded(100 + t, [6, 32, 2 + t % 9], ACTIVATIONS[t % 3], 0.0, 8, 4)
+        rng, model, tb, vb = seeded(100 + t, [6, 32, 2 + t % 9], ACTIVATIONS[t % 3], 0.0, 8, 4)
         yield model, tb, vb, float(10.0 ** rng.uniform(-3, -1))
 
 
 def check_lookahead_matches_closed_form():
     problems = [(model, tb, vb, (alpha,)) for model, tb, vb, alpha in _chain_trials()]
-    problems.append((*_seeded(19, [6, 5, 3], "tanh", 0.2, 8, 4)[1:], (0.05,)))
-    problems += [(*_seeded(33, [6, 5, 3], a, 0.2, 8, 4)[1:], (1e-3, 0.05, 0.7)) for a in ACTIVATIONS]
+    problems.append((*seeded(19, [6, 5, 3], "tanh", 0.2, 8, 4)[1:], (0.05,)))
+    problems += [(*seeded(33, [6, 5, 3], a, 0.2, 8, 4)[1:], (1e-3, 0.05, 0.7)) for a in ACTIVATIONS]
     # Exact at any alpha, so lookahead / alpha cannot depend on alpha.
-    problems.append((*_seeded(36, [5, 4, 2], "relu", 0.1, 5, 3)[1:], (1e-3, 1e-6)))
+    problems.append((*seeded(36, [5, 4, 2], "relu", 0.1, 5, 3)[1:], (1e-3, 1e-6)))
     worst = 0.0
     for model, tb, vb, alphas in problems:
-        closed = reweight.meta_grad_closed_form(_grads(model, tb), _grads(model, vb))
+        closed = reweight.meta_grad_closed_form(grads_of(model, tb), grads_of(model, vb))
         for alpha in alphas:
             look = reweight.meta_grad_lookahead(model, tb, vb, alpha)
             gap = np.abs(look - alpha * closed).max() / (np.abs(alpha * closed).max() + 1e-300)
@@ -252,18 +253,18 @@ def check_meta_gradient_finite_differences():
     worst = 0.0
     for model, tb, vb, alpha in _chain_trials():
         fd = fd_meta_gradient(model, tb, vb, alpha)
-        closed = reweight.meta_grad_closed_form(_grads(model, tb), _grads(model, vb))
+        closed = reweight.meta_grad_closed_form(grads_of(model, tb), grads_of(model, vb))
         look = reweight.meta_grad_lookahead(model, tb, vb, alpha)
         worst = max(worst, _fd_err(alpha * closed, fd), _fd_err(look, fd))
     # Away from eps = 0 and at a coarse step only the lookahead route applies.
     problems = []
-    _, model, tb, vb = _seeded(23, [6, 5, 3], "sigmoid", 0.2, 6, 4)
+    _, model, tb, vb = seeded(23, [6, 5, 3], "sigmoid", 0.2, 6, 4)
     problems += [(model, tb, vb, 0.05, eps0) for eps0 in (None, np.full(6, 1.0 / 6))]
-    rng, model, tb, vb = _seeded(34, [6, 5, 3], "tanh", 0.2, 6, 4)
+    rng, model, tb, vb = seeded(34, [6, 5, 3], "tanh", 0.2, 6, 4)
     problems += [(model, tb, vb, 0.05, eps0) for eps0 in (None, np.full(6, 1.0 / 6), rng.random(6))]
-    rng, model, tb, vb = _seeded(35, [5, 4, 2], "sigmoid", 0.3, 5, 3)
+    rng, model, tb, vb = seeded(35, [5, 4, 2], "sigmoid", 0.3, 5, 3)
     problems.append((model, tb, vb, 2.0, rng.random(5)))
-    rng, model, tb, vb = _seeded(55, [6, 5, 3], "tanh", 0.5, 6, 4)
+    rng, model, tb, vb = seeded(55, [6, 5, 3], "tanh", 0.5, 6, 4)
     problems.append((model, tb, vb, 8.0, rng.random(6)))
     for model, tb, vb, alpha, eps0 in problems:
         u = reweight.meta_grad_lookahead(model, tb, vb, alpha, eps0=eps0)
@@ -328,7 +329,7 @@ def check_sign_semantics():
     x = rng.random(4)
     vb = Batch(x[None, :], np.array([0]))
     tb = Batch(np.stack([x, x]), np.array([0, 1]))
-    u = reweight.meta_grad_closed_form(_grads(model, tb), _grads(model, vb))
+    u = reweight.meta_grad_closed_form(grads_of(model, tb), grads_of(model, vb))
     if not (u[0] > 0 and u[1] < 0):
         return False, f"expected (+, -) scores, got {u}"
     w = reweight.rectify_normalize(u)
@@ -401,12 +402,12 @@ def check_step_work_budget():
 
 def check_descent_step_properties():
     # One step of a trial is the materialized rectified unnormalized update.
-    _, model, batch, val = _seeded(73, [5, 4, 3], "sigmoid", 0.3, 8, 5)
+    _, model, batch, val = seeded(73, [5, 4, 3], "sigmoid", 0.3, 8, 5)
     objective = theory.validation_objective(val.inputs, val.labels)
     alpha = 0.07
     stepped, (entry,), _ = theory._descent_trial(model, [batch], objective, alpha)
     _, grad_g = objective(model)
-    flats = flat_grads(_grads(model, batch))
+    flats = flat_grads(grads_of(model, batch))
     coef = np.maximum(flats @ grad_g, 0.0)
     want = model.flatten() - (alpha / len(batch)) * (flats.T @ coef)
     if np.abs(stepped.flatten() - want).max() > 1e-12 * max(1.0, np.abs(want).max()):
@@ -415,7 +416,7 @@ def check_descent_step_properties():
         if abs(got - expected) > 1e-12 * max(expected, 1.0):
             return False, f"trace entry {entry} disagrees with the materialized statistics"
 
-    rng, model, batch, val = _seeded(61, [5, 4, 3], "tanh", 0.3, 10, 6)
+    rng, model, batch, val = seeded(61, [5, 4, 3], "tanh", 0.3, 10, 6)
     # Zero-gradient objective: nothing aligns, parameters must not move.
     zero_model = with_params(model, np.zeros(model.param_count))
     for curvature, alpha in ((0.8, 0.1), (1.0, 0.5)):

@@ -131,6 +131,17 @@ def _reading(path: str):
         raise ConfigError(f"malformed run file {path}: {e!r}") from e
 
 
+def _weight_row(r) -> tuple[float, bool]:
+    """(weight, flipped) of a weights CSV row; training writes only finite
+    weights >= 0 and flipped cells 0 or 1."""
+    w = float(r["weight"])
+    if not 0.0 <= w < np.inf:
+        raise ValueError(f"weight must be finite and >= 0, got {r['weight']!r}")
+    if r["flipped"] not in ("0", "1"):
+        raise ValueError(f"flipped must be 0 or 1, got {r['flipped']!r}")
+    return w, r["flipped"] == "1"
+
+
 def cmd_report(args) -> int:
     runs = []  # (root, seeds, report_final.csv row) per run directory
     for root, _dirs, files in os.walk(args.dir):
@@ -159,9 +170,7 @@ def cmd_report(args) -> int:
             cols = np.array(by_step[step])
             curves.append(key + [step] + [cols[:, k].mean() for k in range(3)])
 
-        logged = list(_seed_rows(
-            root, seeds, "weights", lambda r: (float(r["weight"]), r["flipped"] == "1")
-        ))
+        logged = list(_seed_rows(root, seeds, "weights", _weight_row))
         if not logged:
             continue
         w, fl = (np.array(column) for column in zip(*logged))

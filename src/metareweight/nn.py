@@ -199,20 +199,12 @@ class PerExampleGrads:
         return total
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), one operation at a time into out."""
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
-
 # (activation f(z, out) writing into out, its derivative from f's output).
 # For relu the subgradient at exactly 0 is taken as 0.
 _ACTIVATIONS = {
     "relu": (lambda z, out: np.maximum(z, 0.0, out=out), lambda a: (a > 0.0).astype(np.float64)),
     "tanh": (lambda z, out: np.tanh(z, out=out), lambda a: 1.0 - a * a),
-    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
+    "sigmoid": (lambda z, out: np.divide(1.0, 1.0 + np.exp(-z), out=out), lambda a: a * (1.0 - a)),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 

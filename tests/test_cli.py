@@ -10,16 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run_check
+from conftest import csv_rows, idx_images_bytes, idx_labels_bytes, run_check, write_mnist, write_pair
 from metareweight import checks, theory
 from metareweight.cli import main
 from metareweight.data import load_idx, write_csv
 
-from test_data import idx_images_bytes, idx_labels_bytes
-
 
 def synth_mnist_like(tmp_path, n_train=120, n_test=60, side=6, k=2, seed=0):
-    """Tiny IDX pair: class decides which half of the image is bright."""
+    """Tiny MNIST-named IDX files in tmp_path: class decides which half of the
+    image is bright. Returns the paths by MNIST_FILES key."""
     rng = np.random.default_rng(seed)
 
     def build(n):
@@ -33,16 +32,7 @@ def synth_mnist_like(tmp_path, n_train=120, n_test=60, side=6, k=2, seed=0):
                 images[i, :, half:] += 180
         return images, labels
 
-    out = {}
-    for split, n in (("train", n_train), ("test", n_test)):
-        images, labels = build(n)
-        ip = tmp_path / f"{split}-images-idx3-ubyte"
-        lp = tmp_path / f"{split}-labels-idx1-ubyte"
-        ip.write_bytes(idx_images_bytes(images))
-        lp.write_bytes(idx_labels_bytes(labels))
-        out[f"{split}_images"] = str(ip)
-        out[f"{split}_labels"] = str(lp)
-    return out
+    return write_mnist(tmp_path, build(n_train), build(n_test))
 
 
 def write_train_config(tmp_path, paths, extra=""):
@@ -101,8 +91,7 @@ class TestTrainCommand:
         assert summary["config_hash"]
         assert summary["forward_examples_total"] == 2 * 40 * (20 + 4)
 
-        with open(out / "metrics_seed0.csv") as f:
-            rows = list(csv.reader(f))
+        rows = csv_rows(out / "metrics_seed0.csv")
         assert rows[0] == [
             "step",
             "train_loss",
@@ -115,8 +104,7 @@ class TestTrainCommand:
         ]
         assert [r[0] for r in rows[1:]] == ["20", "40"]
 
-        with open(out / "weights_seed0.csv") as f:
-            wrows = list(csv.reader(f))
+        wrows = csv_rows(out / "weights_seed0.csv")
         assert wrows[0] == ["step", "weight", "flipped"]
         assert len(wrows) == 1 + 20 * 20  # last window: eval_every steps x batch
 
@@ -172,7 +160,7 @@ class TestTrainCommand:
         pytest.param(("", ""), {"train-images-idx3-ubyte": idx_images_bytes(np.zeros((120, 6, 6)))[:100]},
                      "images payload: header promises 4320 bytes, {tmp}/train-images-idx3-ubyte has 84", False,
                      id="truncated_train_images"),
-        pytest.param(("", ""), {"test-images-idx3-ubyte": idx_images_bytes(np.zeros((60, 3, 3)))},
+        pytest.param(("", ""), {"t10k-images-idx3-ubyte": idx_images_bytes(np.zeros((60, 3, 3)))},
                      "batch has 9 features, model expects 36", True, id="image_size_mismatch"),
         # The fixture's training file holds 54 of class 0 and 66 of class 1.
         pytest.param(("eval_every = 20", "eval_every = 20\nimbalance_ratio = 2\nimbalance_total = 100\n"
@@ -198,8 +186,7 @@ class TestTrainCommand:
     def test_noise_pipeline_runs(self, tmp_path):
         noise = "eval_every = 20\nnoise_kind = uniform_flip\nnoise_ratio = 0.3\nnum_classes = 2"
         assert main(train_argv(tmp_path, edit=("eval_every = 20", noise))) == 0
-        with open(tmp_path / "runs" / "metrics_seed0.csv") as f:
-            rows = list(csv.DictReader(f))
+        rows = csv_rows(tmp_path / "runs" / "metrics_seed0.csv", csv.DictReader)
         # Corrupted examples exist, so the flipped-weight column is populated.
         assert rows[-1]["mean_w_flipped"] != "nan"
 
@@ -229,8 +216,7 @@ class TestCorruptCommand:
             i for i in range(len(original)) if original.labels[i] != corrupted.labels[i]
         }
         assert 0 < len(changed) < len(original)
-        with open(str(out) + ".provenance.csv") as f:
-            rows = list(csv.DictReader(f))
+        rows = csv_rows(str(out) + ".provenance.csv", csv.DictReader)
         assert {int(r["index"]) for r in rows} == changed
         for r in rows:
             i = int(r["index"])
@@ -269,17 +255,22 @@ class TestCorruptCommand:
         assert_exits_2(argv, tmp_path, capsys, message, tmp_path / "x", out_exists)
 
     def test_empty_dataset_writes_empty_label_file(self, tmp_path):
-        images = tmp_path / "images-idx3-ubyte"
-        labels = tmp_path / "labels-idx1-ubyte"
-        images.write_bytes(idx_images_bytes(np.zeros((0, 6, 6))))
-        labels.write_bytes(idx_labels_bytes([]))
+        images, labels = write_pair(tmp_path, np.zeros((0, 6, 6)), [])
         out = tmp_path / "corrupted-labels-idx1-ubyte"
         code = main(corrupt_argv(images, labels, out))
         assert code == 0
         assert out.read_bytes() == idx_labels_bytes([])
         assert len(load_idx(str(images), str(out))) == 0
-        with open(str(out) + ".provenance.csv") as f:
-            assert list(csv.reader(f)) == [["index", "original_label", "new_label"]]
+        assert csv_rows(str(out) + ".provenance.csv") == [["index", "original_label", "new_label"]]
+
+
+ONE_SEED_SUMMARY = json.dumps({"strategy": "uniform", "config_hash": "c0ffee", "seeds": [0],
+                               "mean_test_error": 0.25, "ci_half_width": 0.0})
+
+
+def weight_cells(cells):
+    """A one-seed run directory whose weights file holds a valid flipped row, then the row `3,{cells}`."""
+    return {"summary.json": ONE_SEED_SUMMARY, "weights_seed0.csv": f"step,weight,flipped\n3,0.5,1\n3,{cells}\n"}
 
 
 class TestReportCommand:
@@ -290,21 +281,18 @@ class TestReportCommand:
             assert main(train_argv(tmp_path, "--out", str(root / strategy), edit=edit)) == 0
         assert main(["report", "--dir", str(root)]) == 0
 
-        with open(root / "report_final.csv") as f:
-            rows = list(csv.DictReader(f))
+        rows = csv_rows(root / "report_final.csv", csv.DictReader)
         assert {r["strategy"] for r in rows} == {"uniform", "meta_reweight"}
         for r in rows:
             with open(root / r["strategy"] / "summary.json") as f:
                 summary = json.load(f)
             assert float(r["mean_test_error"]) == summary["mean_test_error"]
 
-        with open(root / "report_curves.csv") as f:
-            crows = list(csv.DictReader(f))
+        crows = csv_rows(root / "report_curves.csv", csv.DictReader)
         steps = {r["step"] for r in crows if r["strategy"] == "uniform"}
         assert steps == {"20", "40"}
 
-        with open(root / "report_weight_hist.csv") as f:
-            hrows = list(csv.DictReader(f))
+        hrows = csv_rows(root / "report_weight_hist.csv", csv.DictReader)
         assert len(hrows) == 2 * 50  # 50 bins per configuration
         total = sum(int(r["clean_count"]) + int(r["flipped_count"]) for r in hrows)
         assert total > 0
@@ -339,13 +327,20 @@ class TestReportCommand:
                      id="truncated_summary"),
         pytest.param({"summary.json": "{}"}, "malformed run file {tmp}/summary.json: KeyError('config_hash')",
                      False, id="empty_summary"),
-        pytest.param({"summary.json": json.dumps({"strategy": "uniform", "config_hash": "c0ffee", "seeds": [0],
-                                                  "mean_test_error": 0.25, "ci_half_width": 0.0}),
+        pytest.param({"summary.json": ONE_SEED_SUMMARY,
                       "metrics_seed0.csv": "step,train_loss,val_loss_G,test_error\n10,abc,0.5,0.25\n"},
                      "malformed run file {tmp}/metrics_seed0.csv: "
                      "ValueError(\"could not convert string to float: 'abc'\")", False, id="bad_metrics_cell"),
         pytest.param({"summary.json": "[]"}, "malformed run file {tmp}/summary.json: "
                      "AttributeError(\"'list' object has no attribute 'get'\")", False, id="summary_not_an_object"),
+        pytest.param(weight_cells("inf,0"), "malformed run file {tmp}/weights_seed0.csv: "
+                     "ValueError(\"weight must be finite and >= 0, got 'inf'\")", False, id="inf_weight"),
+        pytest.param(weight_cells("nan,0"), "malformed run file {tmp}/weights_seed0.csv: "
+                     "ValueError(\"weight must be finite and >= 0, got 'nan'\")", False, id="nan_weight"),
+        pytest.param(weight_cells("-1.0,0"), "malformed run file {tmp}/weights_seed0.csv: "
+                     "ValueError(\"weight must be finite and >= 0, got '-1.0'\")", False, id="negative_weight"),
+        pytest.param(weight_cells("0.5,2"), "malformed run file {tmp}/weights_seed0.csv: "
+                     "ValueError(\"flipped must be 0 or 1, got '2'\")", False, id="flipped_two"),
     ])
     def test_malformed_run_file_exits_2(self, tmp_path, capsys, files, message, out_exists):
         for name, text in files.items():
@@ -390,10 +385,7 @@ class TestVerifyCommand:
         images[labels == 9, :, :3] += 180
         images[labels == 4, :, 3:] += 180
         data = tmp_path / "mnist"
-        data.mkdir()
-        for split in ("train", "t10k"):
-            (data / f"{split}-images-idx3-ubyte").write_bytes(idx_images_bytes(images))
-            (data / f"{split}-labels-idx1-ubyte").write_bytes(idx_labels_bytes(labels))
+        write_mnist(data, (images, labels))
         real = theory.run_descent_verification
 
         def twenty_steps(*args, **kwargs):
@@ -419,9 +411,13 @@ class TestVerifyCommand:
         assert_exits_2(argv, tmp_path, capsys, message, tmp_path / "verify_out", False)
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
-        failing = [("passing", lambda: (True, "")), ("broken", lambda: (False, "gap 3.0e-02"))]
+        def raising():
+            raise RuntimeError("boom")
+
+        failing = [("passing", lambda: (True, "")), ("broken", lambda: (False, "gap 3.0e-02")), ("raising", raising)]
         monkeypatch.setattr(checks, "QUICK_CHECKS", failing)
         assert main(["verify", "--level", "quick"]) == 1
         out = capsys.readouterr().out
         assert "[PASS] passing\n" in out
         assert "[FAIL] broken: gap 3.0e-02\n" in out
+        assert "[FAIL] raising: raised RuntimeError('boom')\n" in out

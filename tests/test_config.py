@@ -4,11 +4,13 @@ config builds."""
 import csv
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metareweight.config import (
+    SCHEMA,
     build_experiment,
     canonical_items,
     config_hash,
@@ -18,6 +20,7 @@ from metareweight.data import load_idx
 from metareweight.errors import ConfigError
 from metareweight.experiment import prepare_datasets, run_experiment
 
+from conftest import csv_rows, damaged_copies
 from test_cli import synth_mnist_like, write_train_config
 
 
@@ -76,6 +79,11 @@ class TestParsing:
     def test_bad_file_rejected(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config_file(write_config(tmp_path, text))
+
+    def test_readme_table_has_a_row_per_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        first_cells = " ".join(line.split(" | ")[0] for line in readme if line.startswith("| `"))
+        assert [key for key in SCHEMA if f"`{key}`" not in first_cells] == []
 
 
 class TestHash:
@@ -190,13 +198,7 @@ class TestBuildExperiment:
         rng = np.random.default_rng(91)
         path = tmp_path / "fuzzed.cfg"
         outcomes = {"built": 0, "rejected": 0}
-        for trial in range(400):
-            data = bytearray(good)
-            if trial % 2:
-                del data[rng.integers(len(good)):]
-            else:
-                bit = int(rng.integers(8 * len(good)))
-                data[bit // 8] ^= 1 << bit % 8
+        for _, data in damaged_copies(good, rng, 400):
             path.write_bytes(data)
             try:
                 build_experiment(parse_config_file(str(path)))
@@ -252,9 +254,7 @@ class TestPrepareDatasets:
             np.testing.assert_array_equal(hyper.original_labels, base_train.labels[rows[2]])
 
         run_experiment(exp)
-        with open(tmp_path / "runs" / "metrics_seed3.csv") as f:
-            metric_steps = [row["step"] for row in csv.DictReader(f)]
-        with open(tmp_path / "runs" / "hyperval_seed3.csv") as f:
-            hyper_rows = list(csv.DictReader(f))
+        metric_steps = [row["step"] for row in csv_rows(tmp_path / "runs" / "metrics_seed3.csv", csv.DictReader)]
+        hyper_rows = csv_rows(tmp_path / "runs" / "hyperval_seed3.csv", csv.DictReader)
         assert metric_steps == [row["step"] for row in hyper_rows] == ["20", "40"]
         assert all(0.0 <= float(row["hyperval_error"]) <= 1.0 for row in hyper_rows)

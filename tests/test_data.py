@@ -1,16 +1,15 @@
 """Dataset tests: IDX parsing against hand-built byte strings, bias
 generators against explicit counting oracles."""
 
-import csv
 import gzip
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import (csv_rows, damaged_copies, idx_images_bytes, idx_labels_bytes, traced_peak, write_mnist,
+                      write_pair, write_raw_pair)
 from metareweight.data import (
-    MNIST_FILES,
     Dataset,
     ImbalanceSpec,
     NoiseSpec,
@@ -27,31 +26,6 @@ from metareweight.data import (
 from metareweight.errors import ConfigError, IdxParseError
 from metareweight.experiment import write_weights_csv
 from metareweight.nn import Batch
-
-
-def idx_images_bytes(arrays):
-    """Hand-rolled IDX image encoding; the test-side reference writer."""
-    arr = np.asarray(arrays, dtype=np.uint8)
-    count, rows, cols = arr.shape
-    return struct.pack(">iiii", 0x00000803, count, rows, cols) + arr.tobytes()
-
-def idx_labels_bytes(labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">ii", 0x00000801, labels.size) + labels.tobytes()
-
-
-def write_raw_pair(tmp_path, image_bytes, label_bytes, gz=False):
-    """An image and a label file holding exactly these bytes (gzipped if gz)."""
-    paths = []
-    for name, data in (("images-idx3-ubyte", image_bytes), ("labels-idx1-ubyte", label_bytes)):
-        path = tmp_path / (name + (".gz" if gz else ""))
-        path.write_bytes(gzip.compress(data) if gz else data)
-        paths.append(str(path))
-    return tuple(paths)
-
-
-def write_pair(tmp_path, images, labels, gz=False):
-    return write_raw_pair(tmp_path, idx_images_bytes(images), idx_labels_bytes(labels), gz)
 
 
 class TestIdxParsing:
@@ -89,12 +63,7 @@ class TestIdxParsing:
     def test_gzip_load_holds_the_pixels_once(self, tmp_path):
         images = np.random.default_rng(91).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
         pair = write_pair(tmp_path, images, np.zeros(2000), gz=True)
-        tracemalloc.start()
-        try:
-            ds = load_idx(*pair)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(load_idx, *pair)
         assert ds.images[:].tobytes() == images.tobytes()
         assert peak < 1.25 * images.nbytes
 
@@ -102,13 +71,8 @@ class TestIdxParsing:
         # 7,840,000 promised bytes cannot come out of a file of a few dozen.
         header = struct.pack(">iiii", 0x00000803, 10000, 28, 28)
         pair = write_raw_pair(tmp_path, header + bytes(10), idx_labels_bytes([0]), gz=True)
-        tracemalloc.start()
-        try:
-            with pytest.raises(IdxParseError, match="header promises 7840000 bytes, .* has 10$"):
-                load_idx(*pair)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rejected, peak = traced_peak(pytest.raises, IdxParseError, load_idx, *pair)
+        rejected.match("header promises 7840000 bytes, .* has 10$")
         assert peak < 1_000_000
 
     def test_labels_survive_rewrite_in_place(self, tmp_path):
@@ -139,13 +103,7 @@ class TestIdxParsing:
             for which in (0, 1):
                 with open(pair[which], "rb") as f:
                     good = f.read()
-                for trial in range(100):
-                    data = bytearray(good)
-                    if trial % 2:
-                        del data[rng.integers(len(good)):]
-                    else:
-                        bit = int(rng.integers(8 * len(good)))
-                        data[bit // 8] ^= 1 << bit % 8
+                for truncated, data in damaged_copies(good, rng, 100):
                     bad.write_bytes(data)
                     args = [str(bad), pair[1]] if which == 0 else [pair[0], str(bad)]
                     try:
@@ -153,7 +111,7 @@ class TestIdxParsing:
                     except IdxParseError as e:
                         assert str(bad) in str(e)
                     else:
-                        assert not trial % 2, "a truncated file loaded"
+                        assert not truncated, "a truncated file loaded"
                         loaded += 1
         assert loaded
 
@@ -163,8 +121,7 @@ class TestCsvRows:
         values = [0.1, 1 / 3, -0.0, 1e-300, 2.5e17, float("nan")]
         path = tmp_path / "floats.csv"
         write_csv(str(path), ["float", "float64"], [(v, np.float64(v)) for v in values])
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+        rows = csv_rows(path)
         assert rows[0] == ["float", "float64"] and len(rows) == len(values) + 1
         for v, row in zip(values, rows[1:]):
             assert [struct.pack("<d", float(cell)) for cell in row] == [struct.pack("<d", v)] * 2
@@ -181,17 +138,18 @@ class TestCsvRows:
         assert path.read_text().splitlines() == ["step,weight,flipped", "3,0.25,1", "3,0.0,0"]
 
 
-def labeled_dataset(rng, counts: dict) -> Dataset:
+def labeled_dataset(seed, counts: dict) -> tuple[np.random.Generator, Dataset]:
+    """(rng, ds): counts[label] shuffled examples per label, drawn from a generator seeded with seed."""
+    rng = np.random.default_rng(seed)
     labels = np.concatenate([np.full(c, lab) for lab, c in counts.items()])
     rng.shuffle(labels)
     images = rng.random((labels.size, 4))
-    return Dataset(images, labels)
+    return rng, Dataset(images, labels)
 
 
 class TestImbalance:
     def test_exact_counts_and_remap(self):
-        rng = np.random.default_rng(50)
-        ds = labeled_dataset(rng, {4: 3000, 9: 6000, 1: 50})
+        rng, ds = labeled_dataset(50, {4: 3000, 9: 6000, 1: 50})
         # Independent oracle for the split sizes. 5000 / 101 = 49.5 needs the
         # rounding; at ratio 50, 5000 / 50 = 100 tells the wrong divisor apart.
         for ratio in (100, 50):
@@ -206,14 +164,12 @@ class TestImbalance:
             assert spec.label_map == {4: 0, 9: 1}
 
     def test_minimum_one_minority(self):
-        rng = np.random.default_rng(51)
-        ds = labeled_dataset(rng, {4: 10, 9: 600})
+        rng, ds = labeled_dataset(51, {4: 10, 9: 600})
         out = make_imbalanced_pair(ds, ImbalanceSpec(ratio=500, total=501), rng)
         assert int((out.labels == 0).sum()) == 1
 
     def test_filter_remap_test_set(self):
-        rng = np.random.default_rng(53)
-        ds = labeled_dataset(rng, {4: 20, 9: 30, 7: 40})
+        _, ds = labeled_dataset(53, {4: 20, 9: 30, 7: 40})
         out = filter_remap(ds, {4: 0, 9: 1})
         assert len(out) == 50
         assert set(np.unique(out.labels)) == {0, 1}
@@ -227,8 +183,7 @@ class TestImbalance:
         assert out.labels.dtype == np.int64
 
     def test_images_travel_with_labels(self):
-        rng = np.random.default_rng(54)
-        ds = labeled_dataset(rng, {4: 40, 9: 40})
+        rng, ds = labeled_dataset(54, {4: 40, 9: 40})
         out = make_imbalanced_pair(ds, ImbalanceSpec(ratio=1, total=40), rng)
         # Every selected image must exist in the source with a consistent label.
         src = {ds.images[i].tobytes(): int(ds.labels[i]) for i in range(len(ds))}
@@ -239,8 +194,7 @@ class TestImbalance:
 
 class TestValidationSplit:
     def test_balanced_and_clean(self):
-        rng = np.random.default_rng(55)
-        ds = labeled_dataset(rng, {0: 50, 1: 50})
+        rng, ds = labeled_dataset(55, {0: 50, 1: 50})
         noisy = corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
         train, val = split_clean_validation(noisy, 5, rng)
         assert len(val) == 10
@@ -249,8 +203,7 @@ class TestValidationSplit:
         assert len(train) == len(noisy) - 10
 
     def test_disjoint_and_complete(self):
-        rng = np.random.default_rng(56)
-        ds = labeled_dataset(rng, {0: 30, 1: 30})
+        rng, ds = labeled_dataset(56, {0: 30, 1: 30})
         train, val = split_clean_validation(ds, 3, rng)
         seen = {img.tobytes() for img in ds.images[:]}
         got = {img.tobytes() for img in train.images[:]} | {img.tobytes() for img in val.images[:]}
@@ -258,31 +211,27 @@ class TestValidationSplit:
         assert len(train) + len(val) == len(ds)
 
     def test_zero_per_class(self):
-        rng = np.random.default_rng(57)
-        ds = labeled_dataset(rng, {0: 5, 1: 5})
+        rng, ds = labeled_dataset(57, {0: 5, 1: 5})
         train, val = split_clean_validation(ds, 0, rng)
         assert len(val) == 0 and len(train) == len(ds)
 
 
 class TestUniformFlip:
     def test_ratio_zero_is_identity(self):
-        rng = np.random.default_rng(60)
-        ds = labeled_dataset(rng, {0: 20, 1: 20})
+        rng, ds = labeled_dataset(60, {0: 20, 1: 20})
         out = corrupt(ds, NoiseSpec("uniform_flip", 0.0, num_classes=2), rng)
         assert np.array_equal(out.labels, ds.labels)
         assert not out.flipped_mask.any()
 
     def test_ratio_one_flips_everything(self):
-        rng = np.random.default_rng(61)
-        ds = labeled_dataset(rng, {0: 50, 1: 50, 2: 50})
+        rng, ds = labeled_dataset(61, {0: 50, 1: 50, 2: 50})
         out = corrupt(ds, NoiseSpec("uniform_flip", 1.0, num_classes=3), rng)
         assert (out.labels != ds.labels).all()
         assert np.array_equal(out.original_labels, ds.labels)
         assert out.images.pixels is ds.images.pixels  # labels change, images pass through
 
     def test_flip_rate_and_uniform_target(self):
-        rng = np.random.default_rng(62)
-        ds = labeled_dataset(rng, {0: 30000})
+        rng, ds = labeled_dataset(62, {0: 30000})
         out = corrupt(ds, NoiseSpec("uniform_flip", 0.4, num_classes=10), rng)
         frac = float(out.flipped_mask.mean())
         assert abs(frac - 0.4) <= 0.02
@@ -293,7 +242,7 @@ class TestUniformFlip:
         assert np.abs(freqs - 1 / 9).max() <= 0.02  # uniform over the others
 
     def test_deterministic(self):
-        ds = labeled_dataset(np.random.default_rng(63), {0: 100, 1: 100})
+        _, ds = labeled_dataset(63, {0: 100, 1: 100})
         spec = NoiseSpec("uniform_flip", 0.3, num_classes=2)
         a = corrupt(ds, spec, np.random.default_rng(5))
         b = corrupt(ds, spec, np.random.default_rng(5))
@@ -302,8 +251,7 @@ class TestUniformFlip:
 
 class TestBackgroundFlip:
     def test_background_untouched_others_flip_to_it(self):
-        rng = np.random.default_rng(65)
-        ds = labeled_dataset(rng, {0: 500, 1: 500, 2: 500})
+        rng, ds = labeled_dataset(65, {0: 500, 1: 500, 2: 500})
         out = corrupt(ds, NoiseSpec("background_flip", 1.0, num_classes=3), rng)
         was_background = ds.labels == 0
         assert np.array_equal(out.labels[was_background], ds.labels[was_background])
@@ -311,16 +259,14 @@ class TestBackgroundFlip:
         assert out.images.pixels is ds.images.pixels
 
     def test_flip_rate(self):
-        rng = np.random.default_rng(66)
-        ds = labeled_dataset(rng, {1: 20000})
+        rng, ds = labeled_dataset(66, {1: 20000})
         out = corrupt(ds, NoiseSpec("background_flip", 0.3, num_classes=2, background_class=0), rng)
         assert abs(float(out.flipped_mask.mean()) - 0.3) <= 0.02
 
 
 class TestSplitsAndSubsets:
     def test_random_split_sizes_disjoint(self):
-        rng = np.random.default_rng(67)
-        ds = labeled_dataset(rng, {0: 40, 1: 40})
+        rng, ds = labeled_dataset(67, {0: 40, 1: 40})
         rest, taken = random_split(ds, 30, rng)
         assert len(taken) == 30 and len(rest) == 50
         a = {img.tobytes() for img in rest.images[:]}
@@ -328,15 +274,13 @@ class TestSplitsAndSubsets:
         assert not (a & b)
 
     def test_subset_carries_provenance(self):
-        rng = np.random.default_rng(69)
-        ds = labeled_dataset(rng, {0: 30, 1: 30})
+        rng, ds = labeled_dataset(69, {0: 30, 1: 30})
         noisy = corrupt(ds, NoiseSpec("uniform_flip", 0.5, num_classes=2), rng)
         sub = noisy.subset(np.arange(10))
         assert np.array_equal(sub.flipped_mask, noisy.flipped_mask[:10])
 
     def test_derived_datasets_share_the_pixels(self):
-        rng = np.random.default_rng(70)
-        ds = labeled_dataset(rng, {4: 40, 9: 40})
+        rng, ds = labeled_dataset(70, {4: 40, 9: 40})
         derived = [
             ds.subset(np.arange(5)),
             make_imbalanced_pair(ds, ImbalanceSpec(ratio=1, total=20), rng),
@@ -347,23 +291,15 @@ class TestSplitsAndSubsets:
         assert [d.images.pixels is ds.images.pixels for d in derived] == [True] * 7
 
     def test_filter_remap_copies_the_kept_rows(self):
-        ds = labeled_dataset(np.random.default_rng(71), {4: 5, 7: 6})
+        _, ds = labeled_dataset(71, {4: 5, 7: 6})
         out = filter_remap(ds, {4: 0})
         assert out.images.pixels.shape == (5, 4)
         assert not np.shares_memory(out.images.pixels, ds.images.pixels)
 
 
-def write_mnist_files(root):
-    """The four MNIST IDX files, one 2x2 image each, in root."""
-    root.mkdir(parents=True, exist_ok=True)
-    for name in MNIST_FILES.values():
-        data = idx_images_bytes(np.zeros((1, 2, 2))) if "images" in name else idx_labels_bytes([0])
-        (root / name).write_bytes(data)
-
-
 class TestLocateMnist:
     def test_found_via_explicit_root(self, tmp_path):
-        write_mnist_files(tmp_path)
+        write_mnist(tmp_path)
         paths = locate_mnist(str(tmp_path))
         assert paths is not None
         assert paths["train_images"].endswith("train-images-idx3-ubyte")
@@ -371,7 +307,7 @@ class TestLocateMnist:
     def test_missing_returns_none(self, tmp_path, monkeypatch):
         # An explicit root is the only place searched, though every fallback holds the files.
         for root in (tmp_path / "env", tmp_path / "data" / "mnist", tmp_path / "mnist"):
-            write_mnist_files(root)
+            write_mnist(root)
         monkeypatch.setenv("MNIST_DIR", str(tmp_path / "env"))
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -393,17 +329,17 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
                  IdxParseError, "^images payload: header promises 4 bytes, .* has 5$", id="idx_trailing_bytes"),
     pytest.param(lambda tmp: load_idx(*write_pair(tmp, np.zeros((2, 2, 2)), [0, 1, 2])),
                  IdxParseError, "^count mismatch: 2 images but 3 labels$", id="idx_count_mismatch"),
-    pytest.param(lambda tmp: make_imbalanced_pair(labeled_dataset(np.random.default_rng(52), {4: 2, 9: 100}),
+    pytest.param(lambda tmp: make_imbalanced_pair(labeled_dataset(52, {4: 2, 9: 100})[1],
                                                   ImbalanceSpec(ratio=10, total=100), np.random.default_rng(0)),
                  ConfigError, "^need 9 examples of class 4, dataset has 2$", id="imbalance_pool_too_small"),
     pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=10),
                  ConfigError, "^total 10 too small for ratio 10", id="imbalance_total_below_ratio"),
     pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=100, minority_class=4, majority_class=4),
                  ConfigError, "^minority and majority class must differ$", id="imbalance_same_classes"),
-    pytest.param(lambda tmp: split_clean_validation(labeled_dataset(np.random.default_rng(58), {0: 4, 1: 50}), 5,
+    pytest.param(lambda tmp: split_clean_validation(labeled_dataset(58, {0: 4, 1: 50})[1], 5,
                                                     np.random.default_rng(0)),
                  ConfigError, "^class 0 has only 4 clean examples, need 5$", id="validation_too_few_clean"),
-    pytest.param(lambda tmp: corrupt(labeled_dataset(np.random.default_rng(64), {0: 5, 7: 5}),
+    pytest.param(lambda tmp: corrupt(labeled_dataset(64, {0: 5, 7: 5})[1],
                                      NoiseSpec("uniform_flip", 0.2, num_classes=3), np.random.default_rng(0)),
                  ConfigError, "^dataset contains labels outside the declared class count$",
                  id="corrupt_label_outside_classes"),
@@ -413,7 +349,7 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
                  ConfigError, r"^noise ratio must lie in \[0, 1\]$", id="noise_ratio_above_one"),
     pytest.param(lambda tmp: NoiseSpec("mystery", 0.5),
                  ConfigError, "^unknown noise kind 'mystery'$", id="noise_unknown_kind"),
-    pytest.param(lambda tmp: random_split(labeled_dataset(np.random.default_rng(68), {0: 5}), 6,
+    pytest.param(lambda tmp: random_split(labeled_dataset(68, {0: 5})[1], 6,
                                           np.random.default_rng(0)),
                  ConfigError, "^cannot split 6 examples from 5$", id="random_split_too_many"),
     pytest.param(lambda tmp: Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int)),
@@ -424,9 +360,9 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
                  ConfigError, "^original_labels must align with labels$", id="dataset_original_labels_misaligned"),
     pytest.param(lambda tmp: write_idx_labels(np.array([3, 256]), str(tmp / "labels-idx1-ubyte")),
                  ConfigError, "^IDX labels must fit in a byte$", id="idx_label_above_255"),
-    pytest.param(lambda tmp: filter_remap(labeled_dataset(np.random.default_rng(70), {0: 3}), {}),
+    pytest.param(lambda tmp: filter_remap(labeled_dataset(70, {0: 3})[1], {}),
                  ConfigError, "^label map is empty$", id="filter_remap_empty_map"),
-    pytest.param(lambda tmp: split_clean_validation(labeled_dataset(np.random.default_rng(72), {0: 3}), -1,
+    pytest.param(lambda tmp: split_clean_validation(labeled_dataset(72, {0: 3})[1], -1,
                                                     np.random.default_rng(0)),
                  ConfigError, "^per_class must be nonnegative$", id="validation_negative_per_class"),
 ])

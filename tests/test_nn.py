@@ -10,8 +10,9 @@ import pytest
 
 from metareweight.checks import (
     flat_grads,
-    random_batch,
+    grads_of,
     random_model,
+    seeded,
     with_params,
 )
 from metareweight.errors import DimensionError, NonFiniteError
@@ -19,7 +20,6 @@ from metareweight.nn import (
     Batch,
     MLPModel,
     PerExampleGrads,
-    backward_per_example,
     dot_with_each,
     forward,
     layer_views,
@@ -41,9 +41,7 @@ class TestForward:
         assert float(cache.losses[0]) <= 1e-12
 
     def test_input_is_batch_augmented(self):
-        rng = np.random.default_rng(8)
-        model = random_model(rng, [6, 5, 3], "tanh")
-        batch = random_batch(rng, 4, 6, 3)
+        _, model, batch = seeded(8, [6, 5, 3], "tanh", 0.0, 4)
         assert forward(model, batch).post[0] is batch.augmented
 
 
@@ -51,35 +49,27 @@ class TestBackward:
     def test_relu_dead_unit_has_zero_gradient(self):
         # Input 0 with zero bias lands exactly on the relu kink; the chosen
         # subgradient is 0, so weights into that unit get no signal.
-        rng = np.random.default_rng(9)
-        model = random_model(rng, [3, 4, 2], "relu")
-        batch = Batch(np.zeros((1, 3)), np.array([0]))
-        grads = backward_per_example(model, forward(model, batch), batch)
+        _, model = seeded(9, [3, 4, 2], "relu", 0.0)
+        grads = grads_of(model, Batch(np.zeros((1, 3)), np.array([0])))
         assert np.array_equal(grads.signals[0], np.zeros((1, 4)))
 
     def test_saturated_correct_example_has_tiny_gradient(self):
         w = np.zeros((3, 2))
         w[0] = [50.0, -50.0]
         model = MLPModel([w])
-        batch = Batch(np.array([[1.0, 0.0]]), np.array([0]))
-        grads = backward_per_example(model, forward(model, batch), batch)
+        grads = grads_of(model, Batch(np.array([[1.0, 0.0]]), np.array([0])))
         assert math.sqrt(float(grads.norms_squared()[0])) <= 1e-12
 
     def test_norms_squared_matches_flat(self):
-        rng = np.random.default_rng(12)
-        model = random_model(rng, [5, 4, 3], "sigmoid", bias_scale=0.2)
-        batch = random_batch(rng, 6, 5, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
+        grads = grads_of(*seeded(12, [5, 4, 3], "sigmoid", 0.2, 6)[1:])
         want = (flat_grads(grads) ** 2).sum(axis=1)
         assert np.abs(grads.norms_squared() - want).max() <= 1e-12 * max(1.0, want.max())
 
 
 class TestWeightedGradient:
     def test_matches_explicit_sum(self):
-        rng = np.random.default_rng(14)
-        model = random_model(rng, [6, 4, 3], "relu", bias_scale=0.2)
-        batch = random_batch(rng, 5, 6, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
+        rng, model, batch = seeded(14, [6, 4, 3], "relu", 0.2, 5)
+        grads = grads_of(model, batch)
         w = rng.random(5)
         got = weighted_gradient(grads, w)
         assert got.shape == (model.param_count,)
@@ -88,10 +78,9 @@ class TestWeightedGradient:
 
     @staticmethod
     def _mnist_shaped_grads(seed=40, n=100):
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, [784, 256, 10], "relu", bias_scale=0.1)
+        rng, model = seeded(seed, [784, 256, 10], "relu", 0.1)
         batch = Batch(rng.integers(0, 256, size=(n, 784), dtype=np.uint8), rng.integers(0, 10, n))
-        return rng, backward_per_example(model, forward(model, batch), batch)
+        return rng, grads_of(model, batch)
 
     @pytest.mark.parametrize(
         "pattern",
@@ -129,10 +118,8 @@ class TestWeightedGradient:
     def test_non_finite_zero_weight_row_still_reaches_sgd_step(self, where):
         # A dropped row must not hide a non-finite value that the product
         # over all rows would carry into the gradient.
-        rng = np.random.default_rng(41)
-        model = random_model(rng, [6, 5, 3], "relu", bias_scale=0.2)
-        batch = random_batch(rng, 8, 6, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
+        _, model, batch = seeded(41, [6, 5, 3], "relu", 0.2, 8)
+        grads = grads_of(model, batch)
         w = np.array([0.3, 0.0, 0.2, 0.0, 0.1, 0.4, 0.0, 0.0])
         if where == "hidden_input_inf":
             grads.inputs[1][3, 2] = np.inf
@@ -145,10 +132,8 @@ class TestWeightedGradient:
             sgd_step(model, grad, 0.1)
 
     def test_dot_with_each_matches_flat(self):
-        rng = np.random.default_rng(18)
-        model = random_model(rng, [5, 4, 3], "sigmoid", bias_scale=0.3)
-        batch = random_batch(rng, 6, 5, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
+        rng, model, batch = seeded(18, [5, 4, 3], "sigmoid", 0.3, 6)
+        grads = grads_of(model, batch)
         v = rng.standard_normal(model.param_count)
         want = flat_grads(grads) @ v
         got = dot_with_each(grads, v)
@@ -157,10 +142,8 @@ class TestWeightedGradient:
 
 class TestFlatLayout:
     def _gradient(self, seed):
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, [5, 4, 3], "relu", bias_scale=0.2)
-        batch = random_batch(rng, 6, 5, 3)
-        grads = backward_per_example(model, forward(model, batch), batch)
+        rng, model, batch = seeded(seed, [5, 4, 3], "relu", 0.2, 6)
+        grads = grads_of(model, batch)
         w = rng.random(6)
         return model, grads, w, weighted_gradient(grads, w)
 
@@ -214,24 +197,21 @@ class TestModelAndStep:
         assert model.param_count == 21 * 10 + 11 * 4
 
     def test_sgd_step_moves_exactly(self):
-        rng = np.random.default_rng(21)
-        model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
+        rng, model = seeded(21, [4, 3, 2], "relu", 0.2)
         g = rng.standard_normal(model.param_count)
         for alpha in (0.05, 0.0):
             stepped = sgd_step(model, g.copy(), alpha)
             assert np.array_equal(stepped.flatten(), model.flatten() - alpha * g)
 
     def test_sgd_step_leaves_input_model_unchanged(self):
-        rng = np.random.default_rng(24)
-        model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
+        rng, model = seeded(24, [4, 3, 2], "relu", 0.2)
         before = [w.tobytes() for w in model.layers]
         stepped = sgd_step(model, rng.standard_normal(model.param_count), 0.05)
         assert [w.tobytes() for w in model.layers] == before
         assert all(not np.shares_memory(a, b) for a in stepped.layers for b in model.layers)
 
     def test_sgd_step_rejects_nan_in_last_layer(self):
-        rng = np.random.default_rng(25)
-        model = random_model(rng, [4, 3, 2], "relu", bias_scale=0.2)
+        _, model = seeded(25, [4, 3, 2], "relu", 0.2)
         before = [w.tobytes() for w in model.layers]
         g = np.zeros(model.param_count)
         g[model.param_count - model.layers[-1].size + 2] = np.nan  # row 1, column 0
@@ -244,10 +224,8 @@ class TestModelAndStep:
     def test_step_linear_in_weights(self):
         # theta_hat(w + h e_i) - theta_hat(w) must equal -alpha h grad_i to
         # machine precision: the lookahead's exactness rests on this.
-        rng = np.random.default_rng(23)
-        model = random_model(rng, [5, 4, 2], "tanh", bias_scale=0.1)
-        batch = random_batch(rng, 4, 5, 2)
-        grads = backward_per_example(model, forward(model, batch), batch)
+        rng, model, batch = seeded(23, [5, 4, 2], "tanh", 0.1, 4)
+        grads = grads_of(model, batch)
         w0 = rng.random(4)
         alpha, h, i = 0.3, 0.7, 2
         base = sgd_step(model, weighted_gradient(grads, w0), alpha).flatten()
@@ -270,14 +248,6 @@ class TestBatchValidation:
         assert batch.inputs.tobytes() == want.tobytes()
 
 
-def relu_grads(seed, sizes, n):
-    """Per-example gradients of a random relu model on a random batch of n."""
-    rng = np.random.default_rng(seed)
-    model = random_model(rng, sizes, "relu")
-    batch = random_batch(rng, n, sizes[0], sizes[-1])
-    return backward_per_example(model, forward(model, batch), batch)
-
-
 def nan_at(shape, index):
     bad = np.zeros(shape)
     bad[index] = np.nan
@@ -292,7 +262,7 @@ def nan_at(shape, index):
                  NonFiniteError, None, id="forward_nan_input"),
     pytest.param(lambda: forward(MLPModel.init([3, 4, 2]), Batch(np.zeros((1, 3)), np.array([2]))),
                  DimensionError, None, id="forward_label_out_of_range"),
-    pytest.param(lambda: weighted_gradient(relu_grads(17, [4, 3, 2], 3), np.zeros(4)),
+    pytest.param(lambda: weighted_gradient(grads_of(*seeded(17, [4, 3, 2], "relu", 0.0, 3)[1:]), np.zeros(4)),
                  DimensionError, None, id="weighted_gradient_weight_count"),
     pytest.param(lambda: layer_views(np.zeros(11), [(2, 3), (3, 2)]),
                  DimensionError, None, id="layer_views_size"),

@@ -6,9 +6,8 @@ validation and the edge cases no check holds."""
 import numpy as np
 import pytest
 
-from metareweight.checks import random_batch, random_model
+from metareweight.checks import grads_of, random_batch, random_model, seeded
 from metareweight.errors import ConfigError, DimensionError, NonFiniteError
-from metareweight.nn import backward_per_example, forward
 from metareweight.reweight import (
     hard_mining_select,
     meta_grad_closed_form,
@@ -22,17 +21,10 @@ from metareweight.reweight import (
 
 def mismatched_grads(seed):
     """Gradients of two models with different hidden widths on one batch."""
-    rng = np.random.default_rng(seed)
-    m1 = random_model(rng, [5, 4, 2], "relu")
+    rng, m1 = seeded(seed, [5, 4, 2], "relu", 0.0)
     m2 = random_model(rng, [5, 3, 2], "relu")
     b = random_batch(rng, 3, 5, 2)
-    return [backward_per_example(m, forward(m, b), b) for m in (m1, m2)]
-
-
-def lookahead_problem(seed):
-    """A model, a training batch of 4 and a validation batch of 2."""
-    rng = np.random.default_rng(seed)
-    return random_model(rng, [4, 3, 2], "relu"), random_batch(rng, 4, 4, 2), random_batch(rng, 2, 4, 2)
+    return [grads_of(m, b) for m in (m1, m2)]
 
 
 class TestProportionWeights:
@@ -55,9 +47,9 @@ class TestResample:
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda: meta_grad_closed_form(*mismatched_grads(32)), DimensionError,
                  id="closed_form_layer_shapes"),
-    pytest.param(lambda: meta_grad_lookahead(*lookahead_problem(37), 0.1, eps0=np.zeros(3)), DimensionError,
-                 id="lookahead_eps0_shape"),
-    pytest.param(lambda: meta_grad_lookahead(*lookahead_problem(38), -0.1), ValueError,
+    pytest.param(lambda: meta_grad_lookahead(*seeded(37, [4, 3, 2], "relu", 0.0, 4, 2)[1:], 0.1, eps0=np.zeros(3)),
+                 DimensionError, id="lookahead_eps0_shape"),
+    pytest.param(lambda: meta_grad_lookahead(*seeded(38, [4, 3, 2], "relu", 0.0, 4, 2)[1:], -0.1), ValueError,
                  id="lookahead_negative_alpha"),
     pytest.param(lambda: rectify_normalize(np.array([1.0, np.nan])), NonFiniteError,
                  id="rectify_non_finite"),

@@ -3,21 +3,19 @@ the materialized-gradient oracle for the descent step and the rate-report
 oracles live in `metareweight.checks`; the tests here cover validation,
 the CSV files and synthetic monotone descent runs."""
 
-import csv
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import csv_rows, make_blobs, traced_peak
 from test_trainer import byte_backed, pre_scaled
 from metareweight import theory
 from metareweight.checks import (
     fd_meta_gradient,
     quadratic_surrogate,
-    random_batch,
     random_model,
+    seeded,
     with_params,
 )
 from metareweight.data import Dataset
@@ -35,6 +33,11 @@ from metareweight.theory import (
     write_descent_csv,
     write_rate_csv,
 )
+
+
+def split_at(ds, n_train):
+    """(the first n_train rows of ds, the rest): a training and a validation set."""
+    return ds.subset(np.arange(n_train)), ds.subset(np.arange(n_train, len(ds)))
 
 
 class TestEstimators:
@@ -72,10 +75,7 @@ class TestEstimators:
 
 class TestDescentStep:
     def test_synthetic_monotone_descent(self):
-        rng = np.random.default_rng(75)
-        full = make_blobs(rng, 120, 6, 2)
-        train_ds = full.subset(np.arange(200))
-        val_ds = full.subset(np.arange(200, 240))
+        train_ds, val_ds = split_at(make_blobs(np.random.default_rng(75), 120, 6, 2), 200)
         run = run_descent_verification(train_ds, val_ds, steps=200, batch_size=20, seed=3, hidden_sizes=(12,))
         assert run.violations == 0
         assert run.alpha <= 0.1
@@ -86,8 +86,8 @@ class TestDescentStep:
 
     def test_bytes_descend_like_pre_scaled_pixels(self):
         full = byte_backed(make_blobs(np.random.default_rng(77), 60, 6, 2))
-        a, b = (run_descent_verification(ds.subset(np.arange(100)), ds.subset(np.arange(100, 120)), steps=20,
-                                         batch_size=20, seed=3, hidden_sizes=(12,)) for ds in (full, pre_scaled(full)))
+        a, b = (run_descent_verification(*split_at(ds, 100), steps=20, batch_size=20, seed=3, hidden_sizes=(12,))
+                for ds in (full, pre_scaled(full)))
         assert len(a.trace) == 20
         assert [w.tobytes() for w in a.model.layers] == [w.tobytes() for w in b.model.layers]
         assert (a.alpha, a.trace) == (b.alpha, b.trace)
@@ -105,9 +105,8 @@ class TestDescentStep:
 
         monkeypatch.setattr(theory, "safe_step_size", counted)
         monkeypatch.setattr(theory, "estimate_regularity", lambda *args: RegularityEstimate(1e-2, 1e2))
-        full = make_blobs(np.random.default_rng(75), 120, 6, 2)
         run = run_descent_verification(
-            full.subset(np.arange(200)), full.subset(np.arange(200, 240)), steps=100,
+            *split_at(make_blobs(np.random.default_rng(75), 120, 6, 2), 200), steps=100,
             batch_size=4, seed=0, hidden_sizes=(12,),
         )
         assert len(chosen) > 1
@@ -131,9 +130,8 @@ class TestDescentStep:
 
         monkeypatch.setattr(theory, "_descent_trial", cut_short)
         monkeypatch.setattr(theory, "estimate_regularity", lambda *args: estimate)
-        full = make_blobs(np.random.default_rng(75), 60, 6, 2)
         run = run_descent_verification(
-            full.subset(np.arange(100)), full.subset(np.arange(100, 120)), steps=20,
+            *split_at(make_blobs(np.random.default_rng(75), 60, 6, 2), 100), steps=20,
             batch_size=20, seed=3, hidden_sizes=(12,),
         )
         assert len(calls) == 1
@@ -153,9 +151,8 @@ class TestDescentStep:
         # start on the second step, at 1e200 it is NaN after the first. Each trial
         # stops there; the steps it took rose and the rest were never taken.
         monkeypatch.setattr(theory, "safe_step_size", lambda batch_size, estimate: alpha)
-        full = make_blobs(np.random.default_rng(75), 120, 6, 2)
         run = run_descent_verification(
-            full.subset(np.arange(200)), full.subset(np.arange(200, 240)), steps=40,
+            *split_at(make_blobs(np.random.default_rng(75), 120, 6, 2), 200), steps=40,
             batch_size=20, seed=3, hidden_sizes=(12,),
         )
         assert len(run.trace) == taken
@@ -184,15 +181,9 @@ class TestDescentStep:
         rng = np.random.default_rng(81)
         pixels = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
         ds = Dataset(pixels, rng.integers(0, 2, size=300))
-        train_ds, val_ds = ds.subset(np.arange(290)), ds.subset(np.arange(290, 300))
-        tracemalloc.start()
-        try:
-            run = run_descent_verification(
-                train_ds, val_ds, steps=200, batch_size=100, seed=0, hidden_sizes=(8,)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        run, peak = traced_peak(
+            run_descent_verification, *split_at(ds, 290), steps=200, batch_size=100, seed=0, hidden_sizes=(8,)
+        )
         assert run.trace
         assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -210,24 +201,18 @@ class TestCsvEmission:
         rpath = tmp_path / "rate.csv"
         write_descent_csv(trace, str(dpath))
         write_rate_csv(rate_report(trace), str(rpath))
-        with open(dpath) as f:
-            rows = list(csv.reader(f))
+        rows = csv_rows(dpath)
         assert rows[0] == ["step", "G", "grad_norm_sq", "T_t"]
         assert len(rows) == 41
         assert float(rows[1][1]) == 1.0
-        with open(rpath) as f:
-            rrows = list(csv.reader(f))
+        rrows = csv_rows(rpath)
         assert rrows[0] == ["T", "min_grad_norm_sq", "envelope"]
         assert len(rrows) >= 6
 
 
 class TestFdMetaGradient:
     def test_alpha_zero_gives_zeros(self):
-        rng = np.random.default_rng(78)
-        model = random_model(rng, [4, 3, 2], "relu")
-        tb = random_batch(rng, 4, 4, 2)
-        vb = random_batch(rng, 2, 4, 2)
-        u = fd_meta_gradient(model, tb, vb, alpha=0.0)
+        u = fd_meta_gradient(*seeded(78, [4, 3, 2], "relu", 0.0, 4, 2)[1:], alpha=0.0)
         assert np.array_equal(u, np.zeros(4))
 
 

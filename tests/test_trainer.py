@@ -4,7 +4,6 @@ consumption step by step and checks the committed parameters exactly."""
 import dataclasses
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from metareweight.nn import (
 from metareweight.reweight import meta_grad_closed_form, rectify_normalize
 from metareweight.trainer import STRATEGIES, TrainConfig, evaluate, train
 
-from conftest import make_blobs
+from conftest import make_blobs, traced_peak
 
 
 def blob_sets(seed=0, n_per=80, d=6, k=2):
@@ -290,12 +289,7 @@ class TestValidationFolding:
         ds = Dataset(pixels, np.arange(20_000) % 2)
         train_ds, val_ds = split_clean_validation(ds, 5, rng)
         cfg = small_config(total_steps=2, eval_every=2, hidden_sizes=(4,), include_val_in_train=True)
-        tracemalloc.start()
-        try:
-            train(cfg, train_ds, val_ds, ds.subset(np.arange(100)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(train, cfg, train_ds, val_ds, ds.subset(np.arange(100)))
         assert peak < pixels.nbytes
 
 
