@@ -160,8 +160,14 @@ MUTANTS = [
     ("theory/overflowing-step-raises", "theory.py", "except NonFiniteError:", "except ZeroDivisionError:"),
     ("theory/trial-runs-on-past-ceiling", "theory.py", "if not np.isfinite(g_val) or g_val > ceiling:",
      "if False:"),
+    ("theory/descent-pair-total", "theory.py", "PAIR = ImbalanceSpec(ratio=1, total=510)",
+     "PAIR = ImbalanceSpec(ratio=1, total=500)"),
     ("theory/trial-errstate-default", "theory.py", 'with np.errstate(over="ignore", invalid="ignore"):',
      "with np.errstate():"),
+    ("data/imbalance-spec-not-frozen", "data.py", "@dataclass(frozen=True)\nclass ImbalanceSpec:",
+     "@dataclass\nclass ImbalanceSpec:"),
+    ("data/noise-spec-not-frozen", "data.py", "@dataclass(frozen=True)\nclass NoiseSpec:",
+     "@dataclass\nclass NoiseSpec:"),
     ("data/idx-images-scaled-floats", "data.py", "    images = pixels.reshape(count, rows * cols)\n",
      "    images = pixels.reshape(count, rows * cols) / 255.0\n"),
     ("data/idx-trailing-bytes-accepted", "data.py", "    if length - header != expected:\n",
@@ -263,6 +269,9 @@ MUTANTS = [
      '    if not 0.0 <= w < np.inf:\n        raise ValueError(f"weight must be finite and >= 0, got {r[\'weight\']!r}")\n'
      '    if r["flipped"] not in ("0", "1"):\n        raise ValueError(f"flipped must be 0 or 1, got {r[\'flipped\']!r}")\n',
      ""),
+    ("cli/report-test-error-unchecked", "cli.py",
+     "    if not 0.0 <= error <= 1.0:\n"
+     '        raise ValueError(f"test_error must lie in [0, 1], got {r[\'test_error\']!r}")\n', ""),
     ("checks/raising-check-not-caught", "checks.py",
      "        try:\n            ok, detail = fn()\n        except Exception as e:  # a crashed check is a failed check\n"
      '            ok, detail = False, f"raised {e!r}"\n', "        ok, detail = fn()\n"),

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import reweight, theory
-from .data import Dataset, ImbalanceSpec, load_idx, locate_mnist, make_imbalanced_pair, split_clean_validation
+from .data import Dataset, load_idx, locate_mnist, make_imbalanced_pair, split_clean_validation
 from .nn import (
     ACTIVATIONS,
     Batch,
@@ -515,9 +515,9 @@ def check_mnist_monotone_descent(data_dir=None, out_dir=None):
         return None, "MNIST IDX files not found (set MNIST_DIR or pass --data-dir)"
     full = load_idx(paths["train_images"], paths["train_labels"])
     rng = np.random.default_rng(0)
-    pair = make_imbalanced_pair(full, ImbalanceSpec(ratio=1, total=510), rng)
-    train_ds, val_ds = split_clean_validation(pair, 5, rng)
-    run = theory.run_descent_verification(train_ds, val_ds, steps=1000, batch_size=100, seed=0)
+    pair = make_imbalanced_pair(full, theory.PAIR, rng)
+    train_ds, val_ds = split_clean_validation(pair, theory.VAL_PER_CLASS, rng)
+    run = theory.run_descent_verification(train_ds, val_ds)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         theory.write_descent_csv(run.trace, os.path.join(out_dir, "descent_trace.csv"))

@@ -32,11 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="path to the config file")
     p_train.add_argument("--out", help="override output_dir from the config")
     p_train.add_argument("--seed", type=int, help="override the base seed")
+    p_train.set_defaults(run=cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the oracle-backed property suite")
     p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--data-dir", help="directory holding the MNIST IDX files")
     p_verify.add_argument("--out", help="directory for emitted trace/rate CSVs")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_corrupt = sub.add_parser("corrupt", help="write a corrupted copy of an IDX label file")
     p_corrupt.add_argument("--images", required=True)
@@ -47,9 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_corrupt.add_argument("--num-classes", type=int, default=NoiseSpec.num_classes)
     p_corrupt.add_argument("--background-class", type=int, default=NoiseSpec.background_class)
     p_corrupt.add_argument("--seed", type=int, default=0)
+    p_corrupt.set_defaults(run=cmd_corrupt)
 
     p_report = sub.add_parser("report", help="aggregate run directories into plot-ready CSVs")
     p_report.add_argument("--dir", required=True, help="directory containing run outputs")
+    p_report.set_defaults(run=cmd_report)
     return parser
 
 
@@ -142,6 +146,15 @@ def _weight_row(r) -> tuple[float, bool]:
     return w, r["flipped"] == "1"
 
 
+def _metrics_row(r) -> tuple[int, float, float, float]:
+    """(step, test_error, train_loss, val_loss_G) of a metrics CSV row;
+    training writes only test errors in [0, 1]."""
+    step, error = int(r["step"]), float(r["test_error"])
+    if not 0.0 <= error <= 1.0:
+        raise ValueError(f"test_error must lie in [0, 1], got {r['test_error']!r}")
+    return step, error, float(r["train_loss"]), float(r["val_loss_G"])
+
+
 def cmd_report(args) -> int:
     runs = []  # (root, seeds, report_final.csv row) per run directory
     for root, _dirs, files in os.walk(args.dir):
@@ -162,9 +175,7 @@ def cmd_report(args) -> int:
     for root, seeds, final in runs:
         key = final[:2]
         by_step: dict[int, list[list[float]]] = {}
-        for step, *means in _seed_rows(root, seeds, "metrics", lambda r: (
-            int(r["step"]), float(r["test_error"]), float(r["train_loss"]), float(r["val_loss_G"])
-        )):
+        for step, *means in _seed_rows(root, seeds, "metrics", _metrics_row):
             by_step.setdefault(step, []).append(means)
         for step in sorted(by_step):
             cols = np.array(by_step[step])
@@ -196,14 +207,8 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "verify": cmd_verify,
-        "corrupt": cmd_corrupt,
-        "report": cmd_report,
-    }
     try:
-        return handlers[args.cmd](args)
+        return args.run(args)
     except (ConfigError, DimensionError, IdxParseError, NonFiniteError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

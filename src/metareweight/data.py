@@ -127,7 +127,7 @@ class Dataset:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImbalanceSpec:
     """Binary subsample: ratio majority examples per minority example."""
 
@@ -153,7 +153,7 @@ class ImbalanceSpec:
         return {self.minority_class: 0, self.majority_class: 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     """Label corruption description."""
 

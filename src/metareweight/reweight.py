@@ -27,14 +27,6 @@ from .nn import (
 )
 
 
-def _check_compatible(train: PerExampleGrads, val: PerExampleGrads) -> None:
-    if train.layer_shapes() != val.layer_shapes():
-        raise DimensionError(
-            f"train and validation gradients disagree on layer shapes: "
-            f"{train.layer_shapes()} vs {val.layer_shapes()}"
-        )
-
-
 def meta_grad_closed_form(train: PerExampleGrads, val: PerExampleGrads) -> np.ndarray:
     """Alignment score of each training example with the mean validation gradient.
 
@@ -44,7 +36,11 @@ def meta_grad_closed_form(train: PerExampleGrads, val: PerExampleGrads) -> np.nd
     column. Positive u[i] means stepping on example i alone would reduce the
     mean validation loss.
     """
-    _check_compatible(train, val)
+    if train.layer_shapes() != val.layer_shapes():
+        raise DimensionError(
+            f"train and validation gradients disagree on layer shapes: "
+            f"{train.layer_shapes()} vs {val.layer_shapes()}"
+        )
     n, m = train.count, val.count
     scores = np.zeros((n, m))
     for zt, gt, zv, gv in zip(train.inputs, train.signals, val.inputs, val.signals):
@@ -66,16 +62,11 @@ def meta_grad_lookahead(
     alpha * <grad f_i(theta), grad l_val(theta_hat)>. Returns u = minus that
     derivative, evaluated at the given eps0 (default all zeros, where
     theta_hat = theta and the result equals alpha times the closed form).
+    `sgd_step` rejects a negative alpha and `weighted_gradient` an eps0 whose
+    length is not the batch size.
     """
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
-    n = len(train_batch)
     if eps0 is None:
-        eps0 = np.zeros(n)
-    eps0 = np.asarray(eps0, dtype=np.float64)
-    if eps0.shape != (n,):
-        raise DimensionError(f"eps0 shape {eps0.shape} does not match batch size {n}")
-
+        eps0 = np.zeros(len(train_batch))
     train_grads = backward_per_example(model, forward(model, train_batch), train_batch)
     stepped = sgd_step(model, weighted_gradient(train_grads, eps0), alpha)
     val_grads = backward_per_example(stepped, forward(stepped, val_batch), val_batch)

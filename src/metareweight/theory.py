@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, write_csv
+from .data import Dataset, ImbalanceSpec, write_csv
 from .errors import ConfigError, NonFiniteError
 from .nn import (
     Batch,
@@ -59,6 +59,8 @@ RESTARTS = 4  # random directions the smoothness probes power-iterate from
 PROBES_PER_RESTART = 15  # power-iteration probes along each of them
 MAX_ATTEMPTS = 10  # trials before the last one is returned unconfirmed
 CHECKPOINTS = 20  # horizons in a rate report
+PAIR = ImbalanceSpec(ratio=1, total=510)  # the balanced 4-vs-9 pair of the MNIST descent check
+VAL_PER_CLASS = 5  # clean validation images per class taken from the pair
 
 
 def validation_objective(images: np.ndarray, labels: np.ndarray):

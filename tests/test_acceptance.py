@@ -26,7 +26,7 @@ from metareweight.data import (
     random_split,
     split_clean_validation,
 )
-from metareweight.theory import DescentRun, run_descent_verification
+from metareweight.theory import PAIR, VAL_PER_CLASS, DescentRun, run_descent_verification
 from metareweight.trainer import TrainConfig, train
 
 IMBALANCE_RATIOS = (100, 200)
@@ -83,14 +83,10 @@ def descent_runs(mnist_train):
     runs = []
     for seed in range(3):
         rng = np.random.default_rng(1000 + seed)
-        pair = make_imbalanced_pair(
-            mnist_train, ImbalanceSpec(ratio=1, total=510, minority_class=4, majority_class=9), rng
-        )
-        train_ds, val_ds = split_clean_validation(pair, 5, rng)
+        pair = make_imbalanced_pair(mnist_train, PAIR, rng)
+        train_ds, val_ds = split_clean_validation(pair, VAL_PER_CLASS, rng)
         assert len(train_ds) == 500 and len(val_ds) == 10
-        runs.append(
-            run_descent_verification(train_ds, val_ds, steps=1000, batch_size=100, seed=seed)
-        )
+        runs.append(run_descent_verification(train_ds, val_ds, seed=seed))
     return runs, time.perf_counter() - started
 
 
@@ -105,7 +101,7 @@ class TestCriterion4:
             4,
             "monotone validation descent",
             ok,
-            f"{violations} of 3 seeds x 1000 steps broke G(t+1) <= G(t) + {DescentRun.tolerance:g} "
+            f"{violations} of 3 seeds x {runs[0].steps} steps broke G(t+1) <= G(t) + {DescentRun.tolerance:g} "
             "or were never taken, "
             f"alpha in [{min(alphas):.2e}, {max(alphas):.2e}], {elapsed:.1f}s (<300s)",
         )

@@ -268,6 +268,11 @@ ONE_SEED_SUMMARY = json.dumps({"strategy": "uniform", "config_hash": "c0ffee", "
                                "mean_test_error": 0.25, "ci_half_width": 0.0})
 
 
+def metrics_cells(cells):
+    """A one-seed run directory whose metrics file holds the row `10,{cells}`."""
+    return {"summary.json": ONE_SEED_SUMMARY, "metrics_seed0.csv": f"step,train_loss,val_loss_G,test_error\n10,{cells}\n"}
+
+
 def weight_cells(cells):
     """A one-seed run directory whose weights file holds a valid flipped row, then the row `3,{cells}`."""
     return {"summary.json": ONE_SEED_SUMMARY, "weights_seed0.csv": f"step,weight,flipped\n3,0.5,1\n3,{cells}\n"}
@@ -327,10 +332,14 @@ class TestReportCommand:
                      id="truncated_summary"),
         pytest.param({"summary.json": "{}"}, "malformed run file {tmp}/summary.json: KeyError('config_hash')",
                      False, id="empty_summary"),
-        pytest.param({"summary.json": ONE_SEED_SUMMARY,
-                      "metrics_seed0.csv": "step,train_loss,val_loss_G,test_error\n10,abc,0.5,0.25\n"},
-                     "malformed run file {tmp}/metrics_seed0.csv: "
+        pytest.param(metrics_cells("abc,0.5,0.25"), "malformed run file {tmp}/metrics_seed0.csv: "
                      "ValueError(\"could not convert string to float: 'abc'\")", False, id="bad_metrics_cell"),
+        pytest.param(metrics_cells("0.5,0.5,-1.0"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"test_error must lie in [0, 1], got '-1.0'\")", False, id="negative_test_error"),
+        pytest.param(metrics_cells("0.5,0.5,inf"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"test_error must lie in [0, 1], got 'inf'\")", False, id="inf_test_error"),
+        pytest.param(metrics_cells("0.5,0.5,nan"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"test_error must lie in [0, 1], got 'nan'\")", False, id="nan_test_error"),
         pytest.param({"summary.json": "[]"}, "malformed run file {tmp}/summary.json: "
                      "AttributeError(\"'list' object has no attribute 'get'\")", False, id="summary_not_an_object"),
         pytest.param(weight_cells("inf,0"), "malformed run file {tmp}/weights_seed0.csv: "

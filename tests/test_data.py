@@ -3,6 +3,7 @@ generators against explicit counting oracles."""
 
 import gzip
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -336,6 +337,8 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
                  ConfigError, "^total 10 too small for ratio 10", id="imbalance_total_below_ratio"),
     pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=100, minority_class=4, majority_class=4),
                  ConfigError, "^minority and majority class must differ$", id="imbalance_same_classes"),
+    pytest.param(lambda tmp: setattr(ImbalanceSpec(ratio=10), "ratio", float("nan")),
+                 FrozenInstanceError, "^cannot assign to field 'ratio'$", id="imbalance_spec_frozen"),
     pytest.param(lambda tmp: split_clean_validation(labeled_dataset(58, {0: 4, 1: 50})[1], 5,
                                                     np.random.default_rng(0)),
                  ConfigError, "^class 0 has only 4 clean examples, need 5$", id="validation_too_few_clean"),
@@ -349,6 +352,8 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
                  ConfigError, r"^noise ratio must lie in \[0, 1\]$", id="noise_ratio_above_one"),
     pytest.param(lambda tmp: NoiseSpec("mystery", 0.5),
                  ConfigError, "^unknown noise kind 'mystery'$", id="noise_unknown_kind"),
+    pytest.param(lambda tmp: setattr(NoiseSpec("uniform_flip", 0.5), "ratio", 1.5),
+                 FrozenInstanceError, "^cannot assign to field 'ratio'$", id="noise_spec_frozen"),
     pytest.param(lambda tmp: random_split(labeled_dataset(68, {0: 5})[1], 6,
                                           np.random.default_rng(0)),
                  ConfigError, "^cannot split 6 examples from 5$", id="random_split_too_many"),

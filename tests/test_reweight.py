@@ -44,29 +44,29 @@ class TestResample:
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("call, error", [
-    pytest.param(lambda: meta_grad_closed_form(*mismatched_grads(32)), DimensionError,
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: meta_grad_closed_form(*mismatched_grads(32)), DimensionError, None,
                  id="closed_form_layer_shapes"),
     pytest.param(lambda: meta_grad_lookahead(*seeded(37, [4, 3, 2], "relu", 0.0, 4, 2)[1:], 0.1, eps0=np.zeros(3)),
-                 DimensionError, id="lookahead_eps0_shape"),
+                 DimensionError, r"^weights shape \(3,\) does not match 4 examples$", id="lookahead_eps0_shape"),
     pytest.param(lambda: meta_grad_lookahead(*seeded(38, [4, 3, 2], "relu", 0.0, 4, 2)[1:], -0.1), ValueError,
-                 id="lookahead_negative_alpha"),
-    pytest.param(lambda: rectify_normalize(np.array([1.0, np.nan])), NonFiniteError,
+                 "^step size must be nonnegative$", id="lookahead_negative_alpha"),
+    pytest.param(lambda: rectify_normalize(np.array([1.0, np.nan])), NonFiniteError, None,
                  id="rectify_non_finite"),
-    pytest.param(lambda: random_weights(0, np.random.default_rng(0)), ValueError, id="random_weights_empty"),
-    pytest.param(lambda: proportion_weights(np.array([0, 1]), np.array([5.0, 0.0])), ConfigError,
+    pytest.param(lambda: random_weights(0, np.random.default_rng(0)), ValueError, None, id="random_weights_empty"),
+    pytest.param(lambda: proportion_weights(np.array([0, 1]), np.array([5.0, 0.0])), ConfigError, None,
                  id="proportion_zero_count"),
-    pytest.param(lambda: proportion_weights(np.array([2]), np.array([5.0, 5.0])), ConfigError,
+    pytest.param(lambda: proportion_weights(np.array([2]), np.array([5.0, 5.0])), ConfigError, None,
                  id="proportion_label_outside_table"),
-    pytest.param(lambda: hard_mining_select(np.array([1.0, 2.0]), np.array([1, 0]), 1, 2), ValueError,
+    pytest.param(lambda: hard_mining_select(np.array([1.0, 2.0]), np.array([1, 0]), 1, 2), ValueError, None,
                  id="hard_mining_k_too_large"),
-    pytest.param(lambda: resample_indices(np.array([], dtype=int), 4, np.random.default_rng(0)), ConfigError,
+    pytest.param(lambda: resample_indices(np.array([], dtype=int), 4, np.random.default_rng(0)), ConfigError, None,
                  id="resample_empty"),
-    pytest.param(lambda: hard_mining_select(np.array([1.0, 2.0]), np.array([1]), 1, 1), DimensionError,
+    pytest.param(lambda: hard_mining_select(np.array([1.0, 2.0]), np.array([1]), 1, 1), DimensionError, None,
                  id="hard_mining_misaligned"),
-    pytest.param(lambda: resample_indices(np.array([0, 1]), 0, np.random.default_rng(0)), ValueError,
+    pytest.param(lambda: resample_indices(np.array([0, 1]), 0, np.random.default_rng(0)), ValueError, None,
                  id="resample_no_draws"),
 ])
-def test_bad_input_raises(call, error):
-    with pytest.raises(error):
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
         call()

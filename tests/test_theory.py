@@ -3,7 +3,10 @@ the materialized-gradient oracle for the descent step and the rate-report
 oracles live in `metareweight.checks`; the tests here cover validation,
 the CSV files and synthetic monotone descent runs."""
 
+import importlib
+import inspect
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -283,3 +286,13 @@ class TestObjectiveContract:
 def test_bad_input_raises(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_benchmark_descent_workload_draws_the_check_recipe(monkeypatch):
+    """The benchmark's descent workload times the set-up `verify --level full` checks."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    workload = importlib.import_module("workload")
+    assert workload.DESCENT_PAIR == theory.PAIR
+    assert workload.DESCENT_VAL_PER_CLASS == theory.VAL_PER_CLASS
+    assert workload.DESCENT_BATCH == inspect.signature(run_descent_verification).parameters["batch_size"].default
