@@ -200,6 +200,8 @@ MUTANTS = [
      '        writer.writerows([f"{c:.12g}" if isinstance(c, float) else c for c in r] for r in rows)\n'),
     ("data/uniform-flip-may-keep-label", "data.py", "labels[flip] = draw + (draw >= old)",
      "labels[flip] = draw"),
+    ("data/empty-split-concatenated", "data.py", "np.array(chosen, dtype=np.int64).ravel()",
+     "np.concatenate(chosen)"),
     ("data/validation-may-be-corrupted", "data.py",
      "pool = np.flatnonzero((ds.labels == c) & clean)", "pool = np.flatnonzero(ds.labels == c)"),
     ("data/minority-count-off", "data.py", "int(round(spec.total / (spec.ratio + 1)))",
@@ -236,25 +238,30 @@ MUTANTS = [
      "        if key in values:\n"),
     ("config/false-parses-true", "config.py", '("false", "0", "no", "off"):\n        return False\n',
      '("false", "0", "no", "off"):\n        return True\n'),
-    ("config/schedule-entry-separator", "config.py", 'return f"{value[0]}:{value[1]!r}"',
-     'return f"{value[0]}/{value[1]!r}"'),
+    ("config/schedule-entry-separator", "config.py", 'f"{step}:{mult!r}"', 'f"{step}/{mult!r}"'),
+    ("config/bool-rendered-with-str", "config.py", '    _parse_bool: lambda v: "true" if v else "false",\n',
+     "    _parse_bool: str,\n"),
     ("config/seed-in-hash", "config.py", "        if key in HASH_EXCLUDED:\n            continue\n",
      ""),
+    ("config/experiment-config-not-frozen", "config.py", "@dataclass(frozen=True)\nclass ExperimentConfig:",
+     "@dataclass\nclass ExperimentConfig:"),
     ("config/meta-without-validation-accepted", "config.py",
-     'if values["strategy"] == "meta_reweight" and values["val_per_class"] == 0:', "if False:"),
+     'if self.train.strategy == "meta_reweight" and self.val_per_class == 0:', "if False:"),
     ("config/early-stop-without-hyperval-accepted", "config.py",
-     'if values["early_stop_on_hyperval"] and values["hyperval_total"] == 0:', "if False:"),
+     "if self.train.early_stop_on_hyperval and self.hyperval_total == 0:", "if False:"),
     ("config/noise-ratio-without-kind-accepted", "config.py",
-     'if noise is None and values["noise_ratio"] != 0:', "if False:"),
-    ("config/negative-val-per-class-accepted", "config.py", '    if values["val_per_class"] < 0:\n',
-     "    if False:\n"),
-    ("config/negative-hyperval-total-accepted", "config.py", '    if values["hyperval_total"] < 0:\n',
-     "    if False:\n"),
-    ("config/zero-repeat-accepted", "config.py", '    if values["repeat"] < 1:\n', "    if False:\n"),
+     "if noise is None and self.noise_ratio != 0:", "if False:"),
+    ("config/negative-val-per-class-accepted", "config.py", "        if self.val_per_class < 0:\n",
+     "        if False:\n"),
+    ("config/negative-hyperval-total-accepted", "config.py", "        if self.hyperval_total < 0:\n",
+     "        if False:\n"),
+    ("config/zero-repeat-accepted", "config.py", "        if self.repeat < 1:\n", "        if False:\n"),
     ("config/zero-subset-total-accepted", "config.py",
-     '    if values["subset_total"] is not None and values["subset_total"] < 1:\n', "    if False:\n"),
+     "        if self.subset_total is not None and self.subset_total < 1:\n", "        if False:\n"),
     ("cli/verify-data-dir-unchecked", "cli.py",
      '    if args.level == "full" and args.data_dir and locate_mnist(args.data_dir) is None:\n', "    if False:\n"),
+    ("cli/verify-out-unchecked", "cli.py",
+     '    if args.level == "full" and args.out:\n        os.makedirs(args.out, exist_ok=True)', "    if False:\n        pass"),
     ("cli/seed-override-ignored", "cli.py", '        values["seed"] = args.seed\n', "        pass\n"),
     ("cli/out-override-ignored", "cli.py", '        values["output_dir"] = args.out\n', "        pass\n"),
     ("cli/corrupt-negative-seed-accepted", "cli.py", "    if args.seed < 0:\n", "    if False:\n"),
@@ -272,6 +279,12 @@ MUTANTS = [
     ("cli/report-test-error-unchecked", "cli.py",
      "    if not 0.0 <= error <= 1.0:\n"
      '        raise ValueError(f"test_error must lie in [0, 1], got {r[\'test_error\']!r}")\n', ""),
+    ("cli/report-train-loss-unchecked", "cli.py",
+     "    if not 0.0 <= loss < np.inf:\n"
+     '        raise ValueError(f"train_loss must be finite and >= 0, got {r[\'train_loss\']!r}")\n', ""),
+    ("cli/report-val-loss-unchecked", "cli.py",
+     "    if val_loss < 0.0 or val_loss == np.inf:\n"
+     '        raise ValueError(f"val_loss_G must be NaN or finite and >= 0, got {r[\'val_loss_G\']!r}")\n', ""),
     ("checks/raising-check-not-caught", "checks.py",
      "        try:\n            ok, detail = fn()\n        except Exception as e:  # a crashed check is a failed check\n"
      '            ok, detail = False, f"raised {e!r}"\n', "        ok, detail = fn()\n"),

@@ -84,6 +84,8 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     if args.level == "full" and args.data_dir and locate_mnist(args.data_dir) is None:
         raise ConfigError(f"--data-dir: MNIST IDX files not found in {args.data_dir}")
+    if args.level == "full" and args.out:
+        os.makedirs(args.out, exist_ok=True)  # a bad --out fails here, before any check runs
     return run_checks(level=args.level, data_dir=args.data_dir, out_dir=args.out)
 
 
@@ -148,11 +150,17 @@ def _weight_row(r) -> tuple[float, bool]:
 
 def _metrics_row(r) -> tuple[int, float, float, float]:
     """(step, test_error, train_loss, val_loss_G) of a metrics CSV row;
-    training writes only test errors in [0, 1]."""
+    training writes only test errors in [0, 1], finite training losses >= 0
+    and validation losses >= 0 or NaN (a run without a validation set)."""
     step, error = int(r["step"]), float(r["test_error"])
+    loss, val_loss = float(r["train_loss"]), float(r["val_loss_G"])
     if not 0.0 <= error <= 1.0:
         raise ValueError(f"test_error must lie in [0, 1], got {r['test_error']!r}")
-    return step, error, float(r["train_loss"]), float(r["val_loss_G"])
+    if not 0.0 <= loss < np.inf:
+        raise ValueError(f"train_loss must be finite and >= 0, got {r['train_loss']!r}")
+    if val_loss < 0.0 or val_loss == np.inf:
+        raise ValueError(f"val_loss_G must be NaN or finite and >= 0, got {r['val_loss_G']!r}")
+    return step, error, loss, val_loss
 
 
 def cmd_report(args) -> int:

@@ -1,5 +1,9 @@
 """Flat key=value experiment configs with a typed schema and a stable hash.
 
+The schema is the defaulted fields of two frozen dataclasses: `TrainConfig`
+declares the training keys and `ExperimentConfig` the rest. A key parses by
+the type of its default, and each checks its own rules when it is built.
+
 Format: one `key = value` per line, `#` starts a comment, blank lines and
 blank values are ignored (the default applies). Unknown keys are errors, as
 are values that fail their field's parser and a key given twice, even once
@@ -9,7 +13,7 @@ output_dir, so repeats of one experiment land under one identity.
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import ImbalanceSpec, NoiseSpec
 from .errors import ConfigError
@@ -42,35 +46,90 @@ def _parse_schedule(s: str) -> list[tuple[int, float]]:
     return out
 
 
-# Training fields take their defaults from TrainConfig and parse by the type
-# of the default, except these.
-_TRAIN_PARSERS = {"lr_schedule": _parse_schedule, "hidden_sizes": _parse_int_list, "hard_mining_k": int}
+# The canonical text of a value, by the parser of its key; any other parser's values render with str.
+_CANONICAL = {
+    _parse_bool: lambda v: "true" if v else "false",
+    _parse_int_list: lambda v: ",".join(map(str, v)),
+    _parse_schedule: lambda v: ",".join(f"{step}:{mult!r}" for step, mult in v),
+    float: repr,
+}
 
 
-def _train_parser(key: str, default):
-    return _TRAIN_PARSERS.get(key) or (_parse_bool if isinstance(default, bool) else type(default))
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything one `train` invocation needs: data, bias, model, strategy.
+
+    Its defaulted fields are the config keys that `TrainConfig` does not
+    declare; `imbalance` and `noise` are built from them."""
+
+    train: TrainConfig
+    raw: dict  # the parsed config, the input of its hash
+    train_images: str | None = None
+    train_labels: str | None = None
+    test_images: str | None = None
+    test_labels: str | None = None
+    subset_total: int | None = None
+    imbalance_ratio: float | None = None
+    imbalance_total: int = ImbalanceSpec.total
+    minority_class: int = ImbalanceSpec.minority_class
+    majority_class: int = ImbalanceSpec.majority_class
+    noise_kind: str | None = None
+    noise_ratio: float = 0.0
+    background_class: int = NoiseSpec.background_class
+    num_classes: int = NoiseSpec.num_classes
+    val_per_class: int = 5
+    hyperval_total: int = 0
+    repeat: int = 1
+    output_dir: str = "runs"
+    imbalance: ImbalanceSpec | None = field(init=False)
+    noise: NoiseSpec | None = field(init=False)
+
+    def __post_init__(self):
+        # Built and checked here only, so dataclasses.replace builds and checks a copy again.
+        imbalance = None if self.imbalance_ratio is None else ImbalanceSpec(
+            self.imbalance_ratio, self.imbalance_total, self.minority_class, self.majority_class)
+        noise = None if self.noise_kind is None else NoiseSpec(
+            self.noise_kind, self.noise_ratio, self.num_classes, self.background_class)
+        object.__setattr__(self, "imbalance", imbalance)
+        object.__setattr__(self, "noise", noise)
+        if self.val_per_class < 0:
+            raise ConfigError("field 'val_per_class': must be nonnegative")
+        if self.hyperval_total < 0:
+            raise ConfigError("field 'hyperval_total': must be nonnegative")
+        if self.repeat < 1:
+            raise ConfigError("field 'repeat': must be at least 1")
+        if self.subset_total is not None and self.subset_total < 1:
+            raise ConfigError("field 'subset_total': must be at least 1")
+        if self.train.strategy == "meta_reweight" and self.val_per_class == 0:
+            raise ConfigError("field 'val_per_class': meta_reweight needs a validation split")
+        if self.train.early_stop_on_hyperval and self.hyperval_total == 0:
+            raise ConfigError("field 'early_stop_on_hyperval': needs hyperval_total > 0")
+        if noise is None and self.noise_ratio != 0:
+            raise ConfigError("field 'noise_ratio': needs a noise_kind")
 
 
-# field name -> (parser, default). Defaults of None mean "absent".
+def _defaults(cls) -> dict:
+    """The config keys cls declares, its fields that have a default, with those defaults."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# A key parses by the type of its default, except these; a default of None parses as str.
+_PARSERS = {"lr_schedule": _parse_schedule, "hidden_sizes": _parse_int_list, "hard_mining_k": int,
+            "subset_total": int, "imbalance_ratio": float}
+
+
+def _parser(key: str, default):
+    if key in _PARSERS:
+        return _PARSERS[key]
+    if isinstance(default, bool):
+        return _parse_bool
+    return str if default is None else type(default)
+
+
+# key -> (parser, default). Defaults of None mean "absent".
 SCHEMA: dict = {
-    **{key: (_train_parser(key, default), default) for key, default in vars(TrainConfig()).items()},
-    "train_images": (str, None),
-    "train_labels": (str, None),
-    "test_images": (str, None),
-    "test_labels": (str, None),
-    "subset_total": (int, None),
-    "imbalance_ratio": (float, None),
-    "imbalance_total": (int, ImbalanceSpec.total),
-    "minority_class": (int, ImbalanceSpec.minority_class),
-    "majority_class": (int, ImbalanceSpec.majority_class),
-    "noise_kind": (str, None),
-    "noise_ratio": (float, 0.0),
-    "background_class": (int, NoiseSpec.background_class),
-    "num_classes": (int, NoiseSpec.num_classes),
-    "val_per_class": (int, 5),
-    "hyperval_total": (int, 0),
-    "repeat": (int, 1),
-    "output_dir": (str, "runs"),
+    key: (_parser(key, default), default)
+    for cls in (TrainConfig, ExperimentConfig) for key, default in _defaults(cls).items()
 }
 
 REQUIRED_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -114,88 +173,16 @@ def parse_config_file(path: str) -> dict:
     return full
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything one `train` invocation needs: data, bias, model, strategy.
-
-    Fields other than train, imbalance, noise and raw are config fields."""
-
-    train: TrainConfig
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-    subset_total: int | None
-    imbalance: ImbalanceSpec | None
-    noise: NoiseSpec | None
-    val_per_class: int
-    hyperval_total: int
-    repeat: int
-    output_dir: str
-    raw: dict
-
-
 def build_experiment(values: dict) -> ExperimentConfig:
-    """Validate a parsed config dict and assemble the dataclasses."""
+    """Check the required paths of a parsed config dict, then build the
+    dataclasses, which check the other rules."""
     for key in REQUIRED_PATHS:
         if not values.get(key):
             raise ConfigError(f"field {key!r} is required")
         if not os.path.isfile(values[key]):
             raise ConfigError(f"field {key!r}: file not found: {values[key]}")
-
-    train = TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
-
-    imbalance = None
-    if values["imbalance_ratio"] is not None:
-        imbalance = ImbalanceSpec(
-            ratio=values["imbalance_ratio"],
-            total=values["imbalance_total"],
-            minority_class=values["minority_class"],
-            majority_class=values["majority_class"],
-        )
-    noise = None
-    if values["noise_kind"] is not None:
-        noise = NoiseSpec(
-            kind=values["noise_kind"],
-            ratio=values["noise_ratio"],
-            num_classes=values["num_classes"],
-            background_class=values["background_class"],
-        )
-    if values["val_per_class"] < 0:
-        raise ConfigError("field 'val_per_class': must be nonnegative")
-    if values["hyperval_total"] < 0:
-        raise ConfigError("field 'hyperval_total': must be nonnegative")
-    if values["repeat"] < 1:
-        raise ConfigError("field 'repeat': must be at least 1")
-    if values["subset_total"] is not None and values["subset_total"] < 1:
-        raise ConfigError("field 'subset_total': must be at least 1")
-    if values["strategy"] == "meta_reweight" and values["val_per_class"] == 0:
-        raise ConfigError("field 'val_per_class': meta_reweight needs a validation split")
-    if values["early_stop_on_hyperval"] and values["hyperval_total"] == 0:
-        raise ConfigError("field 'early_stop_on_hyperval': needs hyperval_total > 0")
-    if noise is None and values["noise_ratio"] != 0:
-        raise ConfigError("field 'noise_ratio': needs a noise_kind")
-
-    return ExperimentConfig(
-        train=train,
-        imbalance=imbalance,
-        noise=noise,
-        raw=dict(values),
-        **{f.name: values[f.name] for f in fields(ExperimentConfig) if f.name in SCHEMA},
-    )
-
-
-def _canonical_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], float):
-        # A schedule entry (step, multiplier).
-        return f"{value[0]}:{value[1]!r}"
-    if isinstance(value, (list, tuple)):
-        return ",".join(_canonical_value(v) for v in value)
-    return str(value)
+    train = TrainConfig(**{key: values[key] for key in _defaults(TrainConfig)})
+    return ExperimentConfig(train, dict(values), **{key: values[key] for key in _defaults(ExperimentConfig)})
 
 
 def canonical_items(values: dict) -> list[tuple[str, str]]:
@@ -204,12 +191,9 @@ def canonical_items(values: dict) -> list[tuple[str, str]]:
     for key in sorted(SCHEMA):
         if key in HASH_EXCLUDED:
             continue
-        value = values.get(key, SCHEMA[key][1])
-        if value is None:
-            rendered = ""
-        else:
-            rendered = _canonical_value(value)
-        items.append((key, rendered))
+        parser, default = SCHEMA[key]
+        value = values.get(key, default)
+        items.append((key, "" if value is None else _CANONICAL.get(parser, str)(value)))
     return items
 
 

@@ -358,14 +358,11 @@ def split_clean_validation(
 ) -> tuple[Dataset, Dataset]:
     """Reserve per_class provenance-clean examples of every class as validation.
 
-    Returns (train_rest, validation). per_class = 0 yields an empty validation
-    set and leaves the dataset untouched.
+    Returns (train_rest, validation). per_class = 0, or an empty dataset,
+    yields an empty validation set.
     """
     if per_class < 0:
         raise ConfigError("per_class must be nonnegative")
-    if per_class == 0:
-        empty = ds.subset(np.empty(0, dtype=np.int64))
-        return ds, empty
     clean = ds.labels == ds.original_labels
     chosen = []
     for c in np.unique(ds.labels):
@@ -375,7 +372,7 @@ def split_clean_validation(
                 f"class {int(c)} has only {pool.size} clean examples, need {per_class}"
             )
         chosen.append(rng.choice(pool, size=per_class, replace=False))
-    val_idx = np.concatenate(chosen)
+    val_idx = np.array(chosen, dtype=np.int64).ravel()  # class by class; no class gives no index
     mask = np.zeros(len(ds), dtype=bool)
     mask[val_idx] = True
     return ds.subset(np.flatnonzero(~mask)), ds.subset(val_idx)

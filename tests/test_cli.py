@@ -166,6 +166,10 @@ class TestTrainCommand:
         pytest.param(("eval_every = 20", "eval_every = 20\nimbalance_ratio = 2\nimbalance_total = 100\n"
                       "minority_class = 0\nmajority_class = 1"), {},
                      "need 67 examples of class 1, dataset has 66", True, id="imbalance_majority_too_small"),
+        # A valid IDX pair of 0 images: the clean validation split finds no class to draw from.
+        pytest.param(("", ""), {"train-images-idx3-ubyte": idx_images_bytes(np.zeros((0, 6, 6))),
+                                "train-labels-idx1-ubyte": idx_labels_bytes([])},
+                     "training set is empty", True, id="empty_training_file"),
         # The first step overflows the parameters; the second meets the non-finite values.
         pytest.param(("strategy = meta_reweight\nlearning_rate = 0.05", "strategy = uniform\nlearning_rate = 1e300"),
                      {}, "seed 0 step 1: gradient contains non-finite values", True, id="non_finite_uniform"),
@@ -325,6 +329,13 @@ class TestReportCommand:
             b"c0ffee,uniform,20,0.30000000000000004,0.8999999999999999,0.04043490449370843\r\n"
         )
 
+    def test_nan_validation_loss_aggregates(self, tmp_path):
+        # A run without a validation set writes val_loss_G = nan.
+        for name, text in metrics_cells("0.5,nan,0.25").items():
+            (tmp_path / name).write_text(text)
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert csv_rows(tmp_path / "report_curves.csv")[1] == ["c0ffee", "uniform", "10", "0.25", "0.5", "nan"]
+
     @pytest.mark.parametrize("files, message, out_exists", [
         pytest.param({}, "no summary.json found under {tmp}", False, id="empty_dir"),
         pytest.param({"summary.json": '{"strategy": "unif'}, "malformed run file {tmp}/summary.json: "
@@ -340,6 +351,18 @@ class TestReportCommand:
                      "ValueError(\"test_error must lie in [0, 1], got 'inf'\")", False, id="inf_test_error"),
         pytest.param(metrics_cells("0.5,0.5,nan"), "malformed run file {tmp}/metrics_seed0.csv: "
                      "ValueError(\"test_error must lie in [0, 1], got 'nan'\")", False, id="nan_test_error"),
+        pytest.param(metrics_cells("-1.0,0.5,0.25"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"train_loss must be finite and >= 0, got '-1.0'\")", False, id="negative_train_loss"),
+        pytest.param(metrics_cells("inf,0.5,0.25"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"train_loss must be finite and >= 0, got 'inf'\")", False, id="inf_train_loss"),
+        pytest.param(metrics_cells("nan,0.5,0.25"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"train_loss must be finite and >= 0, got 'nan'\")", False, id="nan_train_loss"),
+        pytest.param(metrics_cells("0.5,-1.0,0.25"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"val_loss_G must be NaN or finite and >= 0, got '-1.0'\")", False,
+                     id="negative_val_loss"),
+        pytest.param(metrics_cells("0.5,inf,0.25"), "malformed run file {tmp}/metrics_seed0.csv: "
+                     "ValueError(\"val_loss_G must be NaN or finite and >= 0, got 'inf'\")", False,
+                     id="inf_val_loss"),
         pytest.param({"summary.json": "[]"}, "malformed run file {tmp}/summary.json: "
                      "AttributeError(\"'list' object has no attribute 'get'\")", False, id="summary_not_an_object"),
         pytest.param(weight_cells("inf,0"), "malformed run file {tmp}/weights_seed0.csv: "
@@ -409,13 +432,17 @@ class TestVerifyCommand:
                              ("descent_rate.csv", "T,min_grad_norm_sq,envelope")):
             assert (tmp_path / "out" / name).read_text().splitlines()[0] == header
 
-    @pytest.mark.parametrize("flags, message", [
-        pytest.param(("--data-dir", "{tmp}"), "--data-dir: MNIST IDX files not found in {tmp}",
+    @pytest.mark.parametrize("flags, files, message", [
+        pytest.param(("--data-dir", "{tmp}"), {}, "--data-dir: MNIST IDX files not found in {tmp}",
                      id="data_dir_without_idx"),
+        pytest.param(("--out", "{tmp}/a_file"), {"a_file": b""}, "[Errno 17] File exists: '{tmp}/a_file'",
+                     id="out_is_a_file"),
     ])
-    def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, message):
+    def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, flags, files, message):
         # A check that ran would make the exit code 1.
         monkeypatch.setattr(checks, "QUICK_CHECKS", [("must_not_run", lambda: (False, "ran"))])
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
         argv = ["verify", "--level", "full", "--out", "{tmp}/verify_out", *flags]
         assert_exits_2(argv, tmp_path, capsys, message, tmp_path / "verify_out", False)
 

@@ -3,7 +3,9 @@ config builds."""
 
 import csv
 import gc
+import re
 import weakref
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from metareweight.config import (
     config_hash,
     parse_config_file,
 )
-from metareweight.data import load_idx
+from metareweight.data import ImbalanceSpec, load_idx
 from metareweight.errors import ConfigError
 from metareweight.experiment import prepare_datasets, run_experiment
 
@@ -81,9 +83,17 @@ class TestParsing:
             parse_config_file(write_config(tmp_path, text))
 
     def test_readme_table_has_a_row_per_key(self):
+        # Each key's Default cell, parsed by the key's parser, is its default;
+        # `none` and `required` stand for None, or the empty schedule.
         readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
-        first_cells = " ".join(line.split(" | ")[0] for line in readme if line.startswith("| `"))
-        assert [key for key in SCHEMA if f"`{key}`" not in first_cells] == []
+        cells = {key: row.split(" | ")[1].strip("`") for row in readme if row.startswith("| `")
+                 for key in re.findall(r"`(\w+)`", row.split(" | ")[0])}
+        assert [key for key in SCHEMA if key not in cells] == []
+
+        def agrees(cell, parser, default):
+            return default in (None, ()) if cell in ("none", "required") else parser(cell) == default
+
+        assert [key for key, (parser, default) in SCHEMA.items() if not agrees(cells[key], parser, default)] == []
 
 
 class TestHash:
@@ -143,6 +153,14 @@ class TestBuildExperiment:
         assert exp.train.hidden_sizes == (32, 16)
         assert exp.imbalance is None and exp.noise is None
 
+    def test_frozen_and_rechecked_by_replace(self, tmp_path):
+        exp = build_experiment(parse_config_file(write_config(tmp_path, self._paths(tmp_path))))
+        with pytest.raises(FrozenInstanceError):
+            exp.repeat = 0
+        with pytest.raises(ConfigError, match="^field 'repeat': must be at least 1$"):
+            replace(exp, repeat=0)
+        assert replace(exp, imbalance_ratio=2.0).imbalance == ImbalanceSpec(ratio=2.0)
+
     def test_imbalance_and_noise_assembled(self, tmp_path):
         text = self._paths(tmp_path) + (
             "imbalance_ratio = 100\nimbalance_total = 500\n"
@@ -180,6 +198,9 @@ class TestBuildExperiment:
                      "^field 'subset_total': must be at least 1$", id="subset_total_zero"),
         pytest.param(lambda text: text.replace("20:0.1", "-1:0.1"),
                      "^lr_schedule: steps must be nonnegative$", id="negative_schedule_step"),
+        # The required paths are checked before any other rule.
+        pytest.param(lambda text: text.replace("test_labels = {d}/test-lab\n", "").replace("1e-3", "nan"),
+                     "^field 'test_labels' is required$", id="missing_path_before_nan_learning_rate"),
     ])
     def test_incomplete_setting_rejected(self, tmp_path, edit, match):
         self._paths(tmp_path)

@@ -216,6 +216,11 @@ class TestValidationSplit:
         train, val = split_clean_validation(ds, 0, rng)
         assert len(val) == 0 and len(train) == len(ds)
 
+    def test_empty_dataset(self):
+        rng, ds = labeled_dataset(59, {0: 0})
+        train, val = split_clean_validation(ds, 3, rng)
+        assert len(train) == len(val) == 0
+
 
 class TestUniformFlip:
     def test_ratio_zero_is_identity(self):
