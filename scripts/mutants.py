@@ -227,9 +227,9 @@ MUTANTS = [
     ("experiment/imbalance-test-set-unfiltered", "experiment.py",
      "        test = filter_remap(base_test, exp.imbalance.label_map)\n", "        test = base_test\n"),
     ("experiment/output-dir-before-data", "experiment.py",
-     "    chash = config_hash(exp.raw)\n    base_train = load_idx(exp.train_images, exp.train_labels)\n"
+     "    chash = config_hash(exp)\n    base_train = load_idx(exp.train_images, exp.train_labels)\n"
      "    base_test = load_idx(exp.test_images, exp.test_labels)\n    os.makedirs(exp.output_dir, exist_ok=True)\n",
-     "    os.makedirs(exp.output_dir, exist_ok=True)\n    chash = config_hash(exp.raw)\n"
+     "    os.makedirs(exp.output_dir, exist_ok=True)\n    chash = config_hash(exp)\n"
      "    base_train = load_idx(exp.train_images, exp.train_labels)\n"
      "    base_test = load_idx(exp.test_images, exp.test_labels)\n"),
     ("config/comments-kept", "config.py", '        line = raw.split("#", 1)[0].strip()\n',
@@ -243,6 +243,8 @@ MUTANTS = [
      "    _parse_bool: str,\n"),
     ("config/seed-in-hash", "config.py", "        if key in HASH_EXCLUDED:\n            continue\n",
      ""),
+    ("config/hash-reads-schema-default", "config.py", "        value = values[key]\n",
+     "        value = SCHEMA[key][1]\n"),
     ("config/experiment-config-not-frozen", "config.py", "@dataclass(frozen=True)\nclass ExperimentConfig:",
      "@dataclass\nclass ExperimentConfig:"),
     ("config/meta-without-validation-accepted", "config.py",
@@ -264,6 +266,7 @@ MUTANTS = [
      '    if args.level == "full" and args.out:\n        os.makedirs(args.out, exist_ok=True)', "    if False:\n        pass"),
     ("cli/seed-override-ignored", "cli.py", '        values["seed"] = args.seed\n', "        pass\n"),
     ("cli/out-override-ignored", "cli.py", '        values["output_dir"] = args.out\n', "        pass\n"),
+    ("cli/entry-point-status-dropped", "cli.py", "    sys.exit(main())\n", "    main()\n"),
     ("cli/corrupt-negative-seed-accepted", "cli.py", "    if args.seed < 0:\n", "    if False:\n"),
     ("cli/oserror-not-exit-2", "cli.py",
      "except (ConfigError, DimensionError, IdxParseError, NonFiniteError, OSError) as e:",

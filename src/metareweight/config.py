@@ -7,8 +7,9 @@ the type of its default, and each checks its own rules when it is built.
 Format: one `key = value` per line, `#` starts a comment, blank lines and
 blank values are ignored (the default applies). Unknown keys are errors, as
 are values that fail their field's parser and a key given twice, even once
-blank. The config hash covers every field except seed, repeat, and
-output_dir, so repeats of one experiment land under one identity.
+blank. The config hash and the `summary.json` config echo are read from the
+built config's fields, every key except seed, repeat and output_dir, so
+repeats of one experiment land under one identity.
 """
 
 import hashlib
@@ -63,7 +64,6 @@ class ExperimentConfig:
     declare; `imbalance` and `noise` are built from them."""
 
     train: TrainConfig
-    raw: dict  # the parsed config, the input of its hash
     train_images: str | None = None
     train_labels: str | None = None
     test_images: str | None = None
@@ -182,22 +182,22 @@ def build_experiment(values: dict) -> ExperimentConfig:
         if not os.path.isfile(values[key]):
             raise ConfigError(f"field {key!r}: file not found: {values[key]}")
     train = TrainConfig(**{key: values[key] for key in _defaults(TrainConfig)})
-    return ExperimentConfig(train, dict(values), **{key: values[key] for key in _defaults(ExperimentConfig)})
+    return ExperimentConfig(train, **{key: values[key] for key in _defaults(ExperimentConfig)})
 
 
-def canonical_items(values: dict) -> list[tuple[str, str]]:
-    """Sorted (key, canonical string) pairs for hashing and summaries."""
+def canonical_items(exp: ExperimentConfig) -> list[tuple[str, str]]:
+    """Sorted (key, canonical string) pairs of a built config's fields, for hashing and summaries."""
+    values = vars(exp.train) | vars(exp)
     items = []
     for key in sorted(SCHEMA):
         if key in HASH_EXCLUDED:
             continue
-        parser, default = SCHEMA[key]
-        value = values.get(key, default)
-        items.append((key, "" if value is None else _CANONICAL.get(parser, str)(value)))
+        value = values[key]
+        items.append((key, "" if value is None else _CANONICAL.get(SCHEMA[key][0], str)(value)))
     return items
 
 
-def config_hash(values: dict) -> str:
+def config_hash(exp: ExperimentConfig) -> str:
     """Hash of the experiment identity; invariant to field order in the file."""
-    blob = "\n".join(f"{k}={v}" for k, v in canonical_items(values))
+    blob = "\n".join(f"{k}={v}" for k, v in canonical_items(exp))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -95,7 +95,7 @@ def run_experiment(exp: ExperimentConfig, progress=None) -> dict:
     output_dir is made once both datasets are read, so unreadable data
     leaves no directory behind.
     """
-    chash = config_hash(exp.raw)
+    chash = config_hash(exp)
     base_train = load_idx(exp.train_images, exp.train_labels)
     base_test = load_idx(exp.test_images, exp.test_labels)
     os.makedirs(exp.output_dir, exist_ok=True)
@@ -129,7 +129,7 @@ def run_experiment(exp: ExperimentConfig, progress=None) -> dict:
     mean, ci = mean_and_ci([p["final_test_error"] for p in per_seed])
     summary = {
         "config_hash": chash,
-        "config": {k: v for k, v in canonical_items(exp.raw)},
+        "config": {k: v for k, v in canonical_items(exp)},
         "strategy": exp.train.strategy,
         "seeds": [p["seed"] for p in per_seed],
         "per_seed": per_seed,

@@ -3,6 +3,9 @@
 import csv
 import gzip
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import csv_rows, idx_images_bytes, idx_labels_bytes, run_check, write_mnist, write_pair
+import metareweight
 from metareweight import checks, theory
 from metareweight.cli import main
 from metareweight.data import load_idx, write_csv
@@ -379,6 +383,13 @@ class TestReportCommand:
             (tmp_path / name).write_text(text)
         assert_exits_2(["report", "--dir", "{tmp}"], tmp_path, capsys, message,
                        tmp_path / "report_final.csv", out_exists)
+
+    def test_module_entry_point_exits_with_main_status(self, tmp_path):
+        # `python -m metareweight.cli` runs the package this suite imports.
+        src = Path(metareweight.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-m", "metareweight.cli", "report", "--dir", str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, f"error: no summary.json found under {tmp_path}\n")
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ config builds."""
 
 import csv
 import gc
+import json
 import re
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from metareweight.config import (
+    REQUIRED_PATHS,
     SCHEMA,
     build_experiment,
     canonical_items,
@@ -96,47 +98,61 @@ class TestParsing:
         assert [key for key, (parser, default) in SCHEMA.items() if not agrees(cells[key], parser, default)] == []
 
 
+MNIST_PATHS = (
+    "train_images = mnist/train-images-idx3-ubyte\ntrain_labels = mnist/train-labels-idx1-ubyte\n"
+    "test_images = mnist/t10k-images-idx3-ubyte\ntest_labels = mnist/t10k-labels-idx1-ubyte\n"
+)
+
+
 class TestHash:
-    def test_invariant_to_field_order(self, tmp_path):
-        a = parse_config_file(write_config(tmp_path, "seed = 1\nstrategy = uniform\ntotal_steps = 9\n", "a.cfg"))
-        b = parse_config_file(write_config(tmp_path, "total_steps = 9\nstrategy = uniform\nseed = 1\n", "b.cfg"))
+    @pytest.fixture
+    def built(self, tmp_path, monkeypatch):
+        """built(text, name): the experiment a config text builds, with tmp_path
+        as the working directory and an empty file at each data path."""
+        monkeypatch.chdir(tmp_path)
+
+        def build(text, name="exp.cfg"):
+            values = parse_config_file(write_config(tmp_path, text, name))
+            for path in (tmp_path / values[key] for key in REQUIRED_PATHS):
+                path.parent.mkdir(exist_ok=True)
+                path.touch()
+            return build_experiment(values)
+
+        return build
+
+    def test_invariant_to_field_order(self, built):
+        a = built("seed = 1\nstrategy = uniform\ntotal_steps = 9\n" + MNIST_PATHS, "a.cfg")
+        b = built(MNIST_PATHS + "total_steps = 9\nstrategy = uniform\nseed = 1\n", "b.cfg")
         assert config_hash(a) == config_hash(b)
 
-    def test_excludes_seed_repeat_output_dir(self, tmp_path):
-        a = parse_config_file(write_config(tmp_path, "seed = 1\nrepeat = 2\noutput_dir = x\n", "a.cfg"))
-        b = parse_config_file(write_config(tmp_path, "seed = 9\nrepeat = 5\noutput_dir = y\n", "b.cfg"))
+    def test_excludes_seed_repeat_output_dir(self, built):
+        a = built("seed = 1\nrepeat = 2\noutput_dir = x\n" + MNIST_PATHS, "a.cfg")
+        b = built("seed = 9\nrepeat = 5\noutput_dir = y\n" + MNIST_PATHS, "b.cfg")
         assert config_hash(a) == config_hash(b)
 
-    def test_sensitive_to_experiment_fields(self, tmp_path):
-        a = parse_config_file(write_config(tmp_path, "learning_rate = 1e-3\n", "a.cfg"))
-        b = parse_config_file(write_config(tmp_path, "learning_rate = 2e-3\n", "b.cfg"))
+    def test_sensitive_to_experiment_fields(self, built):
+        a = built("learning_rate = 1e-3\n" + MNIST_PATHS, "a.cfg")
+        b = built("learning_rate = 2e-3\n" + MNIST_PATHS, "b.cfg")
         assert config_hash(a) != config_hash(b)
+        # The hash reads the fields, so dataclasses.replace moves it.
+        assert config_hash(replace(a, imbalance_ratio=2.0)) != config_hash(a)
 
-    def test_readme_example_hash_pinned(self, tmp_path):
+    def test_readme_example_hash_pinned(self, built):
         # The README's imbalance.cfg; its hash names existing run directories,
         # so no schema edit may change it.
-        text = (
-            "strategy = meta_reweight\nlearning_rate = 1e-3\nbatch_size_train = 100\n"
-            "batch_size_val = 10\ntotal_steps = 8000\neval_every = 200\n"
-            "train_images = mnist/train-images-idx3-ubyte\ntrain_labels = mnist/train-labels-idx1-ubyte\n"
-            "test_images = mnist/t10k-images-idx3-ubyte\ntest_labels = mnist/t10k-labels-idx1-ubyte\n"
-            "imbalance_ratio = 200\nimbalance_total = 5000\nminority_class = 4\nmajority_class = 9\n"
-            "val_per_class = 5\nrepeat = 10\noutput_dir = runs/imb200\n"
-        )
-        assert config_hash(parse_config_file(write_config(tmp_path, text))) == "2b3c233ff3b54697"
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        text = re.search(r"```\n(# imbalance\.cfg\n.*?)```", readme, re.S).group(1)
+        assert config_hash(built(text)) == "2b3c233ff3b54697"
 
-    def test_schedule_lists_and_false_hash_pinned(self, tmp_path):
+    def test_schedule_lists_and_false_hash_pinned(self, built):
         text = (
             "strategy = meta_reweight\nlearning_rate = 1e-3\ntotal_steps = 40\nhidden_sizes = 32,16\n"
-            "lr_schedule = 20:0.1, 30:0.01\nearly_stop_on_hyperval = false\n"
-            "train_images = mnist/train-images-idx3-ubyte\ntrain_labels = mnist/train-labels-idx1-ubyte\n"
-            "test_images = mnist/t10k-images-idx3-ubyte\ntest_labels = mnist/t10k-labels-idx1-ubyte\n"
+            "lr_schedule = 20:0.1, 30:0.01\nearly_stop_on_hyperval = false\n" + MNIST_PATHS
         )
-        assert config_hash(parse_config_file(write_config(tmp_path, text))) == "83535cd97cfd99fd"
+        assert config_hash(built(text)) == "83535cd97cfd99fd"
 
-    def test_canonical_items_cover_schema(self, tmp_path):
-        cfg = parse_config_file(write_config(tmp_path, "seed = 1\n"))
-        keys = [k for k, _ in canonical_items(cfg)]
+    def test_canonical_items_cover_schema(self, built):
+        keys = [k for k, _ in canonical_items(built("seed = 1\n" + MNIST_PATHS))]
         assert "seed" not in keys and "output_dir" not in keys
         assert "strategy" in keys and "noise_kind" in keys
 
@@ -244,6 +260,16 @@ class TestRunExperiment:
 
         run_experiment(build_experiment(parse_config_file(cfg)), progress)
         assert alive == [0, 0, 0]
+
+    def test_summary_follows_a_replaced_field(self, tmp_path):
+        # summary.json's hash and config echo read the fields that ran.
+        exp = build_experiment(parse_config_file(write_train_config(tmp_path, synth_mnist_like(tmp_path))))
+        summaries = {}
+        for name, e in (("base", exp), ("replaced", replace(exp, train=replace(exp.train, learning_rate=0.5)))):
+            run_experiment(replace(e, output_dir=str(tmp_path / name)))
+            summaries[name] = json.loads((tmp_path / name / "summary.json").read_text())
+        assert [summaries[name]["config"]["learning_rate"] for name in summaries] == ["0.05", "0.5"]
+        assert summaries["base"]["config_hash"] != summaries["replaced"]["config_hash"]
 
 
 class TestPrepareDatasets:
