@@ -131,7 +131,11 @@ MUTANTS = [
      "    final = best[0] if config.early_stop_on_hyperval else records[-1]\n"),
     ("trainer/waits-instead-of-running-queued-pass", "trainer.py",
      "evaluate(snapshot, ds) if future.cancel() else future.result()", "future.result()"),
-    ("trainer/last-point-not-filed", "trainer.py", "            )\n        file(pending)\n", "            )\n"),
+    ("trainer/last-point-not-filed", "trainer.py", "            pending = columns, model, futures\n        file(pending)\n",
+     "            pending = columns, model, futures\n"),
+    ("trainer/hyperval-filed-after-test", "trainer.py", "reversed(futures.items())", "futures.items()"),
+    ("trainer/train-batch-bound-off-by-one", "trainer.py", '("batch_size_train", 1)', '("batch_size_train", 2)'),
+    ("trainer/val-batch-bound-off-by-one", "trainer.py", '("batch_size_val", 1)', '("batch_size_val", 2)'),
     ("theory/descent-step-times-n", "theory.py",
      "stepped = sgd_step(model, direction, alpha / n)", "stepped = sgd_step(model, direction, alpha * n)"),
     ("theory/probe-difference-into-g0", "theory.py", "            diff -= g0\n",
@@ -185,6 +189,8 @@ MUTANTS = [
      "Dataset(self.images[idx], self.labels[idx]"),
     ("data/explicit-root-falls-back-to-env", "data.py", "        candidates = [root]\n",
      '        candidates = [root, os.environ.get("MNIST_DIR", root)]\n'),
+    ("data/imbalanced-pair-counts-swapped", "data.py", "(spec.minority_class, n_min), (spec.majority_class, n_maj)",
+     "(spec.minority_class, n_maj), (spec.majority_class, n_min)"),
     ("data/imbalanced-pair-copies-pixels", "data.py", "    return Dataset(ds.images.select(idx), new_labels)\n",
      "    return Dataset(ds.images[idx], new_labels)\n"),
     ("data/corrupt-copies-pixels", "data.py", "    return Dataset(ds.images, labels, ds.original_labels.copy())\n",
@@ -253,13 +259,13 @@ MUTANTS = [
      "if self.train.early_stop_on_hyperval and self.hyperval_total == 0:", "if False:"),
     ("config/noise-ratio-without-kind-accepted", "config.py",
      "if noise is None and self.noise_ratio != 0:", "if False:"),
-    ("config/negative-val-per-class-accepted", "config.py", "        if self.val_per_class < 0:\n",
-     "        if False:\n"),
-    ("config/negative-hyperval-total-accepted", "config.py", "        if self.hyperval_total < 0:\n",
-     "        if False:\n"),
-    ("config/zero-repeat-accepted", "config.py", "        if self.repeat < 1:\n", "        if False:\n"),
-    ("config/zero-subset-total-accepted", "config.py",
-     "        if self.subset_total is not None and self.subset_total < 1:\n", "        if False:\n"),
+    ("config/negative-val-per-class-accepted", "config.py", '("val_per_class", 0), ', ""),
+    ("config/negative-hyperval-total-accepted", "config.py", '("hyperval_total", 0), ', ""),
+    ("config/zero-repeat-accepted", "config.py", '("repeat", 1), ', ""),
+    ("config/zero-subset-total-accepted", "config.py", ', ("subset_total", 1)', ""),
+    ("config/subset-total-bound-off-by-one", "config.py", '("subset_total", 1)', '("subset_total", 2)'),
+    ("config/noisy-pair-class-count-unchecked", "config.py",
+     "        if imbalance and noise and self.num_classes != 2:\n", "        if False:\n"),
     ("cli/verify-data-dir-unchecked", "cli.py",
      '    if args.level == "full" and args.data_dir and locate_mnist(args.data_dir) is None:\n', "    if False:\n"),
     ("cli/verify-out-unchecked", "cli.py",

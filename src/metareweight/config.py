@@ -92,20 +92,17 @@ class ExperimentConfig:
             self.noise_kind, self.noise_ratio, self.num_classes, self.background_class)
         object.__setattr__(self, "imbalance", imbalance)
         object.__setattr__(self, "noise", noise)
-        if self.val_per_class < 0:
-            raise ConfigError("field 'val_per_class': must be nonnegative")
-        if self.hyperval_total < 0:
-            raise ConfigError("field 'hyperval_total': must be nonnegative")
-        if self.repeat < 1:
-            raise ConfigError("field 'repeat': must be at least 1")
-        if self.subset_total is not None and self.subset_total < 1:
-            raise ConfigError("field 'subset_total': must be at least 1")
+        for name, low in (("val_per_class", 0), ("hyperval_total", 0), ("repeat", 1), ("subset_total", 1)):
+            if (value := getattr(self, name)) is not None and value < low:
+                raise ConfigError(f"field {name!r}: must be {'at least 1' if low else 'nonnegative'}")
         if self.train.strategy == "meta_reweight" and self.val_per_class == 0:
             raise ConfigError("field 'val_per_class': meta_reweight needs a validation split")
         if self.train.early_stop_on_hyperval and self.hyperval_total == 0:
             raise ConfigError("field 'early_stop_on_hyperval': needs hyperval_total > 0")
         if noise is None and self.noise_ratio != 0:
             raise ConfigError("field 'noise_ratio': needs a noise_kind")
+        if imbalance and noise and self.num_classes != 2:
+            raise ConfigError(f"field 'num_classes': the imbalanced pair has 2 classes, got {self.num_classes}")
 
 
 def _defaults(cls) -> dict:

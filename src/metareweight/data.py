@@ -307,19 +307,13 @@ def make_imbalanced_pair(ds: Dataset, spec: ImbalanceSpec, rng: np.random.Genera
     """
     n_min = max(1, int(round(spec.total / (spec.ratio + 1))))
     n_maj = spec.total - n_min
-    min_pool = np.flatnonzero(ds.labels == spec.minority_class)
-    maj_pool = np.flatnonzero(ds.labels == spec.majority_class)
-    if min_pool.size < n_min:
-        raise ConfigError(
-            f"need {n_min} examples of class {spec.minority_class}, dataset has {min_pool.size}"
-        )
-    if maj_pool.size < n_maj:
-        raise ConfigError(
-            f"need {n_maj} examples of class {spec.majority_class}, dataset has {maj_pool.size}"
-        )
-    take_min = rng.choice(min_pool, size=n_min, replace=False)
-    take_maj = rng.choice(maj_pool, size=n_maj, replace=False)
-    idx = np.concatenate([take_min, take_maj])
+    taken = []
+    for label, count in ((spec.minority_class, n_min), (spec.majority_class, n_maj)):
+        pool = np.flatnonzero(ds.labels == label)
+        if pool.size < count:
+            raise ConfigError(f"need {count} examples of class {label}, dataset has {pool.size}")
+        taken.append(rng.choice(pool, size=count, replace=False))
+    idx = np.concatenate(taken)
     rng.shuffle(idx)
     new_labels = np.where(ds.labels[idx] == spec.minority_class, 0, 1).astype(np.int64)
     return Dataset(ds.images.select(idx), new_labels)

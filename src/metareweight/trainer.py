@@ -74,16 +74,10 @@ class TrainConfig:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError("learning_rate: must be positive and finite")
-        if self.batch_size_train < 1:
-            raise ConfigError("batch_size_train: must be at least 1")
-        if self.batch_size_val < 1:
-            raise ConfigError("batch_size_val: must be at least 1")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps: must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed: must be nonnegative")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every: must be at least 1")
+        for name, low in (("batch_size_train", 1), ("batch_size_val", 1), ("total_steps", 1), ("seed", 0),
+                          ("eval_every", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be {'at least 1' if low else 'nonnegative'}")
         prev = -1
         for step, mult in self.lr_schedule:
             if step < 0:
@@ -295,8 +289,9 @@ def train(
     # (t, w, flipped, loss) per step; evaluation at step t reads the last t % eval_every + 1.
     log: collections.deque = collections.deque(maxlen=config.eval_every)
     records: list[MetricsRecord] = []
-    # The evaluation point in flight: its record fields, its model and the
-    # futures of its test and hyperval passes.
+    # The datasets evaluated at each point, keyed by their MetricsRecord column prefix.
+    passes = {"test": test_ds, "hyperval": hyperval_ds} if hyperval_ds else {"test": test_ds}
+    # The evaluation point in flight: (record fields, model, {pass name: (dataset, future)}).
     pending = None
     best = None  # (record, model) with the lowest hyperval error so far
 
@@ -306,17 +301,13 @@ def train(
         A pass the worker has not started runs on this thread instead of
         being waited for: the hyperval pass first, as it was queued last."""
         nonlocal best
-        columns, snapshot, test_pass, hyper_pass = point
-
-        def error(ds, future, name) -> float:
-            err, loss = evaluate(snapshot, ds) if future.cancel() else future.result()
-            _check_point(name, loss)
-            return err
-
+        columns, snapshot, futures = point
         with _at_step(config.seed, columns["step"] - 1):
-            hyperval_error = error(hyperval_ds, hyper_pass, "hyperval loss") if hyper_pass else float("nan")
-            test_error = error(test_ds, test_pass, "test loss")
-        record = MetricsRecord(test_error=test_error, hyperval_error=hyperval_error, **columns)
+            for name, (ds, future) in reversed(futures.items()):
+                err, loss = evaluate(snapshot, ds) if future.cancel() else future.result()
+                _check_point(f"{name} loss", loss)
+                columns[f"{name}_error"] = err
+        record = MetricsRecord(**columns)
         records.append(record)
         if config.early_stop_on_hyperval and (
             best is None or record.hyperval_error < best[0].hyperval_error
@@ -356,12 +347,8 @@ def train(
             )
             if pending is not None:
                 file(pending)
-            pending = (
-                columns,
-                model,
-                worker.submit(evaluate, model, test_ds),
-                worker.submit(evaluate, model, hyperval_ds) if hyperval_ds else None,
-            )
+            futures = {name: (ds, worker.submit(evaluate, model, ds)) for name, ds in passes.items()}
+            pending = columns, model, futures
         file(pending)
 
     # An early-stopped run's test error is the one recorded at its chosen point.

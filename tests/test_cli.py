@@ -154,6 +154,10 @@ class TestTrainCommand:
                      "imbalance ratio must be a finite number >= 1, got nan", False, id="nan_imbalance_ratio"),
         pytest.param(("eval_every = 20", "eval_every = 20\nnoise_kind = uniform_flip\nnum_classes = 1"), (),
                      "label noise needs at least two classes", False, id="noise_with_one_class"),
+        pytest.param(("eval_every = 20", "eval_every = 20\nimbalance_ratio = 2\nimbalance_total = 60\n"
+                      "minority_class = 0\nmajority_class = 1\nnoise_kind = uniform_flip\nnoise_ratio = 0.3"), (),
+                     "field 'num_classes': the imbalanced pair has 2 classes, got 10", False,
+                     id="imbalance_noise_ten_classes"),
     ])
     def test_bad_config_exits_2_before_reading_data(self, tmp_path, capsys, edit, flags, message, out_exists):
         assert_exits_2(train_argv(tmp_path, *flags, edit=edit), tmp_path, capsys, message,

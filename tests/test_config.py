@@ -214,6 +214,9 @@ class TestBuildExperiment:
                      "^field 'subset_total': must be at least 1$", id="subset_total_zero"),
         pytest.param(lambda text: text.replace("20:0.1", "-1:0.1"),
                      "^lr_schedule: steps must be nonnegative$", id="negative_schedule_step"),
+        pytest.param(lambda text: text + "imbalance_ratio = 10\nnoise_kind = uniform_flip\nnoise_ratio = 0.3\n",
+                     "^field 'num_classes': the imbalanced pair has 2 classes, got 10$",
+                     id="imbalance_noise_ten_classes"),
         # The required paths are checked before any other rule.
         pytest.param(lambda text: text.replace("test_labels = {d}/test-lab\n", "").replace("1e-3", "nan"),
                      "^field 'test_labels' is required$", id="missing_path_before_nan_learning_rate"),
@@ -223,6 +226,13 @@ class TestBuildExperiment:
         text = edit(BASIC).format(d=tmp_path)
         with pytest.raises(ConfigError, match=match):
             build_experiment(parse_config_file(write_config(tmp_path, text)))
+
+    @pytest.mark.parametrize("key, lowest", [("val_per_class", 0), ("hyperval_total", 0), ("repeat", 1),
+                                             ("subset_total", 1)])
+    def test_lowest_bounded_value_builds(self, tmp_path, key, lowest):
+        # uniform, since meta_reweight needs a validation split.
+        text = self._paths(tmp_path).replace("meta_reweight", "uniform") + f"{key} = {lowest}\n"
+        assert getattr(build_experiment(parse_config_file(write_config(tmp_path, text))), key) == lowest
 
     def test_fuzzed_config_builds_or_raises_config_error(self, tmp_path):
         # Seeded truncations and single bit flips of a valid config: each one

@@ -338,6 +338,10 @@ IMAGE_2X2 = idx_images_bytes(np.zeros((1, 2, 2)))
     pytest.param(lambda tmp: make_imbalanced_pair(labeled_dataset(52, {4: 2, 9: 100})[1],
                                                   ImbalanceSpec(ratio=10, total=100), np.random.default_rng(0)),
                  ConfigError, "^need 9 examples of class 4, dataset has 2$", id="imbalance_pool_too_small"),
+    # Both classes short: the minority class is reported.
+    pytest.param(lambda tmp: make_imbalanced_pair(labeled_dataset(52, {4: 2, 9: 50})[1],
+                                                  ImbalanceSpec(ratio=10, total=100), np.random.default_rng(0)),
+                 ConfigError, "^need 9 examples of class 4, dataset has 2$", id="imbalance_both_pools_too_small"),
     pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=10),
                  ConfigError, "^total 10 too small for ratio 10", id="imbalance_total_below_ratio"),
     pytest.param(lambda tmp: ImbalanceSpec(ratio=10, total=100, minority_class=4, majority_class=4),

@@ -109,6 +109,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             small_config(**kw)
 
+    @pytest.mark.parametrize("field, lowest", [("batch_size_train", 1), ("batch_size_val", 1), ("total_steps", 1),
+                                               ("seed", 0), ("eval_every", 1)])
+    def test_lowest_bounded_value_builds(self, field, lowest):
+        assert getattr(small_config(**{field: lowest}), field) == lowest
+
 
 class TestTrainBasics:
     def test_uniform_learns_blobs(self):
